@@ -15,9 +15,6 @@ Conventions shared by all experiments:
   same bytes;
 * wall-clock time goes to the comparison table and stderr only, never into
   per-iteration files.
-
-The environment variable MDBENCH_THREADS caps how many (schedule, m) cells
-of a plan run in parallel; the default is the logical processor count.
 """
 from __future__ import annotations
 
@@ -25,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -428,16 +424,6 @@ def _m_token(m: float) -> str:
     return format(float(m), "g")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("MDBENCH_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _execute_cell(objective, prox, feasible, x1, tag, m, iters, theta,
                   reference) -> tuple[str, SolveResult]:
     state = _schedule_state(tag, objective, prox)
@@ -493,9 +479,7 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run every (schedule, m) cell of the plan, write one CSV per cell and
     a summary JSON into plan.output_dir, and return the summary dict.
-
-    Cells run in parallel up to MDBENCH_THREADS workers; outputs and the
-    summary ordering depend only on the plan, never on scheduling.
+    Cells run in plan order.
     """
     _check_unconstrained(plan)
     objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
@@ -505,13 +489,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     os.makedirs(plan.output_dir, exist_ok=True)
 
     cells = [(tag, m) for tag in plan.schedules for m in plan.m_values]
-
-    def job(cell):
-        tag, m = cell
-        return _execute_cell(objective, prox, feasible, x1, tag, m, plan.iters, theta, reference)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        outcomes = list(pool.map(job, cells))
+    outcomes = [
+        _execute_cell(objective, prox, feasible, x1, tag, m, plan.iters, theta, reference)
+        for tag, m in cells
+    ]
 
     summary_cells = []
     for (tag, m), (text, result) in zip(cells, outcomes):
@@ -561,14 +542,11 @@ def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
     reference = reference_solution(objective, feasible, iters_budget=plan.iters)
     theta = theta_for(feasible)
 
-    def job(m):
-        return _execute_cell(objective, prox, feasible, x1, tag, m, plan.iters, theta, reference)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        outcomes = list(pool.map(job, plan.m_values))
-
     lines = ["m,k,gap_avg"]
-    for m, (text, _result) in zip(plan.m_values, outcomes):
+    for m in plan.m_values:
+        text, _ = _execute_cell(
+            objective, prox, feasible, x1, tag, m, plan.iters, theta, reference
+        )
         rows = text.strip("\n").split("\n")
         header = rows[0].split(",")
         k_col = header.index("k")

@@ -1,5 +1,6 @@
-"""Four mirror-descent solver loops with m-weighted averaging, plus the
-theoretical bound evaluators and stopping criteria they are tested against.
+"""Four mirror-descent solvers sharing one iteration loop with m-weighted
+averaging, plus the theoretical bound evaluators and stopping criteria they
+are tested against.
 
 Every solver returns the weighted average
 
@@ -31,7 +32,14 @@ from .geometry import (
     mirror_step,
 )
 from .problems import AffineConstraints
-from .schedules import ScheduleState, StationarySignal, is_nonincreasing_guaranteed
+from .schedules import (
+    TAG_ADAPTIVE_TV,
+    TAG_POLYAK,
+    ScheduleState,
+    StationarySignal,
+    is_nonincreasing_guaranteed,
+    schedule,
+)
 from .space import as_point, dual_norm_kind, norm
 
 __all__ = [
@@ -172,71 +180,165 @@ def _finish(avg, x, stop, objective, h=None):
     return x_hat, f_hat
 
 
-def _averaged_descent(objective, h, prox, feasible, state, config, x1):
+def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
+             constraints=None, scan=False, state_g=None, use_criterion=False):
+    """The iteration loop behind all four solvers.
+
+    x^k is productive when there are no constraints, when g(x^k) <= epsilon
+    (one full max), or, with ``scan``, when the first-violation scan finds
+    no constraint above epsilon. A productive step follows a subgradient of
+    f with state_f and enters the average; any other step follows the
+    violated constraint with state_g. The certificate sums the realized
+    steps, or with ``scan`` takes the worst-case-M form of the
+    one-constraint-at-a-time method. It feeds the bound column (certified
+    unconstrained runs with a trace) and, with use_criterion, the stopping
+    rule.
+    """
     x = as_point(x1)
     if not feasible.contains(x):
         raise ValueError("initial point is not in the feasible set")
-    if config.iters is None:
+    if constraints is None and config.iters is None:
         raise ValueError("unconstrained solvers need config.iters")
-    n_iter = min(config.iters, SAFETY_CAP)
+    if constraints is not None and config.epsilon is None:
+        raise ValueError("constrained solvers need config.epsilon")
+    n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
+    eps = config.epsilon
     m = config.m
+    theta = config.theta
+    sigma = prox.sigma
     dual = dual_norm_kind(prox.norm)
     avg = WeightedAverager(x.size, m)
     trace = Trace() if config.record_trace else None
-    certified = is_nonincreasing_guaranteed(state.kind)
+    bound_column = (
+        trace is not None and constraints is None
+        and is_nonincreasing_guaranteed(state_f.kind)
+    )
+    certify = bound_column or use_criterion
+    # f(x^k) is read only by the trace and the Polyak rule
+    want_f = trace is not None or state_f.kind.tag == TAG_POLYAK
+    if scan:
+        root = math.sqrt(2.0 * sigma)
+        m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
 
-    wsum = 0.0  # sum of gamma^{-m}
-    gsum = 0.0  # sum of ||grad||_*^2 / gamma^{m-1}
+    lhs = 0.0  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
+    sq = 0.0  # sum of ||grad||_*^2 / gamma^{m-1}
+    sum_f = 0.0  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
+    sum_g = 0.0  # the same over non-productive steps
     h_term = 0.0  # h(x1) / gamma_1^m, fixed after the first step
+    evals = 0  # constraint evaluations at x^k
+    evals_total = 0
+    n_prod = 0
+    n_nonprod = 0
     completed = 0
     stop = StopReason.MAX_ITERS
     for k in range(1, n_iter + 1):
-        fx = objective.value(x)
-        g = objective.subgrad(x)
-        gn = norm(g, dual)
+        if constraints is None:
+            prod = True
+        elif scan:
+            q, evals, g_seen = constraints.first_violation(x, eps)
+            prod = q is None
+            # g(x) is fully known only when the scan saw every constraint
+            gx = g_seen if prod else math.nan
+        else:
+            gx = constraints.value(x)
+            evals = constraints.p
+            prod = gx <= eps
+        evals_total += evals
+
+        if prod:
+            grad = objective.subgrad(x)
+        elif scan:
+            grad = constraints.subgrad_one(q, x)
+        else:
+            grad = constraints.subgrad(x)
+        gn = norm(grad, dual)
+        if not math.isfinite(gn):
+            raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
         if gn == 0.0:
+            if not prod:
+                which = f"constraint {q}" if scan else "the constraint maximum"
+                raise NoProductiveSteps(
+                    f"{which} has a zero subgradient while above epsilon: "
+                    "the epsilon-feasible region is empty"
+                )
             stop = StopReason.STATIONARY_POINT
             break
+        fx = objective.value(x) if prod and want_f else None
         try:
-            gamma = state.step_size(
+            gamma = (state_f if prod else state_g).step_size(
                 k, f_val=fx, grad_dual_norm=gn, f_star=objective.known_fstar
             )
         except StationarySignal:
             stop = StopReason.STATIONARY_POINT
             break
-        hv = h.value(x) if h is not None else 0.0
-        if k == 1:
-            h_term = hv / gamma**m
-        avg.update(x, gamma)
-        wsum += gamma ** (-m)
-        gsum += gn * gn / gamma ** (m - 1.0)
+        if h is not None:
+            hv = h.value(x)
+        if prod:
+            if k == 1 and h is not None:
+                h_term = hv / gamma**m
+            avg.update(x, gamma)
+            n_prod += 1
+        else:
+            n_nonprod += 1
+        completed = k
+
         if trace is not None:
             trace.k.append(k)
             trace.gamma.append(gamma)
-            trace.f_iterate.append(fx + hv)
-            x_bar = avg.average
-            fb = objective.value(x_bar) + (h.value(x_bar) if h is not None else 0.0)
-            trace.f_avg.append(fb)
-            if certified:
-                trace.bound.append(
-                    (config.theta / gamma ** (m + 1.0) + h_term + gsum / (2.0 * prox.sigma))
-                    / wsum
+            f_k = fx if prod else objective.value(x)
+            trace.f_iterate.append(f_k if h is None else f_k + hv)
+            if avg.weight_total > 0.0:
+                x_bar = avg.average
+                f_bar = objective.value(x_bar)
+                if h is not None:
+                    f_bar += h.value(x_bar)
+            else:
+                f_bar = math.nan
+            trace.f_avg.append(f_bar)
+            if constraints is not None:
+                trace.g_iterate.append(gx)
+                trace.productive.append(prod)
+                trace.constraint_evals.append(evals)
+            if scan:
+                trace.l_k.append(gn)
+        if certify:
+            if not scan:
+                lhs += gamma ** (-m)
+                sq += gn * gn / gamma ** (m - 1.0)
+                rhs = theta / gamma ** (m + 1.0) + h_term + sq / (2.0 * sigma)
+            else:
+                sk = math.sqrt(k)
+                lhs += (gn * sk / root) ** m
+                if prod:
+                    sum_f += sk ** (m - 1.0) * gn ** (m + 1.0)
+                else:
+                    sum_g += sk ** (m - 1.0) * gn ** (m + 1.0)
+                rhs = theta * (m_big * sk / root) ** (m + 1.0) + (sum_f + sum_g) / root ** (
+                    m + 1.0
                 )
+            if bound_column:
+                trace.bound.append(rhs / lhs)
+            if use_criterion and eps * lhs >= rhs:
+                stop = StopReason.EPSILON_CRITERION
+                break
         if h is None:
-            x = mirror_step(prox, feasible, x, g, gamma)
+            x = mirror_step(prox, feasible, x, grad, gamma)
         else:
-            x = composite_mirror_step(prox, feasible, x, g, gamma, h)
-        completed = k
+            x = composite_mirror_step(prox, feasible, x, grad, gamma, h)
 
+    if constraints is not None and avg.weight_total == 0.0 and stop is StopReason.MAX_ITERS:
+        what = "every constraint" if scan else "g <= epsilon"
+        raise NoProductiveSteps(f"no iterate satisfied {what} within {completed} iterations")
     x_hat, f_hat = _finish(avg, x, stop, objective, h)
     return SolveResult(
         x_hat=x_hat,
         f_hat=f_hat,
         iterations=completed,
-        productive_count=completed,
-        nonproductive_count=0,
+        productive_count=n_prod,
+        nonproductive_count=n_nonprod,
         stop_reason=stop,
         trace=trace,
+        constraint_evals_total=None if constraints is None else evals_total,
     )
 
 
@@ -245,7 +347,7 @@ def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
     """Plain mirror descent: subgradient, step size, mirror step, fold into
     the weighted average. Exits early with StationaryPoint on a zero
     subgradient (the point is optimal)."""
-    return _averaged_descent(objective, None, prox, feasible, state, config, x1)
+    return _descent(objective, prox, feasible, state, config, x1)
 
 
 def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
@@ -259,7 +361,7 @@ def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
             "the composite averaging guarantee covers only -1 <= m <= 0; "
             f"got m={config.m}"
         )
-    return _averaged_descent(objective, h, prox, feasible, state, config, x1)
+    return _descent(objective, prox, feasible, state, config, x1, h=h)
 
 
 def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
@@ -283,89 +385,9 @@ def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
     rule for fixed-budget runs that rely on the a-priori iteration
     estimates instead. Output averages productive iterates only.
     """
-    x = as_point(x1)
-    if not feasible.contains(x):
-        raise ValueError("initial point is not in the feasible set")
-    if config.epsilon is None:
-        raise ValueError("constrained solvers need config.epsilon")
-    eps = config.epsilon
-    m = config.m
-    theta = config.theta
-    sigma = prox.sigma
-    n_iter = min(config.iters if config.iters is not None else SAFETY_CAP, SAFETY_CAP)
-    dual = dual_norm_kind(prox.norm)
-    avg = WeightedAverager(x.size, m)
-    trace = Trace() if config.record_trace else None
-
-    lhs_w = 0.0  # sum of gamma^{-m} over all steps
-    rhs_sq = 0.0  # sum of ||grad||^2 / gamma^{m-1} over all steps
-    n_prod = 0
-    n_nonprod = 0
-    completed = 0
-    stop = StopReason.MAX_ITERS
-    for k in range(1, n_iter + 1):
-        gx = constraints.value(x)
-        prod = gx <= eps
-        if prod:
-            fx = objective.value(x)
-            grad = objective.subgrad(x)
-            gn = norm(grad, dual)
-            if gn == 0.0:
-                stop = StopReason.STATIONARY_POINT
-                break
-            try:
-                gamma = state_f.step_size(
-                    k, f_val=fx, grad_dual_norm=gn, f_star=objective.known_fstar
-                )
-            except StationarySignal:
-                stop = StopReason.STATIONARY_POINT
-                break
-            avg.update(x, gamma)
-            n_prod += 1
-        else:
-            grad = constraints.subgrad(x)
-            gn = norm(grad, dual)
-            if gn == 0.0:
-                raise NoProductiveSteps(
-                    "constraint subgradient vanished while g > epsilon: the "
-                    "epsilon-feasible region is empty"
-                )
-            gamma = state_g.step_size(k, grad_dual_norm=gn)
-            n_nonprod += 1
-        lhs_w += gamma ** (-m)
-        rhs_sq += gn * gn / gamma ** (m - 1.0)
-        completed = k
-        if trace is not None:
-            trace.k.append(k)
-            trace.gamma.append(gamma)
-            trace.f_iterate.append(fx if prod else objective.value(x))
-            trace.f_avg.append(
-                objective.value(avg.average) if avg.weight_total > 0.0 else math.nan
-            )
-            trace.g_iterate.append(gx)
-            trace.productive.append(prod)
-            trace.constraint_evals.append(constraints.p)
-        if use_criterion and eps * lhs_w >= theta / gamma ** (m + 1.0) + rhs_sq / (
-            2.0 * sigma
-        ):
-            stop = StopReason.EPSILON_CRITERION
-            break
-        x = mirror_step(prox, feasible, x, grad, gamma)
-
-    if avg.weight_total == 0.0 and stop is StopReason.MAX_ITERS:
-        raise NoProductiveSteps(
-            f"no iterate satisfied g <= epsilon within {completed} iterations"
-        )
-    x_hat, f_hat = _finish(avg, x, stop, objective)
-    return SolveResult(
-        x_hat=x_hat,
-        f_hat=f_hat,
-        iterations=completed,
-        productive_count=n_prod,
-        nonproductive_count=n_nonprod,
-        stop_reason=stop,
-        trace=trace,
-        constraint_evals_total=constraints.p * completed,
+    return _descent(
+        objective, prox, feasible, state_f, config, x1,
+        constraints=constraints, state_g=state_g, use_criterion=use_criterion,
     )
 
 
@@ -390,92 +412,10 @@ def constrained_md_multi(objective, constraints: AffineConstraints,
 
     holds, with M = max of the objective and constraint Lipschitz bounds.
     """
-    x = as_point(x1)
-    if not feasible.contains(x):
-        raise ValueError("initial point is not in the feasible set")
-    if config.epsilon is None:
-        raise ValueError("constrained solvers need config.epsilon")
-    eps = config.epsilon
-    m = config.m
-    theta = config.theta
-    sigma = prox.sigma
-    n_iter = min(config.iters if config.iters is not None else SAFETY_CAP, SAFETY_CAP)
-    dual = dual_norm_kind(prox.norm)
-    avg = WeightedAverager(x.size, m)
-    trace = Trace() if config.record_trace else None
-    root = math.sqrt(2.0 * sigma)
-    m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
-
-    lhs_w = 0.0
-    sum_f = 0.0
-    sum_g = 0.0
-    evals_total = 0
-    n_prod = 0
-    n_nonprod = 0
-    completed = 0
-    stop = StopReason.MAX_ITERS
-    for k in range(1, n_iter + 1):
-        q, evals, g_seen = constraints.first_violation(x, eps)
-        evals_total += evals
-        sk = math.sqrt(k)
-        prod = q is None
-        if prod:
-            grad = objective.subgrad(x)
-            lk = norm(grad, dual)
-            if lk == 0.0:
-                stop = StopReason.STATIONARY_POINT
-                break
-            gamma = root / (lk * sk)
-            avg.update(x, gamma)
-            n_prod += 1
-            sum_f += sk ** (m - 1.0) * lk ** (m + 1.0)
-        else:
-            grad = constraints.subgrad_one(q, x)
-            lk = norm(grad, dual)
-            if lk == 0.0:
-                raise NoProductiveSteps(
-                    f"constraint {q} has a zero subgradient while above epsilon: "
-                    "its epsilon-feasible region is empty"
-                )
-            gamma = root / (lk * sk)
-            n_nonprod += 1
-            sum_g += sk ** (m - 1.0) * lk ** (m + 1.0)
-        lhs_w += (lk * sk / root) ** m
-        completed = k
-        if trace is not None:
-            trace.k.append(k)
-            trace.gamma.append(gamma)
-            trace.f_iterate.append(objective.value(x))
-            trace.f_avg.append(
-                objective.value(avg.average) if avg.weight_total > 0.0 else math.nan
-            )
-            # g(x) is fully known only when the scan saw every constraint
-            trace.g_iterate.append(g_seen if prod else math.nan)
-            trace.productive.append(prod)
-            trace.l_k.append(lk)
-            trace.constraint_evals.append(evals)
-        rhs = theta * (m_big * sk / root) ** (m + 1.0) + (sum_f + sum_g) / root ** (
-            m + 1.0
-        )
-        if eps * lhs_w >= rhs:
-            stop = StopReason.EPSILON_CRITERION
-            break
-        x = mirror_step(prox, feasible, x, grad, gamma)
-
-    if avg.weight_total == 0.0 and stop is StopReason.MAX_ITERS:
-        raise NoProductiveSteps(
-            f"no iterate satisfied every constraint within {completed} iterations"
-        )
-    x_hat, f_hat = _finish(avg, x, stop, objective)
-    return SolveResult(
-        x_hat=x_hat,
-        f_hat=f_hat,
-        iterations=completed,
-        productive_count=n_prod,
-        nonproductive_count=n_nonprod,
-        stop_reason=stop,
-        trace=trace,
-        constraint_evals_total=evals_total,
+    state = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
+    return _descent(
+        objective, prox, feasible, state, config, x1,
+        constraints=constraints, scan=True, state_g=state, use_criterion=True,
     )
 
 

@@ -288,6 +288,97 @@ def test_solver_determinism():
     assert a.trace.f_avg == b.trace.f_avg
 
 
+class _CountingDistance(DistanceToPoint):
+    """DistanceToPoint that counts its oracle calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.value_calls = 0
+        self.subgrad_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return super().value(x)
+
+    def subgrad(self, x):
+        self.subgrad_calls += 1
+        return super().subgrad(x)
+
+
+def test_objective_value_computed_only_when_read():
+    # trace off and a rule that ignores f: the only value call is f_hat
+    obj = _CountingDistance([10.0, 0.0])
+    res = mirror_descent(
+        obj,
+        euclidean_setup(),
+        unit_ball(2),
+        _state("time-varying", m_lipschitz=1.0),
+        RunConfig(m=0.0, iters=100, record_trace=False),
+        np.zeros(2),
+    )
+    assert res.iterations == 100
+    assert obj.subgrad_calls == 100
+    assert obj.value_calls == 1
+
+
+def test_polyak_receives_the_objective_value_on_every_step():
+    obj = _CountingDistance([2.0, 1.0], known_fstar=math.sqrt(5.0) - 1.0)
+    state = _state("polyak")
+    seen = []
+    step_size = state.step_size
+
+    def recording_step_size(k, f_val=None, grad_dual_norm=None, f_star=None):
+        seen.append(f_val)
+        return step_size(k, f_val=f_val, grad_dual_norm=grad_dual_norm, f_star=f_star)
+
+    state.step_size = recording_step_size
+    res = mirror_descent(
+        obj,
+        euclidean_setup(),
+        unit_ball(2),
+        state,
+        RunConfig(m=0.0, iters=20, record_trace=False),
+        np.array([0.0, -0.5]),
+    )
+    assert res.iterations >= 2
+    assert len(seen) >= res.iterations
+    assert all(isinstance(f, float) for f in seen)
+    # one value per step rule call, plus the final f_hat
+    assert obj.value_calls == len(seen) + 1
+
+
+class _NanAfter(DistanceToPoint):
+    """DistanceToPoint whose subgradient turns NaN from call ``bad`` on."""
+
+    def __init__(self, a, bad: int):
+        super().__init__(a)
+        self.bad = bad
+        self.calls = 0
+
+    def subgrad(self, x):
+        self.calls += 1
+        g = super().subgrad(x)
+        return np.full_like(g, math.nan) if self.calls >= self.bad else g
+
+
+@pytest.mark.parametrize("solver", ["mirror_descent", "constrained_md"])
+def test_non_finite_subgradient_raises(solver):
+    obj = _NanAfter([10.0, 0.0], bad=3)
+    state = _state("time-varying", m_lipschitz=1.0)
+    with pytest.raises(ValueError, match="at iteration 3"):
+        if solver == "mirror_descent":
+            mirror_descent(
+                obj, euclidean_setup(), unit_ball(2), state,
+                RunConfig(m=0.0, iters=50), np.zeros(2),
+            )
+        else:
+            constrained_md(
+                obj, _always_satisfied(2), euclidean_setup(), unit_ball(2),
+                state, _state("nonsum"), RunConfig(m=0.0, iters=50, epsilon=0.5),
+                np.zeros(2), use_criterion=False,
+            )
+
+
 # ---------------------------------------------------------------- composite
 
 
@@ -467,6 +558,23 @@ def test_use_criterion_false_runs_the_full_budget():
     )
     assert res.stop_reason is StopReason.MAX_ITERS
     assert res.iterations == 30
+
+
+def test_stationary_stop_counts_its_constraint_scan():
+    # x1 = 0 minimizes ||x||, so both solvers stop at k = 1 after one scan
+    # of the single constraint
+    obj = DistanceToPoint([0.0, 0.0])
+    cons = _always_satisfied(2)
+    cfg = RunConfig(m=0.0, iters=10, epsilon=0.5)
+    alg3 = constrained_md(
+        obj, cons, euclidean_setup(), unit_ball(2),
+        _state("nonsum"), _state("nonsum"), cfg, np.zeros(2),
+    )
+    alg4 = constrained_md_multi(obj, cons, euclidean_setup(), unit_ball(2), cfg, np.zeros(2))
+    for res in (alg3, alg4):
+        assert res.stop_reason is StopReason.STATIONARY_POINT
+        assert res.iterations == 0
+        assert res.constraint_evals_total == 1
 
 
 # ---------------------------------------------------------------- multi scan

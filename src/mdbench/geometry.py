@@ -77,6 +77,16 @@ class Ball:
             return np.array(x, dtype=np.float64)
         return self.center + d * (self.radius / r)
 
+    def project_rows(self, X: np.ndarray) -> np.ndarray:
+        """``project`` applied to each row of a (K, n) array, bit for bit."""
+        d = X - self.center
+        # vecdot rounds like np.dot; (d * d).sum(axis=1) does not
+        r = np.sqrt(np.vecdot(d, d))
+        out = np.array(X, dtype=np.float64)
+        far = ~(r <= self.radius)
+        out[far] = self.center + d[far] * (self.radius / r[far])[:, None]
+        return out
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -101,6 +111,18 @@ class Simplex:
         rho = np.nonzero(u - (css - 1.0) / ks > 0.0)[0][-1]
         tau = (css[rho] - 1.0) / (rho + 1.0)
         return np.maximum(y - tau, 0.0)
+
+    def project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """``project`` applied to each row of a (K, n) array, bit for bit."""
+        Y = np.asarray(Y, dtype=np.float64)
+        u = np.sort(Y, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        ks = np.arange(1, Y.shape[1] + 1)
+        positive = u - (css - 1.0) / ks > 0.0
+        # index of the last positive entry in each row
+        rho = Y.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+        tau = (css[np.arange(Y.shape[0]), rho] - 1.0) / (rho + 1.0)
+        return np.maximum(Y - tau[:, None], 0.0)
 
 
 FeasibleSet = Union[Ball, Simplex]

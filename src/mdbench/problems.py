@@ -2,9 +2,11 @@
 
 Each oracle exposes ``value`` and ``subgrad`` plus a worst-case subgradient
 norm bound ``lipschitz_bound`` and, when available analytically,
-``known_fstar``. Subgradients of max-type objectives come from the active
-term with the lowest index, and a distance term contributes the zero vector
-at its own anchor point, so ``subgrad`` is total.
+``known_fstar``. Objectives also have ``values(X)``, which maps a (K, n)
+array to K values; row i equals ``value(X[i])`` bit for bit. Subgradients
+of max-type objectives come from the active term with the lowest index, and
+a distance term contributes the zero vector at its own anchor point, so
+``subgrad`` is total.
 
 Instances are generated from an ``InstanceSpec`` through seeded PCG64
 streams: objective data always comes from stream ``[seed, 0]`` drawing
@@ -96,6 +98,13 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows * rows).sum(axis=1))
 
 
+def _distances(points: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(K, t) distances from each row of X to each anchor point, with the
+    arithmetic of the single-point ``value`` methods."""
+    d = points[None] - X[:, None]
+    return np.sqrt((d * d).sum(axis=2))
+
+
 class DistanceToPoint:
     """f(x) = ||x - a||_2, the distance to a fixed external point."""
 
@@ -109,6 +118,11 @@ class DistanceToPoint:
     def value(self, x: np.ndarray) -> float:
         d = x - self.a
         return math.sqrt(float(np.dot(d, d)))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        d = X - self.a
+        # vecdot rounds like np.dot; (d * d).sum(axis=1) does not
+        return np.sqrt(np.vecdot(d, d))
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.a
@@ -134,6 +148,9 @@ class MeanDistance:
     def value(self, x: np.ndarray) -> float:
         d = self.points - x
         return float(np.mean(np.sqrt((d * d).sum(axis=1))))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.mean(_distances(self.points, X), axis=1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
@@ -161,6 +178,9 @@ class MaxDistance:
     def value(self, x: np.ndarray) -> float:
         d = self.points - x
         return float(np.sqrt((d * d).sum(axis=1)).max())
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return _distances(self.points, X).max(axis=1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
@@ -190,6 +210,10 @@ class MaxAffine:
 
     def value(self, x: np.ndarray) -> float:
         return float((self.a @ x + self.b).max())
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        # a stacked matrix-vector product rounds like a @ x; X @ a.T does not
+        return (np.matmul(self.a, X[:, :, None])[:, :, 0] + self.b).max(axis=1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         i = int(np.argmax(self.a @ x + self.b))

@@ -109,3 +109,44 @@ def norm_direct(x, kind: str) -> float:
     if kind == "l2":
         return math.sqrt(float(x @ x))
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
+                          lipschitz: float = 1.0, points_per_axis: int = 9,
+                          max_rounds: int = 120):
+    """Nested grid refinement with one projection and one ``value_fn``
+    call per mesh point: the reference for the batched
+    ``mdbench.bench.grid_refine_minimize``."""
+    n = feasible.n
+    if hasattr(feasible, "radius"):
+        lo0 = feasible.center - feasible.radius
+        hi0 = feasible.center + feasible.radius
+    else:
+        lo0 = np.zeros(n)
+        hi0 = np.ones(n)
+    lo, hi = lo0.copy(), hi0.copy()
+    ppa = max(3, points_per_axis)
+    best_x = None
+    best_v = math.inf
+    slack = math.inf
+    for _ in range(max_rounds):
+        axes = [np.linspace(lo[i], hi[i], ppa) for i in range(n)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        delta = float(np.max((hi - lo) / (ppa - 1)))
+        slack = lipschitz * delta * math.sqrt(n)
+        vals = np.empty(mesh.shape[0])
+        for i, row in enumerate(mesh):
+            vals[i] = value_fn(feasible.project(row))
+        i_best = int(np.argmin(vals))
+        if vals[i_best] < best_v:
+            best_v = float(vals[i_best])
+            best_x = feasible.project(mesh[i_best])
+        if slack <= tol:
+            break
+        keep = mesh[vals <= best_v + slack]
+        new_lo = np.maximum(keep.min(axis=0) - delta, lo0)
+        new_hi = np.minimum(keep.max(axis=0) + delta, hi0)
+        if float(np.max(new_hi - new_lo)) > 0.75 * float(np.max(hi - lo)):
+            ppa = min(2 * ppa - 1, 129)
+        lo, hi = new_lo, new_hi
+    return best_x, best_v, slack

@@ -37,6 +37,8 @@ from mdbench.problems import (
 from mdbench.schedules import ScheduleState, schedule
 from mdbench.solvers import RunConfig, mirror_descent
 
+from oracles import grid_refine_pointwise
+
 BA5 = InstanceSpec("best-approx", n=5, seed=3)
 
 
@@ -104,12 +106,39 @@ def test_reference_long_run_and_its_tolerance():
 def test_grid_refine_minimize_known_minimum():
     c = np.array([0.25, -0.3])
     obj = DistanceToPoint(c)
-    x, v, achieved = grid_refine_minimize(obj.value, unit_ball(2), tol=1e-6)
+    x, v, achieved = grid_refine_minimize(obj.values, unit_ball(2), tol=1e-6)
     assert achieved <= 1e-6
     assert v <= 1e-6
     np.testing.assert_allclose(x, c, rtol=0.0, atol=5e-6)
     with pytest.raises(ValueError, match="limited to n <= 3"):
-        grid_refine_minimize(obj.value, unit_ball(4))
+        grid_refine_minimize(obj.values, unit_ball(4))
+
+
+@pytest.mark.parametrize(
+    "spec, feasible, rounds",
+    [
+        (InstanceSpec("covering-ball", n=2, t=7, seed=4), Ball(np.array([0.3, -0.2]), 1.5), 12),
+        (InstanceSpec("max-linear", n=3, t=10, seed=5), Simplex(3), 2),
+    ],
+    ids=["ball", "simplex"],
+)
+def test_grid_refine_matches_pointwise_reference(spec, feasible, rounds):
+    # each case has a round of more than one 4096-row block
+    obj = build_objective(spec)
+    kw = dict(lipschitz=obj.lipschitz_bound, max_rounds=rounds)
+    x, v, slack = grid_refine_minimize(obj.values, feasible, **kw)
+    x_ref, v_ref, slack_ref = grid_refine_pointwise(obj.value, feasible, **kw)
+    assert (x.tobytes(), v, slack) == (x_ref.tobytes(), v_ref, slack_ref)
+
+
+def test_grid_refine_rejects_non_finite_values():
+    def nan_right_of_half(X):
+        return np.where(X[:, 0] > 0.5, np.nan, np.hypot(X[:, 0], X[:, 1]))
+
+    with pytest.raises(ValueError, match=r"grid value nan at \[0\.6"):
+        grid_refine_minimize(nan_right_of_half, unit_ball(2))
+    with pytest.raises(ValueError, match=r"grid value nan at \[-0\.7071"):
+        grid_refine_minimize(lambda X: np.full(X.shape[0], np.nan), unit_ball(2))
 
 
 def test_constrained_reference_certified_run():

@@ -70,6 +70,25 @@ def test_simplex_projection_against_oracle():
         np.testing.assert_allclose(got, simplex_project_qp(v), atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_project_rows_match_project_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    ball = Ball(rng.uniform(-1.0, 1.0, size=n), 2.5)
+    u = rng.normal(size=(300, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # rows at the center, inside, on the sphere and outside
+    scale = rng.choice([0.0, 0.4, 1.0, 3.0], size=(300, 1))
+    ball_rows = ball.center + 2.5 * scale * u
+    simplex_rows = np.vstack([
+        _simplex_points(rng, n, 100),
+        np.eye(n),
+        rng.normal(size=(200, n)) * 2.0,
+    ])
+    for feasible, rows in ((ball, ball_rows), (Simplex(n), simplex_rows)):
+        want = np.array([feasible.project(r) for r in rows])
+        assert feasible.project_rows(rows).tobytes() == want.tobytes()
+
+
 def test_simplex_validation():
     with pytest.raises(ValueError, match="at least 1"):
         Simplex(0)

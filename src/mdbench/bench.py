@@ -22,12 +22,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ball, FeasibleSet, ProxSetup, Simplex, euclidean_setup, entropy_setup, unit_ball
+from .geometry import Ball, FeasibleSet, Simplex, euclidean_setup, entropy_setup, unit_ball
 from .problems import InstanceSpec, KIND_BEST_APPROX, build_constraints, build_objective, serialize_instance
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
@@ -287,7 +287,7 @@ def reference_solution(objective, feasible: FeasibleSet,
     n_long = 50 * iters_budget
     theta = theta_for(feasible)
     m_lip = objective.lipschitz_bound
-    state = ScheduleState(schedule(TAG_TIME_VARYING, m_lipschitz=m_lip), prox.sigma)
+    state = _schedule_state(TAG_TIME_VARYING, m_lip, prox.sigma)
     config = RunConfig(m=5.0, iters=n_long, theta=theta, record_trace=False)
     res = mirror_descent(objective, prox, feasible, state, config, default_start(feasible))
     tol = bound_corollaries(5.0, n_long, m_lip, theta, prox.sigma)
@@ -311,12 +311,8 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
     est = iteration_estimate(m_big, theta1, prox.sigma, epsilon_ref, m)
     cap = min(3 * est + 1000, 10_000_000)
-    state_f = ScheduleState(
-        schedule(TAG_TIME_VARYING, m_lipschitz=objective.lipschitz_bound), prox.sigma
-    )
-    state_g = ScheduleState(
-        schedule(TAG_TIME_VARYING, m_lipschitz=constraints.lipschitz_bound), prox.sigma
-    )
+    state_f = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
+    state_g = _schedule_state(TAG_TIME_VARYING, constraints.lipschitz_bound, prox.sigma)
     config = RunConfig(
         m=m, iters=cap, epsilon=epsilon_ref, theta=theta1, record_trace=False
     )
@@ -430,12 +426,14 @@ def summarize_cell_csv(path: str) -> dict:
     }
 
 
-def _schedule_state(tag: str, objective, prox: ProxSetup) -> ScheduleState:
+def _schedule_state(tag: str, lipschitz: float, sigma: float) -> ScheduleState:
+    """Fresh step-rule state; only the time-varying rule reads the
+    Lipschitz bound."""
     if tag == TAG_TIME_VARYING:
-        kind = schedule(tag, m_lipschitz=objective.lipschitz_bound)
+        kind = schedule(tag, m_lipschitz=lipschitz)
     else:
         kind = schedule(tag)
-    return ScheduleState(kind, prox.sigma)
+    return ScheduleState(kind, sigma)
 
 
 def _m_token(m: float) -> str:
@@ -444,7 +442,7 @@ def _m_token(m: float) -> str:
 
 def _execute_cell(objective, prox, feasible, x1, tag, m, iters, theta,
                   reference) -> tuple[str, SolveResult]:
-    state = _schedule_state(tag, objective, prox)
+    state = _schedule_state(tag, objective.lipschitz_bound, prox.sigma)
     config = RunConfig(m=m, iters=iters, theta=theta, record_trace=True)
     result = mirror_descent(objective, prox, feasible, state, config, x1)
     text = _trace_csv_text(result.trace, reference, False, False)
@@ -486,11 +484,7 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
         "stop_reason": result.stop_reason.value,
     }
     cell.update(summarize_cell_csv(out_path))
-    cell["reference"] = {
-        "f_min": reference.f_min,
-        "method": reference.method,
-        "tolerance": reference.tolerance,
-    }
+    cell["reference"] = asdict(reference)
     return cell
 
 
@@ -530,11 +524,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     summary = {
         "plan": plan.to_dict(),
-        "reference": {
-            "f_min": reference.f_min,
-            "method": reference.method,
-            "tolerance": reference.tolerance,
-        },
+        "reference": asdict(reference),
         "cells": summary_cells,
     }
     spath = os.path.join(plan.output_dir, "summary.json")
@@ -625,20 +615,8 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
         config = RunConfig(
             m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record
         )
-
-        if schedule_mode == TAG_TIME_VARYING:
-            state_f = ScheduleState(
-                schedule(TAG_TIME_VARYING, m_lipschitz=objective.lipschitz_bound),
-                prox.sigma,
-            )
-            state_g = ScheduleState(
-                schedule(TAG_TIME_VARYING, m_lipschitz=constraints.lipschitz_bound),
-                prox.sigma,
-            )
-        else:
-            state_f = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
-            state_g = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
-
+        state_f = _schedule_state(schedule_mode, objective.lipschitz_bound, prox.sigma)
+        state_g = _schedule_state(schedule_mode, constraints.lipschitz_bound, prox.sigma)
         t0 = time.perf_counter()
         res3 = constrained_md(
             objective, constraints, prox, feasible, state_f, state_g, config, x1

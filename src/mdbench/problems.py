@@ -223,10 +223,11 @@ class MaxAffine:
 class AffineConstraints:
     """g(x) = max_i (<alpha_i, x> - beta_i) with per-constraint access.
 
-    ``first_violation`` scans the constraints in index order and stops at
-    the first one exceeding eps, reporting how many evaluations that took
-    and the largest value seen, which equals g(x) when the scan reaches
-    the end.
+    Every aggregate query (``value``, ``subgrad``, ``first_violation``)
+    reads the one vector ``row_values(x)``, so g(x) is exactly the max of
+    the per-constraint values and ``subgrad`` returns the row of the first
+    maximizer. ``first_violation`` reports what a sequential scan in index
+    order would see, although all p rows are evaluated in that one pass.
     """
 
     def __init__(self, alphas, betas):
@@ -240,30 +241,21 @@ class AffineConstraints:
         self.betas = bb
         self.p = aa.shape[0]
         self.lipschitz_bound = float(_row_norms(aa).max())
-        # row cache for the hot sequential scan in first_violation
-        self._rows = list(aa)
-        self._offsets = bb.tolist()
 
-    def _argmax(self, x: np.ndarray) -> tuple[int, float]:
-        # same per-row arithmetic as value_one and first_violation, so the
-        # aggregate is exactly the max of the per-constraint values
-        dot = np.dot
-        best_i = 0
-        best_v = -math.inf
-        for i, (row, off) in enumerate(zip(self._rows, self._offsets)):
-            v = float(dot(row, x)) - off
-            if v > best_v:
-                best_i, best_v = i, v
-        return best_i, best_v
+    def row_values(self, x: np.ndarray) -> np.ndarray:
+        """The p constraint values at x. Row i equals ``value_one(i, x)``
+        bit for bit: vecdot rounds like the per-row np.dot, while
+        ``alphas @ x`` does not."""
+        return np.vecdot(self.alphas, x) - self.betas
 
     def value(self, x: np.ndarray) -> float:
-        return self._argmax(x)[1]
+        return float(self.row_values(x).max())
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.alphas[self._argmax(x)[0]].copy()
+        return self.alphas[int(np.argmax(self.row_values(x)))].copy()
 
     def value_one(self, i: int, x: np.ndarray) -> float:
-        return float(np.dot(self._rows[i], x)) - self._offsets[i]
+        return float(np.dot(self.alphas[i], x)) - float(self.betas[i])
 
     def subgrad_one(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.alphas[i].copy()
@@ -272,19 +264,17 @@ class AffineConstraints:
         """Return (index of first constraint with value > eps or None,
         evaluations used, max value among those evaluated).
 
-        Constraints are evaluated one at a time in index order and the scan
-        stops at the first violator, so the evaluation count is exactly what
-        a sequential algorithm pays.
+        The count is what a scan in index order pays when it stops at the
+        first violator: i + 1 for a violator at index i, p when there is
+        none. The max covers the same prefix, so it equals g(x) when no
+        constraint exceeds eps.
         """
-        worst = -math.inf
-        dot = np.dot
-        for i, (row, off) in enumerate(zip(self._rows, self._offsets)):
-            v = float(dot(row, x)) - off
-            if v > worst:
-                worst = v
-            if v > eps:
-                return i, i + 1, worst
-        return None, self.p, worst
+        v = self.row_values(x)
+        above = np.flatnonzero(v > eps)
+        if above.size == 0:
+            return None, self.p, float(v.max())
+        i = int(above[0])
+        return i, i + 1, float(v[:i + 1].max())
 
 
 def build_objective(spec: InstanceSpec):

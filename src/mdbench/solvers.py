@@ -142,7 +142,6 @@ class Trace:
     f_avg: list = field(default_factory=list)
     g_iterate: list = field(default_factory=list)
     productive: list = field(default_factory=list)
-    l_k: list = field(default_factory=list)
     bound: list = field(default_factory=list)
     constraint_evals: list = field(default_factory=list)
 
@@ -185,10 +184,12 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
     """The iteration loop behind all four solvers.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
-    (one full max), or, with ``scan``, when the first-violation scan finds
-    no constraint above epsilon. A productive step follows a subgradient of
-    f with state_f and enters the average; any other step follows the
-    violated constraint with state_g. The certificate sums the realized
+    (the max of the constraint values), or, with ``scan``, when the
+    first-violation scan finds no constraint above epsilon. Both policies
+    read the constraint values in one ``row_values`` pass. A productive step
+    follows a subgradient of f with state_f and enters the average; any
+    other step follows the violated constraint (the maximizing one without
+    ``scan``) with state_g. The certificate sums the realized
     steps, or with ``scan`` takes the worst-case-M form of the
     one-constraint-at-a-time method. It feeds the bound column (certified
     unconstrained runs with a trace) and, with use_criterion, the stopping
@@ -240,17 +241,17 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
             # g(x) is fully known only when the scan saw every constraint
             gx = g_seen if prod else math.nan
         else:
-            gx = constraints.value(x)
+            v = constraints.row_values(x)
+            q = int(np.argmax(v))
+            gx = float(v[q])
             evals = constraints.p
             prod = gx <= eps
         evals_total += evals
 
         if prod:
             grad = objective.subgrad(x)
-        elif scan:
-            grad = constraints.subgrad_one(q, x)
         else:
-            grad = constraints.subgrad(x)
+            grad = constraints.subgrad_one(q, x)
         gn = norm(grad, dual)
         if not math.isfinite(gn):
             raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
@@ -273,10 +274,32 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
             break
         if h is not None:
             hv = h.value(x)
+        try:
+            if prod:
+                if k == 1 and h is not None:
+                    h_term = hv / gamma**m
+                avg.update(x, gamma)
+            if certify:
+                if not scan:
+                    lhs += gamma ** (-m)
+                    sq += gn * gn / gamma ** (m - 1.0)
+                    rhs = theta / gamma ** (m + 1.0) + h_term + sq / (2.0 * sigma)
+                else:
+                    sk = math.sqrt(k)
+                    lhs += (gn * sk / root) ** m
+                    if prod:
+                        sum_f += sk ** (m - 1.0) * gn ** (m + 1.0)
+                    else:
+                        sum_g += sk ** (m - 1.0) * gn ** (m + 1.0)
+                    rhs = theta * (m_big * sk / root) ** (m + 1.0) + (
+                        sum_f + sum_g
+                    ) / root ** (m + 1.0)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"weights gamma**(-m) leave the float64 range at iteration {k} "
+                f"with m={m:g} and gamma={gamma:g}; use a smaller m"
+            ) from exc
         if prod:
-            if k == 1 and h is not None:
-                h_term = hv / gamma**m
-            avg.update(x, gamma)
             n_prod += 1
         else:
             n_nonprod += 1
@@ -299,28 +322,11 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
                 trace.g_iterate.append(gx)
                 trace.productive.append(prod)
                 trace.constraint_evals.append(evals)
-            if scan:
-                trace.l_k.append(gn)
-        if certify:
-            if not scan:
-                lhs += gamma ** (-m)
-                sq += gn * gn / gamma ** (m - 1.0)
-                rhs = theta / gamma ** (m + 1.0) + h_term + sq / (2.0 * sigma)
-            else:
-                sk = math.sqrt(k)
-                lhs += (gn * sk / root) ** m
-                if prod:
-                    sum_f += sk ** (m - 1.0) * gn ** (m + 1.0)
-                else:
-                    sum_g += sk ** (m - 1.0) * gn ** (m + 1.0)
-                rhs = theta * (m_big * sk / root) ** (m + 1.0) + (sum_f + sum_g) / root ** (
-                    m + 1.0
-                )
             if bound_column:
                 trace.bound.append(rhs / lhs)
-            if use_criterion and eps * lhs >= rhs:
-                stop = StopReason.EPSILON_CRITERION
-                break
+        if use_criterion and eps * lhs >= rhs:
+            stop = StopReason.EPSILON_CRITERION
+            break
         if h is None:
             x = mirror_step(prox, feasible, x, grad, gamma)
         else:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from mdbench.problems import AffineConstraints
+
 
 def refine_1d(fn, lo: float, hi: float, rounds: int = 60, points: int = 17) -> float:
     """Argmin of a 1-D function by repeated grid shrinking."""
@@ -150,3 +152,37 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
             ppa = min(2 * ppa - 1, 129)
         lo, hi = new_lo, new_hi
     return best_x, best_v, slack
+
+
+class SequentialConstraints(AffineConstraints):
+    """An ``AffineConstraints`` block answered by Python loops over the
+    rows with one ``np.dot`` per row: the reference for the one vectorised
+    ``row_values`` pass behind every query of the library class."""
+
+    def row_values(self, x):
+        return np.array([self.value_one(i, x) for i in range(self.p)])
+
+    def _argmax(self, x):
+        best_i = 0
+        best_v = -math.inf
+        for i in range(self.p):
+            v = self.value_one(i, x)
+            if v > best_v:
+                best_i, best_v = i, v
+        return best_i, best_v
+
+    def value(self, x):
+        return self._argmax(x)[1]
+
+    def subgrad(self, x):
+        return self.alphas[self._argmax(x)[0]].copy()
+
+    def first_violation(self, x, eps):
+        worst = -math.inf
+        for i in range(self.p):
+            v = self.value_one(i, x)
+            if v > worst:
+                worst = v
+            if v > eps:
+                return i, i + 1, worst
+        return None, self.p, worst

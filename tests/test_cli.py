@@ -81,6 +81,20 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "error: iters must be at least 1" in capsys.readouterr().err
 
 
+def test_large_m_is_an_error_line_not_a_traceback(tmp_path, capsys):
+    # gamma**(-400) leaves the float64 range within the first iterations
+    for argv in (
+        ["constrained", "--n", "10", "--t", "10", "--p", "5", "--seed", "11",
+         "--dist", "standard-normal", "--epsilon", "0.25", "--m", "400",
+         "--out", str(tmp_path / "table.csv")],
+        ["run", "--schedule", "nonsum", "--m", "400", "--out", str(tmp_path / "run.csv")],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights gamma**(-m) leave the float64 range")
+        assert "m=400" in err and "gamma=" in err and "iteration" in err
+
+
 def test_compare_skips_polyak_without_fstar(tmp_path, capsys):
     rc = main([
         "compare", "--problem", "fts", "--n", "4", "--t", "3",

@@ -129,6 +129,8 @@ def test_affine_constraints_examples():
     np.testing.assert_array_equal(block.subgrad(np.array([1.0, 0.0])), [1.0, 0.0])
     assert block.p == 1
     assert block.lipschitz_bound == 1.0
+    tied = AffineConstraints([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    np.testing.assert_array_equal(tied.subgrad(np.ones(2)), [1.0, 0.0])
 
 
 def test_affine_constraints_aggregate_equals_per_row_exactly():
@@ -138,6 +140,9 @@ def test_affine_constraints_aggregate_equals_per_row_exactly():
         block = AffineConstraints(rng.standard_normal((p, n)), rng.standard_normal(p))
         for _ in range(20):
             x = rng.standard_normal(n)
+            rows = block.row_values(x)
+            for i in range(p):
+                assert rows[i] == block.value_one(i, x)
             per_row = max(block.value_one(i, x) for i in range(p))
             assert block.value(x) == per_row
 

@@ -34,7 +34,7 @@ from mdbench.solvers import (
     productive_inequality_sides,
 )
 
-from oracles import weighted_average
+from oracles import SequentialConstraints, weighted_average
 
 
 def _state(tag: str, sigma: float = 1.0, **params) -> ScheduleState:
@@ -645,6 +645,67 @@ def test_multi_determinism():
     assert a.x_hat.tobytes() == b.x_hat.tobytes()
     assert a.trace.gamma == b.trace.gamma
     assert a.constraint_evals_total == b.constraint_evals_total
+
+
+def test_row_value_pass_matches_sequential_scan():
+    # the one vectorised pass must reproduce the per-row scan loops exactly
+    obj, cons = _switching_setup(p=20)
+    ref = SequentialConstraints(cons.alphas, cons.betas)
+    ball = Ball(np.zeros(10), 10.0)
+    cfg = RunConfig(m=1.0, iters=400, epsilon=1e-2)
+
+    def runs(block):
+        pairs = (
+            (_state("time-varying", m_lipschitz=obj.lipschitz_bound),
+             _state("time-varying", m_lipschitz=block.lipschitz_bound)),
+            (_state("adaptive-time-varying"), _state("adaptive-time-varying")),
+        )
+        out = [
+            constrained_md(obj, block, euclidean_setup(), ball, state_f, state_g,
+                           cfg, np.zeros(10), use_criterion=False)
+            for state_f, state_g in pairs
+        ]
+        out.append(constrained_md_multi(obj, block, euclidean_setup(), ball, cfg, np.zeros(10)))
+        return out
+
+    for got, want in zip(runs(cons), runs(ref)):
+        assert 0 < got.productive_count < got.iterations
+        assert got.x_hat.tobytes() == want.x_hat.tobytes()
+        assert got.f_hat == want.f_hat
+        assert (got.iterations, got.productive_count, got.nonproductive_count,
+                got.constraint_evals_total, got.stop_reason) == (
+            want.iterations, want.productive_count, want.nonproductive_count,
+            want.constraint_evals_total, want.stop_reason)
+        assert repr(got.trace) == repr(want.trace)
+        assert cons.value(got.x_hat) == ref.value(got.x_hat)
+
+
+class _CountingConstraints(AffineConstraints):
+    def __init__(self, alphas, betas):
+        super().__init__(alphas, betas)
+        self.passes = 0
+
+    def row_values(self, x):
+        self.passes += 1
+        return super().row_values(x)
+
+
+def test_one_row_value_pass_per_iteration():
+    obj, cons = _switching_setup()
+    ball = Ball(np.zeros(10), 10.0)
+    cfg = RunConfig(m=1.0, iters=300, epsilon=1e-2)
+    block = _CountingConstraints(cons.alphas, cons.betas)
+    alg3 = constrained_md(
+        obj, block, euclidean_setup(), ball,
+        _state("adaptive-time-varying"), _state("adaptive-time-varying"),
+        cfg, np.zeros(10), use_criterion=False,
+    )
+    assert alg3.nonproductive_count > 0
+    assert block.passes == alg3.iterations
+    block.passes = 0
+    alg4 = constrained_md_multi(obj, block, euclidean_setup(), ball, cfg, np.zeros(10))
+    assert alg4.nonproductive_count > 0
+    assert block.passes == alg4.iterations
 
 
 # ---------------------------------------------------------------- bounds

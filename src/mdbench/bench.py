@@ -23,6 +23,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +33,13 @@ from .problems import InstanceSpec, KIND_BEST_APPROX, build_constraints, build_o
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
     RunConfig,
-    SolveResult,
     StopReason,
     bound_corollaries,
     constrained_md,
     constrained_md_multi,
     iteration_estimate,
     mirror_descent,
+    mirror_descent_sweep,
 )
 
 __all__ = [
@@ -198,9 +199,16 @@ def _prepare_problem(instance: InstanceSpec, prox_name: str):
     return objective, prox, feasible, default_start(feasible)
 
 
-# mesh rows projected and evaluated per batch; bounds the temporaries of
-# a refinement round (up to 129**n rows) to a few MB
+# mesh rows built, projected and evaluated per batch; bounds the
+# temporaries of a refinement round (up to 129**n rows) to a few MB
 _GRID_BLOCK_ROWS = 4096
+
+
+def _mesh_rows(axes, flat) -> np.ndarray:
+    """Rows ``flat`` of the ij-ordered mesh of ``axes``, as a (K, n) array:
+    row r holds axes[i][j_i] where (j_0, ..., j_{n-1}) unravels r."""
+    idx = np.unravel_index(flat, tuple(a.size for a in axes))
+    return np.stack([a[j] for a, j in zip(axes, idx)], axis=-1)
 
 
 def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
@@ -213,7 +221,9 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
     and shrinks the box around it until lipschitz * spacing * sqrt(n) <= tol
     or ``max_rounds`` runs out. ``values_fn`` maps a (K, n) array of
     feasible points to K values, such as an objective's ``values``; a
-    non-finite value raises ``ValueError`` naming the point.
+    non-finite value raises ``ValueError`` naming the point. Mesh rows are
+    generated block by block from their flat indices, so a round holds its
+    values but never its whole mesh.
     Returns (x_best, f_best, achieved_tolerance).
     """
     n = feasible.n
@@ -232,29 +242,33 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
     slack = math.inf
     for _ in range(max_rounds):
         axes = [np.linspace(lo[i], hi[i], ppa) for i in range(n)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        size = ppa**n
         delta = float(np.max((hi - lo) / (ppa - 1)))
         slack = lipschitz * delta * math.sqrt(n)
-        vals = np.empty(mesh.shape[0])
-        for start in range(0, mesh.shape[0], _GRID_BLOCK_ROWS):
-            block = mesh[start:start + _GRID_BLOCK_ROWS]
-            vals[start:start + block.shape[0]] = values_fn(feasible.project_rows(block))
+        vals = np.empty(size)
+        for start in range(0, size, _GRID_BLOCK_ROWS):
+            flat = np.arange(start, min(start + _GRID_BLOCK_ROWS, size))
+            block = feasible.project_rows(_mesh_rows(axes, flat))
+            vals[start:start + flat.size] = values_fn(block)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                f"grid value {float(vals[i])!r} at {feasible.project(mesh[i]).tolist()} "
-                "is not finite"
+                f"grid value {float(vals[i])!r} at "
+                f"{feasible.project(_mesh_rows(axes, i)).tolist()} is not finite"
             )
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_v:
             best_v = float(vals[i_best])
-            best_x = feasible.project(mesh[i_best])
+            best_x = feasible.project(_mesh_rows(axes, i_best))
         if slack <= tol:
             break
-        keep = mesh[vals <= best_v + slack]
-        new_lo = np.maximum(keep.min(axis=0) - delta, lo0)
-        new_hi = np.minimum(keep.max(axis=0) + delta, hi0)
+        keep = np.flatnonzero(vals <= best_v + slack)
+        blocks = (_mesh_rows(axes, keep[start:start + _GRID_BLOCK_ROWS])
+                  for start in range(0, keep.size, _GRID_BLOCK_ROWS))
+        spans = [(b.min(axis=0), b.max(axis=0)) for b in blocks]
+        new_lo = np.maximum(np.min([b_lo for b_lo, _ in spans], axis=0) - delta, lo0)
+        new_hi = np.minimum(np.max([b_hi for _, b_hi in spans], axis=0) + delta, hi0)
         # guarantee progress even on flat regions: if the box barely
         # shrank, double the resolution instead
         if float(np.max(new_hi - new_lo)) > 0.75 * float(np.max(hi - lo)):
@@ -358,46 +372,37 @@ def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = N
 
 
 def _trace_csv_text(trace, reference, include_productive, include_evals) -> str:
-    rows = trace.rows()
-    has_bound = len(trace.bound) == rows and rows > 0
-    header = ["k", "gamma", "f_iterate", "f_avg", "f_best_so_far", "gap_avg", "gap_best", "bound"]
+    # one % call per row: %d for integer and boolean cells, %.17g for
+    # floats; undefined cells are NaN and their "nan" tokens are dropped,
+    # which gives the bytes _fmt writes cell by cell
+    header = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound"
+    fmt = "%d" + ",%.17g" * 7
+    extra = []
     if include_productive:
-        header.append("productive")
+        header += ",productive"
+        fmt += ",%d"
+        extra.append(trace.productive)
     if include_evals:
-        header.append("constraint_evals")
-    f_min = reference.f_min if reference is not None else None
-    lines = [",".join(header)]
+        header += ",constraint_evals"
+        fmt += ",%d"
+        extra.append(trace.constraint_evals)
+    rows = trace.rows()
+    nan = math.nan
+    f_min = reference.f_min if reference is not None else nan
+    bounds = trace.bound if len(trace.bound) == rows else repeat(nan)
+    counts = trace.productive if include_productive else repeat(True)
+    lines = [header]
     best = math.inf
-    for i in range(rows):
-        fi = trace.f_iterate[i]
-        counts = (not include_productive) or trace.productive[i]
-        if counts and fi < best:
+    for k, gamma, fi, f_avg, bound, count, *more in zip(
+        trace.k, trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
+    ):
+        if count and fi < best:
             best = fi
-        f_best = best if best < math.inf else None
-        f_avg = trace.f_avg[i]
-        gap_avg = None
-        gap_best = None
-        if f_min is not None:
-            if not math.isnan(f_avg):
-                gap_avg = f_avg - f_min
-            if f_best is not None:
-                gap_best = f_best - f_min
-        cells = [
-            str(trace.k[i]),
-            _fmt(trace.gamma[i]),
-            _fmt(fi),
-            _fmt(f_avg),
-            _fmt(f_best),
-            _fmt(gap_avg),
-            _fmt(gap_best),
-            _fmt(trace.bound[i]) if has_bound else "",
-        ]
-        if include_productive:
-            cells.append(_fmt(bool(trace.productive[i])))
-        if include_evals:
-            cells.append(str(int(trace.constraint_evals[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        f_best = best if best < math.inf else nan
+        lines.append(
+            fmt % (k, gamma, fi, f_avg, f_best, f_avg - f_min, f_best - f_min, bound, *more)
+        )
+    return "\n".join(lines).replace("nan", "") + "\n"
 
 
 def _parse_cell(s: str) -> Optional[float]:
@@ -440,13 +445,13 @@ def _m_token(m: float) -> str:
     return format(float(m), "g")
 
 
-def _execute_cell(objective, prox, feasible, x1, tag, m, iters, theta,
-                  reference) -> tuple[str, SolveResult]:
+def _run_schedule(objective, prox, feasible, x1, tag, m_values, iters,
+                  theta) -> tuple:
+    """One traced trajectory of schedule ``tag``, averaged once per m;
+    returns one SolveResult per m."""
     state = _schedule_state(tag, objective.lipschitz_bound, prox.sigma)
-    config = RunConfig(m=m, iters=iters, theta=theta, record_trace=True)
-    result = mirror_descent(objective, prox, feasible, state, config, x1)
-    text = _trace_csv_text(result.trace, reference, False, False)
-    return text, result
+    config = RunConfig(m=m_values[0], iters=iters, theta=theta, record_trace=True)
+    return mirror_descent_sweep(objective, prox, feasible, state, config, x1, m_values)
 
 
 def _check_unconstrained(plan: ExperimentPlan) -> None:
@@ -471,11 +476,11 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
     objective, prox, feasible, x1 = _prepare_problem(instance, prox_name)
     _require_polyak_fstar(objective, [tag])
     reference = reference_solution(objective, feasible, iters_budget=iters)
-    text, result = _execute_cell(
-        objective, prox, feasible, x1, tag, m, iters, theta_for(feasible), reference
+    (result,) = _run_schedule(
+        objective, prox, feasible, x1, tag, (m,), iters, theta_for(feasible)
     )
     with open(out_path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(_trace_csv_text(result.trace, reference, False, False))
     cell = {
         "schedule": tag,
         "m": float(m),
@@ -491,7 +496,11 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run every (schedule, m) cell of the plan, write one CSV per cell and
     a summary JSON into plan.output_dir, and return the summary dict.
-    Cells run in plan order.
+
+    Each schedule runs one trajectory that feeds an average for every m of
+    the plan, so a cell matches its own ``run_single_cell`` byte for byte.
+    All runs finish before any file is written; files and summary cells
+    follow plan order.
     """
     _check_unconstrained(plan)
     objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
@@ -500,27 +509,28 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     theta = theta_for(feasible)
     os.makedirs(plan.output_dir, exist_ok=True)
 
-    cells = [(tag, m) for tag in plan.schedules for m in plan.m_values]
-    outcomes = [
-        _execute_cell(objective, prox, feasible, x1, tag, m, plan.iters, theta, reference)
-        for tag, m in cells
+    runs = [
+        (tag, _run_schedule(objective, prox, feasible, x1, tag, plan.m_values,
+                            plan.iters, theta))
+        for tag in plan.schedules
     ]
 
     summary_cells = []
-    for (tag, m), (text, result) in zip(cells, outcomes):
-        fname = f"{tag}_m{_m_token(m)}.csv"
-        fpath = os.path.join(plan.output_dir, fname)
-        with open(fpath, "w", newline="") as fh:
-            fh.write(text)
-        cell = {
-            "schedule": tag,
-            "m": m,
-            "file": fname,
-            "iterations": result.iterations,
-            "stop_reason": result.stop_reason.value,
-        }
-        cell.update(summarize_cell_csv(fpath))
-        summary_cells.append(cell)
+    for tag, results in runs:
+        for m, result in zip(plan.m_values, results):
+            fname = f"{tag}_m{_m_token(m)}.csv"
+            fpath = os.path.join(plan.output_dir, fname)
+            with open(fpath, "w", newline="") as fh:
+                fh.write(_trace_csv_text(result.trace, reference, False, False))
+            cell = {
+                "schedule": tag,
+                "m": m,
+                "file": fname,
+                "iterations": result.iterations,
+                "stop_reason": result.stop_reason.value,
+            }
+            cell.update(summarize_cell_csv(fpath))
+            summary_cells.append(cell)
 
     summary = {
         "plan": plan.to_dict(),
@@ -536,38 +546,35 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
     """Long-format m sweep (columns m, k, gap_avg) for one schedule.
 
-    Every series is produced by the same cell runner as run_experiment, so
-    a sweep row agrees bit for bit with the matching plan cell.
+    One trajectory feeds an average for every m, and the rows are written
+    from its f_avg columns with the cell CSV's formatting, so a sweep row
+    agrees bit for bit with the matching plan cell.
     """
     _check_unconstrained(plan)
     if len(plan.m_values) < 2:
         raise ValueError("an m sweep needs at least two m values")
     if len(plan.schedules) != 1:
         raise ValueError("an m sweep uses exactly one schedule")
-    tag = plan.schedules[0]
     objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
     _require_polyak_fstar(objective, plan.schedules)
     reference = reference_solution(objective, feasible, iters_budget=plan.iters)
-    theta = theta_for(feasible)
+    results = _run_schedule(
+        objective, prox, feasible, x1, plan.schedules[0], plan.m_values,
+        plan.iters, theta_for(feasible),
+    )
 
+    f_min = reference.f_min
     lines = ["m,k,gap_avg"]
-    for m in plan.m_values:
-        text, _ = _execute_cell(
-            objective, prox, feasible, x1, tag, m, plan.iters, theta, reference
-        )
-        rows = text.strip("\n").split("\n")
-        header = rows[0].split(",")
-        k_col = header.index("k")
-        gap_col = header.index("gap_avg")
-        m_tok = _fmt(m)
-        for row in rows[1:]:
-            parts = row.split(",")
-            lines.append(f"{m_tok},{parts[k_col]},{parts[gap_col]}")
+    for m, result in zip(plan.m_values, results):
+        # m is finite, so its token never holds "nan"
+        fmt = _fmt(m) + ",%d,%.17g"
+        lines.extend(fmt % (k, f_avg - f_min)
+                     for k, f_avg in zip(result.trace.k, result.trace.f_avg))
     if out_path is None:
         os.makedirs(plan.output_dir, exist_ok=True)
         out_path = os.path.join(plan.output_dir, "sweep_m.csv")
     with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines).replace("nan", "") + "\n")
     return out_path
 
 

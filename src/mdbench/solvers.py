@@ -11,6 +11,12 @@ unconstrained solvers, productive iterates only for the constrained ones.
 m = 0 gives the plain running mean, m = -1 weights by gamma_k itself, and
 larger m shifts weight toward late iterates when steps shrink.
 
+The step sequence and the iterates do not depend on m, so one trajectory
+can feed several averages: ``mirror_descent_sweep`` runs the unconstrained
+loop once and returns one result per m, each equal bit for bit to its own
+``mirror_descent`` run. Constrained runs take one m, because there m enters
+the stopping rule.
+
 Solvers run any schedule, including the adaptive ones with no monotonicity
 guarantee. The bound evaluators, by contrast, verify the non-increasing
 hypothesis of the averaging theorem and refuse sequences that break it.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -51,6 +57,7 @@ __all__ = [
     "Trace",
     "SolveResult",
     "mirror_descent",
+    "mirror_descent_sweep",
     "mirror_c_descent",
     "constrained_md",
     "constrained_md_multi",
@@ -161,12 +168,41 @@ class SolveResult:
     constraint_evals_total: Optional[int] = None
 
 
-def _finish(avg, x, stop, objective, h=None):
+def _value(objective, x, k) -> float:
+    """f(x^k), refused when it is not finite."""
+    v = objective.value(x)
+    if not math.isfinite(v):
+        raise ValueError(f"objective value is {v} at iteration {k}")
+    return v
+
+
+def _average_values(objective, h, sums, totals, k) -> list:
+    """f (plus h) at each running average sums[i] / totals[i], read with
+    one ``values`` call; NaN where an averager is still empty."""
+    if 0.0 in totals:
+        live = [i for i, t in enumerate(totals) if t > 0.0]
+        out = [math.nan] * len(totals)
+        if live:
+            sub = _average_values(objective, h, sums[live], [totals[i] for i in live], k)
+            for i, v in zip(live, sub):
+                out[i] = v
+        return out
+    avgs = sums / np.array(totals)[:, None]
+    vals = objective.values(avgs).tolist()
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"objective value at the average is {v} at iteration {k}")
+    if h is not None:
+        vals = [v + h.value(a) for v, a in zip(vals, avgs)]
+    return vals
+
+
+def _finish(weighted_sum, weight_total, x, stop, objective, h, completed):
     """Resolve the output point. The averaged point is the theorem's object;
     the only case without one is a stationary stop before the first fold,
     where the current iterate is itself optimal."""
-    if avg.weight_total > 0.0:
-        x_hat = avg.average
+    if weight_total > 0.0:
+        x_hat = weighted_sum / weight_total
     elif stop is StopReason.STATIONARY_POINT:
         x_hat = np.array(x)
     else:
@@ -174,26 +210,45 @@ def _finish(avg, x, stop, objective, h=None):
             "run ended with an empty averager and no stationarity certificate"
         )
     f_hat = objective.value(x_hat)
+    if not math.isfinite(f_hat):
+        raise ValueError(
+            f"objective value at the output point is {f_hat} after iteration {completed}"
+        )
     if h is not None:
         f_hat += h.value(x_hat)
     return x_hat, f_hat
 
 
-def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
+def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
              constraints=None, scan=False, state_g=None, use_criterion=False):
-    """The iteration loop behind all four solvers.
+    """The iteration loop behind all four solvers; returns one SolveResult
+    per weighting exponent in ``ms``, in that order.
+
+    The trajectory (subgradient, step, f(x^k), mirror step) does not depend
+    on m, so it is computed once per iteration and feeds one averager, one
+    bound accumulator and one f_avg column per m. Result i equals the run
+    with ``ms = (ms[i],)`` bit for bit. Constrained runs and runs with the
+    stopping rule take exactly one m, because there m drives the stop.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
     (the max of the constraint values), or, with ``scan``, when the
     first-violation scan finds no constraint above epsilon. Both policies
     read the constraint values in one ``row_values`` pass. A productive step
-    follows a subgradient of f with state_f and enters the average; any
+    follows a subgradient of f with state_f and enters the averages; any
     other step follows the violated constraint (the maximizing one without
     ``scan``) with state_g. The certificate sums the realized
     steps, or with ``scan`` takes the worst-case-M form of the
     one-constraint-at-a-time method. It feeds the bound column (certified
     unconstrained runs with a trace) and, with use_criterion, the stopping
     rule.
+
+    Errors: a non-finite subgradient dual norm, f(x^k), f at an average or
+    f at the output point raises ValueError naming the iteration. When the
+    weights or certificate powers of some m leave the float64 range, the
+    ValueError names that m, gamma and k; if several m overflow, it names
+    the one with the earliest k, and among equal k the first in ``ms``. A
+    constrained run whose criterion fires before any productive step raises
+    NoProductiveSteps.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -202,14 +257,20 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
         raise ValueError("unconstrained solvers need config.iters")
     if constraints is not None and config.epsilon is None:
         raise ValueError("constrained solvers need config.epsilon")
+    if (constraints is not None or use_criterion) and len(ms) != 1:
+        raise ValueError("constrained runs take one m: it drives the stopping rule")
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
-    m = config.m
     theta = config.theta
     sigma = prox.sigma
     dual = dual_norm_kind(prox.norm)
-    avg = WeightedAverager(x.size, m)
+    n_m = len(ms)
+    sums = np.zeros((n_m, x.size))  # weighted sums of productive iterates, one row per m
+    rows = list(sums)  # views of those rows, updated in place
+    totals = [0.0] * n_m  # sums of the weights gamma^{-m}
     trace = Trace() if config.record_trace else None
+    f_avg_rows = []  # per iteration, f at each average
+    bound_rows = []  # per iteration, the bound for each m
     bound_column = (
         trace is not None and constraints is None
         and is_nonincreasing_guaranteed(state_f.kind)
@@ -221,11 +282,13 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
         root = math.sqrt(2.0 * sigma)
         m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
 
-    lhs = 0.0  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
-    sq = 0.0  # sum of ||grad||_*^2 / gamma^{m-1}
-    sum_f = 0.0  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
-    sum_g = 0.0  # the same over non-productive steps
-    h_term = 0.0  # h(x1) / gamma_1^m, fixed after the first step
+    # per m:
+    lhs = [0.0] * n_m  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
+    sq = [0.0] * n_m  # sum of ||grad||_*^2 / gamma^{m-1}
+    sum_f = [0.0] * n_m  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
+    sum_g = [0.0] * n_m  # the same over non-productive steps
+    rhs = [0.0] * n_m
+    h_term = [0.0] * n_m  # h(x1) / gamma_1^m, fixed after the first step
     evals = 0  # constraint evaluations at x^k
     evals_total = 0
     n_prod = 0
@@ -264,7 +327,7 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
                 )
             stop = StopReason.STATIONARY_POINT
             break
-        fx = objective.value(x) if prod and want_f else None
+        fx = _value(objective, x, k) if prod and want_f else None
         try:
             gamma = (state_f if prod else state_g).step_size(
                 k, f_val=fx, grad_dual_norm=gn, f_star=objective.known_fstar
@@ -272,27 +335,35 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
         except StationarySignal:
             stop = StopReason.STATIONARY_POINT
             break
+        if prod and not gamma > 0.0:
+            raise ValueError("averaging weight needs gamma > 0")
         if h is not None:
             hv = h.value(x)
+        if scan:
+            sk = math.sqrt(k)
         try:
-            if prod:
-                if k == 1 and h is not None:
-                    h_term = hv / gamma**m
-                avg.update(x, gamma)
-            if certify:
+            for i, m in enumerate(ms):
+                if prod or certify and not scan:
+                    w = gamma ** (-m)
+                if prod:
+                    if k == 1 and h is not None:
+                        h_term[i] = hv / gamma**m
+                    rows[i] += w * x
+                    totals[i] += w
+                if not certify:
+                    continue
                 if not scan:
-                    lhs += gamma ** (-m)
-                    sq += gn * gn / gamma ** (m - 1.0)
-                    rhs = theta / gamma ** (m + 1.0) + h_term + sq / (2.0 * sigma)
+                    lhs[i] += w
+                    sq[i] += gn * gn / gamma ** (m - 1.0)
+                    rhs[i] = theta / gamma ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
                 else:
-                    sk = math.sqrt(k)
-                    lhs += (gn * sk / root) ** m
+                    lhs[i] += (gn * sk / root) ** m
                     if prod:
-                        sum_f += sk ** (m - 1.0) * gn ** (m + 1.0)
+                        sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
                     else:
-                        sum_g += sk ** (m - 1.0) * gn ** (m + 1.0)
-                    rhs = theta * (m_big * sk / root) ** (m + 1.0) + (
-                        sum_f + sum_g
+                        sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
+                    rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
+                        sum_f[i] + sum_g[i]
                     ) / root ** (m + 1.0)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(
@@ -308,23 +379,16 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
         if trace is not None:
             trace.k.append(k)
             trace.gamma.append(gamma)
-            f_k = fx if prod else objective.value(x)
+            f_k = fx if prod else _value(objective, x, k)
             trace.f_iterate.append(f_k if h is None else f_k + hv)
-            if avg.weight_total > 0.0:
-                x_bar = avg.average
-                f_bar = objective.value(x_bar)
-                if h is not None:
-                    f_bar += h.value(x_bar)
-            else:
-                f_bar = math.nan
-            trace.f_avg.append(f_bar)
+            f_avg_rows.append(_average_values(objective, h, sums, totals, k))
             if constraints is not None:
                 trace.g_iterate.append(gx)
                 trace.productive.append(prod)
                 trace.constraint_evals.append(evals)
             if bound_column:
-                trace.bound.append(rhs / lhs)
-        if use_criterion and eps * lhs >= rhs:
+                bound_rows.append([r / s for r, s in zip(rhs, lhs)])
+        if use_criterion and eps * lhs[0] >= rhs[0]:
             stop = StopReason.EPSILON_CRITERION
             break
         if h is None:
@@ -332,20 +396,43 @@ def _descent(objective, prox, feasible, state_f, config, x1, *, h=None,
         else:
             x = composite_mirror_step(prox, feasible, x, grad, gamma, h)
 
-    if constraints is not None and avg.weight_total == 0.0 and stop is StopReason.MAX_ITERS:
+    if constraints is not None and totals[0] == 0.0:
         what = "every constraint" if scan else "g <= epsilon"
-        raise NoProductiveSteps(f"no iterate satisfied {what} within {completed} iterations")
-    x_hat, f_hat = _finish(avg, x, stop, objective, h)
-    return SolveResult(
-        x_hat=x_hat,
-        f_hat=f_hat,
-        iterations=completed,
-        productive_count=n_prod,
-        nonproductive_count=n_nonprod,
-        stop_reason=stop,
-        trace=trace,
-        constraint_evals_total=None if constraints is None else evals_total,
-    )
+        if stop is StopReason.MAX_ITERS:
+            raise NoProductiveSteps(
+                f"no iterate satisfied {what} within {completed} iterations"
+            )
+        if stop is StopReason.EPSILON_CRITERION:
+            raise NoProductiveSteps(
+                f"the epsilon criterion fired at iteration {completed} before any "
+                f"productive step: likely no point with {what} lies within "
+                f"Bregman distance theta={theta:g} of x1"
+            )
+    # transpose the per-iteration rows into one column per m
+    f_avg_cols = [list(c) for c in zip(*f_avg_rows)] or [[] for _ in ms]
+    bound_cols = [list(c) for c in zip(*bound_rows)] or [[] for _ in ms]
+    results = []
+    for i in range(n_m):
+        x_hat, f_hat = _finish(sums[i], totals[i], x, stop, objective, h, completed)
+        if trace is None:
+            trace_i = None
+        else:
+            cols = {name: list(col) for name, col in vars(trace).items()}
+            cols.update(f_avg=f_avg_cols[i], bound=bound_cols[i])
+            trace_i = Trace(**cols)
+        results.append(
+            SolveResult(
+                x_hat=x_hat,
+                f_hat=f_hat,
+                iterations=completed,
+                productive_count=n_prod,
+                nonproductive_count=n_nonprod,
+                stop_reason=stop,
+                trace=trace_i,
+                constraint_evals_total=None if constraints is None else evals_total,
+            )
+        )
+    return tuple(results)
 
 
 def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
@@ -353,7 +440,21 @@ def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
     """Plain mirror descent: subgradient, step size, mirror step, fold into
     the weighted average. Exits early with StationaryPoint on a zero
     subgradient (the point is optimal)."""
-    return _descent(objective, prox, feasible, state, config, x1)
+    return _descent(objective, prox, feasible, state, config, x1, (config.m,))[0]
+
+
+def mirror_descent_sweep(objective, prox: ProxSetup, feasible: FeasibleSet,
+                         state: ScheduleState, config: RunConfig, x1,
+                         m_values) -> tuple:
+    """Plain mirror descent averaged once per m in ``m_values`` over one
+    shared trajectory, since only the weights and the bound depend on m.
+    Result i equals ``mirror_descent`` run with ``config.m = m_values[i]``
+    bit for bit; ``config.m`` itself is not read."""
+    if not m_values:
+        raise ValueError("m_values needs at least one m")
+    for m in m_values:
+        replace(config, m=m)  # validates m as RunConfig does
+    return _descent(objective, prox, feasible, state, config, x1, tuple(m_values))
 
 
 def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
@@ -367,7 +468,7 @@ def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
             "the composite averaging guarantee covers only -1 <= m <= 0; "
             f"got m={config.m}"
         )
-    return _descent(objective, prox, feasible, state, config, x1, h=h)
+    return _descent(objective, prox, feasible, state, config, x1, (config.m,), h=h)[0]
 
 
 def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
@@ -392,9 +493,9 @@ def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
     estimates instead. Output averages productive iterates only.
     """
     return _descent(
-        objective, prox, feasible, state_f, config, x1,
+        objective, prox, feasible, state_f, config, x1, (config.m,),
         constraints=constraints, state_g=state_g, use_criterion=use_criterion,
-    )
+    )[0]
 
 
 def constrained_md_multi(objective, constraints: AffineConstraints,
@@ -420,9 +521,9 @@ def constrained_md_multi(objective, constraints: AffineConstraints,
     """
     state = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
     return _descent(
-        objective, prox, feasible, state, config, x1,
+        objective, prox, feasible, state, config, x1, (config.m,),
         constraints=constraints, scan=True, state_g=state, use_criterion=True,
-    )
+    )[0]
 
 
 def _bound_arrays(gammas, grad_dual_norms):

@@ -154,6 +154,61 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
     return best_x, best_v, slack
 
 
+def _fmt_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return ""
+    return format(f, ".17g")
+
+
+def trace_csv_per_cell(trace, reference=None, include_productive=False,
+                       include_evals=False) -> str:
+    """Trace CSV text built one ``format`` call per cell, with empty cells
+    for None and NaN: the reference for the one-call-per-row formatter of
+    ``mdbench.bench.write_trace_csv``."""
+    rows = trace.rows()
+    has_bound = len(trace.bound) == rows and rows > 0
+    header = ["k", "gamma", "f_iterate", "f_avg", "f_best_so_far", "gap_avg",
+              "gap_best", "bound"]
+    if include_productive:
+        header.append("productive")
+    if include_evals:
+        header.append("constraint_evals")
+    f_min = reference.f_min if reference is not None else None
+    lines = [",".join(header)]
+    best = math.inf
+    for i in range(rows):
+        fi = trace.f_iterate[i]
+        counts = (not include_productive) or trace.productive[i]
+        if counts and fi < best:
+            best = fi
+        f_best = best if best < math.inf else None
+        f_avg = trace.f_avg[i]
+        gap_avg = None
+        gap_best = None
+        if f_min is not None:
+            if not math.isnan(f_avg):
+                gap_avg = f_avg - f_min
+            if f_best is not None:
+                gap_best = f_best - f_min
+        cells = [str(trace.k[i])] + [
+            _fmt_cell(v) for v in (trace.gamma[i], fi, f_avg, f_best, gap_avg, gap_best)
+        ]
+        cells.append(_fmt_cell(trace.bound[i]) if has_bound else "")
+        if include_productive:
+            cells.append(_fmt_cell(bool(trace.productive[i])))
+        if include_evals:
+            cells.append(str(int(trace.constraint_evals[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class SequentialConstraints(AffineConstraints):
     """An ``AffineConstraints`` block answered by Python loops over the
     rows with one ``np.dot`` per row: the reference for the one vectorised

@@ -10,6 +10,7 @@ import pytest
 
 from mdbench.bench import (
     ExperimentPlan,
+    ReferenceSolution,
     constrained_reference,
     constrained_start,
     default_start,
@@ -35,9 +36,9 @@ from mdbench.problems import (
     deserialize_instance,
 )
 from mdbench.schedules import ScheduleState, schedule
-from mdbench.solvers import RunConfig, mirror_descent
+from mdbench.solvers import RunConfig, Trace, mirror_descent
 
-from oracles import grid_refine_pointwise
+from oracles import grid_refine_pointwise, trace_csv_per_cell
 
 BA5 = InstanceSpec("best-approx", n=5, seed=3)
 
@@ -131,6 +132,17 @@ def test_grid_refine_matches_pointwise_reference(spec, feasible, rounds):
     assert (x.tobytes(), v, slack) == (x_ref.tobytes(), v_ref, slack_ref)
 
 
+def test_grid_refine_n3_ball_matches_pointwise_reference():
+    # rounds of 9**3, 17**3, 17**3 and 33**3 rows: the last spans nine
+    # 4096-row blocks
+    obj = build_objective(InstanceSpec("fts", n=3, t=5, seed=2))
+    feasible = Ball(np.array([0.1, 0.2, -0.1]), 0.8)
+    kw = dict(lipschitz=obj.lipschitz_bound, max_rounds=4)
+    x, v, slack = grid_refine_minimize(obj.values, feasible, **kw)
+    x_ref, v_ref, slack_ref = grid_refine_pointwise(obj.value, feasible, **kw)
+    assert (x.tobytes(), v, slack) == (x_ref.tobytes(), v_ref, slack_ref)
+
+
 def test_grid_refine_rejects_non_finite_values():
     def nan_right_of_half(X):
         return np.where(X[:, 0] > 0.5, np.nan, np.hypot(X[:, 0], X[:, 1]))
@@ -192,6 +204,40 @@ def test_trace_csv_layout(tmp_path):
     )
     gaps = [float(r.split(",")[5]) for r in lines[1:]]
     assert all(g >= -1e-12 for g in gaps)
+
+
+def _odd_trace(with_bound: bool) -> Trace:
+    """Cells of every kind the formatter meets: NaN, +-inf, -0.0, Python
+    and numpy scalars, booleans and the constrained columns."""
+    return Trace(
+        k=[1, np.int64(2), 3, 4, 5, 6],
+        gamma=[0.5, np.float64(0.25), 1e-300, math.inf, -0.0, np.float32(0.1)],
+        f_iterate=[math.nan, 2.0, np.float64(1.0 / 3.0), -0.0, 7, -1e308],
+        f_avg=[math.nan, math.inf, np.float64(2.0 / 3.0), -0.0, -math.inf, 1.5],
+        g_iterate=[0.1] * 6,
+        productive=[False, True, np.bool_(True), np.bool_(False), True, True],
+        bound=[1.0, math.nan, 2.5, -0.0, np.float64(1e-17), 3][: 6 if with_bound else 0],
+        constraint_evals=[3, np.int64(3), 0, 1, 2, 3],
+    )
+
+
+@pytest.mark.parametrize("productive", [False, True])
+@pytest.mark.parametrize("evals", [False, True])
+@pytest.mark.parametrize("with_bound", [False, True])
+@pytest.mark.parametrize("f_min", [None, 0.5, -0.0, math.inf])
+def test_trace_csv_rows_match_per_cell_format(tmp_path, productive, evals,
+                                              with_bound, f_min):
+    trace = _odd_trace(with_bound)
+    reference = None if f_min is None else ReferenceSolution(f_min, "Analytic", 0.0)
+    path = str(tmp_path / "odd.csv")
+    write_trace_csv(path, trace, reference, include_productive=productive,
+                    include_evals=evals)
+    with open(path, newline="") as fh:
+        got = fh.read()
+    assert got == trace_csv_per_cell(trace, reference, productive, evals)
+    write_trace_csv(path, Trace(), reference, productive, evals)
+    with open(path, newline="") as fh:
+        assert fh.read() == trace_csv_per_cell(Trace(), reference, productive, evals)
 
 
 def test_trace_csv_without_reference_leaves_gaps_empty(tmp_path):
@@ -271,6 +317,23 @@ def test_single_cell_matches_experiment_cell(tmp_path):
     ).read_bytes()
     for key in ("final_f_avg", "final_gap_avg", "final_bound", "iterations"):
         assert single[key] == planned[key]
+
+
+def test_every_plan_cell_matches_its_single_cell_bytes(tmp_path):
+    plan = _small_plan(
+        tmp_path / "plan", schedules=("adagrad", "polyak", "time-varying"),
+        m_values=(-1.0, 0.5, 3.0), iters=60,
+    )
+    summary = run_experiment(plan)
+    assert len(summary["cells"]) == 9
+    for planned in summary["cells"]:
+        path = tmp_path / planned["file"]
+        single = run_single_cell(
+            BA5, "euclidean", planned["schedule"], planned["m"], 60, str(path)
+        )
+        assert path.read_bytes() == (tmp_path / "plan" / planned["file"]).read_bytes()
+        assert single.pop("reference") == summary["reference"]
+        assert single == planned
 
 
 def test_entropy_prox_experiment(tmp_path):
@@ -367,6 +430,16 @@ def test_sweep_matches_experiment_bytes(tmp_path):
         )
         want = [(r.split(",")[0], r.split(",")[5]) for r in cell_lines[1:]]
         assert by_m[format(cell["m"], "g")] == want
+
+
+def test_sweep_overflow_names_the_overflowing_m(tmp_path):
+    plan = _small_plan(tmp_path, schedules=("nonsum",), m_values=(0.0, 400.0))
+    with pytest.raises(
+        ValueError,
+        match=r"leave the float64 range at iteration 1 with m=400 and gamma=0\.1;",
+    ):
+        sweep_m(plan, out_path=str(tmp_path / "sweep.csv"))
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_validation(tmp_path):

@@ -119,6 +119,26 @@ def test_values_match_value_bit_for_bit(n, t):
         assert f.values(X).tobytes() == want.tobytes(), type(f).__name__
 
 
+@pytest.mark.parametrize("n", [50, 2000])
+def test_values_match_value_bit_for_bit_at_solver_sizes(n):
+    # the solvers read f at every running average through one values call
+    rng = np.random.default_rng(n)
+    points = rng.random((7, n))
+    X = rng.uniform(-1.0, 1.0, size=(5, n)) / math.sqrt(n)
+    objectives = (
+        DistanceToPoint(points[0]),
+        MeanDistance(points),
+        MaxDistance(points),
+        MaxAffine(points, rng.random(7)),
+    )
+    for f in objectives:
+        want = np.array([f.value(x) for x in X])
+        assert f.values(X).tobytes() == want.tobytes(), type(f).__name__
+        for i in range(X.shape[0]):
+            one = f.values(X[i:i + 1])
+            assert one.tobytes() == want[i:i + 1].tobytes(), type(f).__name__
+
+
 # ---------------------------------------------------------------- constraints
 
 

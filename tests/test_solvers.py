@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdbench.bench import default_start
 from mdbench.geometry import L1, Ball, Zero, euclidean_setup, unit_ball
 from mdbench.problems import (
     AffineConstraints,
@@ -15,7 +18,7 @@ from mdbench.problems import (
     build_constraints,
     build_objective,
 )
-from mdbench.schedules import ScheduleState, schedule
+from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
 from mdbench.solvers import (
     NoProductiveSteps,
     RunConfig,
@@ -31,6 +34,7 @@ from mdbench.solvers import (
     iteration_estimate,
     mirror_c_descent,
     mirror_descent,
+    mirror_descent_sweep,
     productive_inequality_sides,
 )
 
@@ -829,3 +833,184 @@ def test_constrained_bound_diagnostic():
         constrained_bound_diagnostic(0.0, [], [], [1.0], [1.0], 1.0, 2.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="gamma_last must be positive"):
         constrained_bound_diagnostic(0.0, [1.0], [1.0], [], [], 0.0, 2.0, 1.0, 0.5)
+
+
+# ---------------------------------------------------------------- shared trajectory
+
+
+def _rule_state(tag: str) -> ScheduleState:
+    params = {"m_lipschitz": 2.0} if tag == "time-varying" else {}
+    return _state(tag, **params)
+
+
+def _result_bytes(res: SolveResult):
+    columns = {
+        name: np.asarray(col, dtype=np.float64).tobytes()
+        for name, col in vars(res.trace).items()
+    }
+    return (res.x_hat.tobytes(), repr(res.f_hat), res.iterations,
+            res.stop_reason, columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=8.0), min_size=1, max_size=4),
+    st.sampled_from(TABLE_TAGS),
+)
+def test_shared_trajectory_matches_separate_runs(m_values, tag):
+    if tag == "polyak":
+        obj = build_objective(InstanceSpec("best-approx", n=6, seed=2))
+    else:
+        obj = build_objective(InstanceSpec("max-linear", n=6, t=4, seed=2))
+    ball = unit_ball(6)
+    x1 = default_start(ball)
+    config = RunConfig(m=0.0, iters=30)
+    shared = mirror_descent_sweep(
+        obj, euclidean_setup(), ball, _rule_state(tag), config, x1, m_values
+    )
+    assert len(shared) == len(m_values)
+    for m, res in zip(m_values, shared):
+        alone = mirror_descent(
+            obj, euclidean_setup(), ball, _rule_state(tag),
+            RunConfig(m=m, iters=30), x1,
+        )
+        assert _result_bytes(res) == _result_bytes(alone)
+
+
+class _IterateSpy(DistanceToPoint):
+    """DistanceToPoint that records every point its subgradient is taken at,
+    which in an unconstrained run is each iterate x^k."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.points = []
+
+    def subgrad(self, x):
+        self.points.append(x.copy())
+        return super().subgrad(x)
+
+
+def test_shared_averages_match_weighted_averager():
+    obj = _IterateSpy(np.linspace(2.0, 5.0, 6))
+    m_values = (-1.0, 0.5, 3.0)
+    results = mirror_descent_sweep(
+        obj, euclidean_setup(), unit_ball(6), _state("adagrad"),
+        RunConfig(m=0.0, iters=25), np.zeros(6), m_values,
+    )
+    gammas = results[0].trace.gamma
+    assert len(obj.points) == len(gammas) == 25
+    for m, res in zip(m_values, results):
+        avg = WeightedAverager(6, m)
+        for k, (x, gamma) in enumerate(zip(obj.points, gammas)):
+            avg.update(x, gamma)
+            assert repr(res.trace.f_avg[k]) == repr(obj.value(avg.average))
+        assert res.x_hat.tobytes() == avg.average.tobytes()
+
+
+def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
+    # gamma = 2 throughout: 2**-1100 underflows to 0, so the m = 1100
+    # averager stays empty while the m = 0 one fills
+    obj = DistanceToPoint([10.0, 0.0])
+
+    def run(m_values):
+        return mirror_descent_sweep(
+            obj, euclidean_setup(), unit_ball(2), _state("fixed-length", c=2.0),
+            RunConfig(m=0.0, iters=5), np.zeros(2), m_values,
+        )
+
+    assert len(run((0.0,))[0].trace.f_avg) == 5
+    for m_values in ((1100.0,), (0.0, 1100.0)):
+        with pytest.raises(NoProductiveSteps, match="empty averager"):
+            run(m_values)
+
+
+def test_shared_trajectory_validates_every_m():
+    obj = DistanceToPoint([10.0, 0.0])
+    with pytest.raises(ValueError, match="finite and >= -1"):
+        mirror_descent_sweep(
+            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
+            RunConfig(m=0.0, iters=5), np.zeros(2), (0.0, -2.0),
+        )
+
+
+def test_overflow_names_earliest_k_then_plan_order():
+    obj = DistanceToPoint([10.0, 0.0])
+
+    def sweep(tag, m_values):
+        return mirror_descent_sweep(
+            obj, euclidean_setup(), unit_ball(2), _state(tag),
+            RunConfig(m=0.0, iters=5), np.zeros(2), m_values,
+        )
+
+    # gamma_k = 0.1/sqrt(k): m = 300 overflows at k = 2, m = 400 at k = 1
+    with pytest.raises(ValueError, match=r"iteration 1 with m=400 "):
+        sweep("nonsum", (0.0, 300.0, 400.0))
+    # gamma = 0.1 throughout: both overflow at k = 1, the first one is named
+    with pytest.raises(ValueError, match=r"iteration 1 with m=500 "):
+        sweep("constant-step", (0.0, 500.0, 400.0))
+
+
+# ---------------------------------------------------------------- non-finite values
+
+
+class _NanValue(DistanceToPoint):
+    """DistanceToPoint whose value is NaN everywhere."""
+
+    def value(self, x):
+        return math.nan
+
+    def values(self, X):
+        return np.full(X.shape[0], math.nan)
+
+
+class _NanAverageValue(DistanceToPoint):
+    """DistanceToPoint whose batch form is NaN, so only f at the
+    averages is non-finite."""
+
+    def values(self, X):
+        return np.full(X.shape[0], math.nan)
+
+
+@pytest.mark.parametrize(
+    "cls, tag, trace, match",
+    [
+        (_NanValue, "nonsum", True, "objective value is nan at iteration 1$"),
+        (_NanValue, "nonsum", False,
+         "objective value at the output point is nan after iteration 5"),
+        (_NanValue, "polyak", False, "objective value is nan at iteration 1$"),
+        (_NanAverageValue, "nonsum", True,
+         "objective value at the average is nan at iteration 1"),
+    ],
+    ids=["trace-on", "trace-off", "polyak", "average"],
+)
+def test_non_finite_objective_value_raises(cls, tag, trace, match):
+    obj = cls([10.0, 0.0], known_fstar=9.0)
+    with pytest.raises(ValueError, match=match):
+        mirror_descent(
+            obj, euclidean_setup(), unit_ball(2), _state(tag),
+            RunConfig(m=0.0, iters=5, record_trace=trace), np.zeros(2),
+        )
+
+
+# ---------------------------------------------------------------- early criterion
+
+
+def test_criterion_before_any_productive_step_raises():
+    # no point with g <= 0.25 near x1 = 0: the criterion fires on
+    # constraint steps alone
+    spec = InstanceSpec(
+        "max-linear", n=10, t=10, p=20, seed=42, distribution="standard-normal"
+    )
+    obj, cons = build_objective(spec), build_constraints(spec)
+    with pytest.raises(
+        NoProductiveSteps,
+        match=r"epsilon criterion fired at iteration \d+ before any productive "
+        r"step: likely no point with g <= epsilon lies within Bregman "
+        r"distance theta=2 of x1",
+    ):
+        constrained_md(
+            obj, cons, euclidean_setup(), unit_ball(10),
+            _state("adaptive-time-varying"), _state("adaptive-time-varying"),
+            RunConfig(m=1.0, epsilon=0.25, theta=2.0, record_trace=False),
+            np.zeros(10),
+        )

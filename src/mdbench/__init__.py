@@ -45,7 +45,6 @@ from .solvers import (
     SolveResult,
     StopReason,
     Trace,
-    WeightedAverager,
     bound_composite,
     bound_corollaries,
     bound_main,
@@ -81,7 +80,7 @@ __all__ = [
     "serialize_instance", "deserialize_instance",
     "TABLE_TAGS", "ScheduleKind", "ScheduleState", "StationarySignal",
     "schedule", "is_nonincreasing_guaranteed",
-    "RunConfig", "WeightedAverager", "Trace", "SolveResult", "StopReason",
+    "RunConfig", "Trace", "SolveResult", "StopReason",
     "NoProductiveSteps", "mirror_descent", "mirror_c_descent",
     "constrained_md", "constrained_md_multi", "bound_main",
     "bound_corollaries", "bound_composite", "iteration_estimate",

@@ -348,19 +348,6 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     return ReferenceSolution(res.f_hat, METHOD_LONGRUN, tol)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return format(f, ".17g")
-
-
 def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None,
                     include_productive: bool = False,
                     include_evals: bool = False) -> None:
@@ -413,7 +400,10 @@ def summarize_cell_csv(path: str) -> dict:
     """Final-row numbers of one per-iteration CSV, parsed back from the
     written text so they match the summary JSON bit for bit."""
     with open(path, "r", newline="") as fh:
-        content = fh.read()
+        return _summarize_csv_text(fh.read())
+
+
+def _summarize_csv_text(content: str) -> dict:
     lines = content.strip("\n").split("\n")
     header = lines[0].split(",")
     if len(lines) < 2:
@@ -445,50 +435,60 @@ def _m_token(m: float) -> str:
     return format(float(m), "g")
 
 
-def _run_schedule(objective, prox, feasible, x1, tag, m_values, iters,
-                  theta) -> tuple:
-    """One traced trajectory of schedule ``tag``, averaged once per m;
-    returns one SolveResult per m."""
-    state = _schedule_state(tag, objective.lipschitz_bound, prox.sigma)
-    config = RunConfig(m=m_values[0], iters=iters, theta=theta, record_trace=True)
-    return mirror_descent_sweep(objective, prox, feasible, state, config, x1, m_values)
-
-
-def _check_unconstrained(plan: ExperimentPlan) -> None:
+def _solve_plan(plan: ExperimentPlan) -> tuple:
+    """Run every schedule of an unconstrained plan: one traced trajectory
+    per schedule, averaged once per m. Writes nothing; returns the
+    reference and (tag, m, SolveResult) triples in plan order."""
     if plan.instance.p != 0:
         raise ValueError(
             "plan runs are unconstrained; use the constrained comparison for p > 0"
         )
-
-
-def _require_polyak_fstar(objective, schedules) -> None:
-    if TAG_POLYAK in schedules and objective.known_fstar is None:
+    objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
+    if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
         raise ValueError("Polyak requires known f*")
+    reference = reference_solution(objective, feasible, iters_budget=plan.iters)
+    config = RunConfig(
+        m=plan.m_values[0], iters=plan.iters, theta=theta_for(feasible), record_trace=True
+    )
+    runs = []
+    for tag in plan.schedules:
+        state = _schedule_state(tag, objective.lipschitz_bound, prox.sigma)
+        results = mirror_descent_sweep(
+            objective, prox, feasible, state, config, x1, plan.m_values
+        )
+        runs.extend(zip(repeat(tag), plan.m_values, results))
+    return reference, runs
+
+
+def _write_cell(path: str, tag: str, m: float, result, reference) -> dict:
+    """Write one cell's per-iteration CSV and return its summary cell,
+    parsed from the same text."""
+    text = _trace_csv_text(result.trace, reference, False, False)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    cell = {
+        "schedule": tag,
+        "m": m,
+        "file": os.path.basename(path),
+        "iterations": result.iterations,
+        "stop_reason": result.stop_reason.value,
+    }
+    cell.update(_summarize_csv_text(text))
+    return cell
 
 
 def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
                     iters: int, out_path: str) -> dict:
     """One (schedule, m) run written to ``out_path``; returns its summary
-    cell. Shares every code path with run_experiment, so a matching plan
-    cell produces identical bytes."""
-    if tag not in TABLE_TAGS:
-        raise ValueError(f"unknown schedule tag: {tag!r}")
-    objective, prox, feasible, x1 = _prepare_problem(instance, prox_name)
-    _require_polyak_fstar(objective, [tag])
-    reference = reference_solution(objective, feasible, iters_budget=iters)
-    (result,) = _run_schedule(
-        objective, prox, feasible, x1, tag, (m,), iters, theta_for(feasible)
+    cell plus the reference. It runs as a one-cell plan, so it validates
+    like every plan (constrained instances are rejected) and a matching
+    run_experiment cell has identical bytes."""
+    plan = ExperimentPlan(
+        instance=instance, schedules=(tag,), m_values=(m,), iters=iters,
+        seed=instance.seed, prox=prox_name,
     )
-    with open(out_path, "w", newline="") as fh:
-        fh.write(_trace_csv_text(result.trace, reference, False, False))
-    cell = {
-        "schedule": tag,
-        "m": float(m),
-        "file": os.path.basename(out_path),
-        "iterations": result.iterations,
-        "stop_reason": result.stop_reason.value,
-    }
-    cell.update(summarize_cell_csv(out_path))
+    reference, ((_, m, result),) = _solve_plan(plan)
+    cell = _write_cell(out_path, tag, m, result, reference)
     cell["reference"] = asdict(reference)
     return cell
 
@@ -502,40 +502,17 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     All runs finish before any file is written; files and summary cells
     follow plan order.
     """
-    _check_unconstrained(plan)
-    objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
-    _require_polyak_fstar(objective, plan.schedules)
-    reference = reference_solution(objective, feasible, iters_budget=plan.iters)
-    theta = theta_for(feasible)
+    reference, runs = _solve_plan(plan)
     os.makedirs(plan.output_dir, exist_ok=True)
-
-    runs = [
-        (tag, _run_schedule(objective, prox, feasible, x1, tag, plan.m_values,
-                            plan.iters, theta))
-        for tag in plan.schedules
+    cells = [
+        _write_cell(os.path.join(plan.output_dir, f"{tag}_m{_m_token(m)}.csv"),
+                    tag, m, result, reference)
+        for tag, m, result in runs
     ]
-
-    summary_cells = []
-    for tag, results in runs:
-        for m, result in zip(plan.m_values, results):
-            fname = f"{tag}_m{_m_token(m)}.csv"
-            fpath = os.path.join(plan.output_dir, fname)
-            with open(fpath, "w", newline="") as fh:
-                fh.write(_trace_csv_text(result.trace, reference, False, False))
-            cell = {
-                "schedule": tag,
-                "m": m,
-                "file": fname,
-                "iterations": result.iterations,
-                "stop_reason": result.stop_reason.value,
-            }
-            cell.update(summarize_cell_csv(fpath))
-            summary_cells.append(cell)
-
     summary = {
         "plan": plan.to_dict(),
         "reference": asdict(reference),
-        "cells": summary_cells,
+        "cells": cells,
     }
     spath = os.path.join(plan.output_dir, "summary.json")
     with open(spath, "w", newline="") as fh:
@@ -550,24 +527,17 @@ def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
     from its f_avg columns with the cell CSV's formatting, so a sweep row
     agrees bit for bit with the matching plan cell.
     """
-    _check_unconstrained(plan)
     if len(plan.m_values) < 2:
         raise ValueError("an m sweep needs at least two m values")
     if len(plan.schedules) != 1:
         raise ValueError("an m sweep uses exactly one schedule")
-    objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
-    _require_polyak_fstar(objective, plan.schedules)
-    reference = reference_solution(objective, feasible, iters_budget=plan.iters)
-    results = _run_schedule(
-        objective, prox, feasible, x1, plan.schedules[0], plan.m_values,
-        plan.iters, theta_for(feasible),
-    )
+    reference, runs = _solve_plan(plan)
 
     f_min = reference.f_min
     lines = ["m,k,gap_avg"]
-    for m, result in zip(plan.m_values, results):
+    for _, m, result in runs:
         # m is finite, so its token never holds "nan"
-        fmt = _fmt(m) + ",%d,%.17g"
+        fmt = "%.17g" % m + ",%d,%.17g"
         lines.extend(fmt % (k, f_avg - f_min)
                      for k, f_avg in zip(result.trace.k, result.trace.f_avg))
     if out_path is None:
@@ -659,25 +629,12 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
                     include_evals=True,
                 )
 
+    # f_hat and g_hat are finite (the solvers refuse a non-finite f_hat),
+    # so no cell is NaN
+    fmt = "%s,%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%s"
+    columns = _COMPARISON_HEADER.split(",")
     lines = [_COMPARISON_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["algorithm"],
-                    _fmt(r["epsilon"]),
-                    _fmt(r["m"]),
-                    str(r["iterations"]),
-                    str(r["productive"]),
-                    str(r["nonproductive"]),
-                    str(r["constraint_evals"]),
-                    _fmt(r["wall_seconds"]),
-                    _fmt(r["f_hat"]),
-                    _fmt(r["g_hat"]),
-                    r["stop_reason"],
-                ]
-            )
-        )
+    lines.extend(fmt % tuple(r[c] for c in columns) for r in rows)
     with open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return rows

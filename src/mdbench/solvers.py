@@ -53,7 +53,6 @@ __all__ = [
     "NoProductiveSteps",
     "StopReason",
     "RunConfig",
-    "WeightedAverager",
     "Trace",
     "SolveResult",
     "mirror_descent",
@@ -113,28 +112,6 @@ class RunConfig:
             raise ValueError("epsilon must be positive")
         if not self.theta > 0.0:
             raise ValueError("theta must be positive")
-
-
-class WeightedAverager:
-    """Running weighted average with weights gamma^{-m}."""
-
-    def __init__(self, n: int, m: float):
-        self.m = float(m)
-        self.weighted_sum = np.zeros(n)
-        self.weight_total = 0.0
-
-    def update(self, x: np.ndarray, gamma: float) -> None:
-        if not gamma > 0.0:
-            raise ValueError("averaging weight needs gamma > 0")
-        w = gamma ** (-self.m)
-        self.weighted_sum += w * x
-        self.weight_total += w
-
-    @property
-    def average(self) -> np.ndarray:
-        if not self.weight_total > 0.0:
-            raise RuntimeError("average requested before any update")
-        return self.weighted_sum / self.weight_total
 
 
 @dataclass
@@ -243,8 +220,11 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
     rule.
 
     Errors: a non-finite subgradient dual norm, f(x^k), f at an average or
-    f at the output point raises ValueError naming the iteration. When the
-    weights or certificate powers of some m leave the float64 range, the
+    f at the output point raises ValueError naming the iteration. A step
+    rule whose step is not finite and positive, or whose arithmetic
+    overflows or divides by zero (a tiny dual norm), raises ValueError
+    naming the rule, k and the dual norm. When the weights, their sums or
+    the certificate of some m leave the float64 range, the
     ValueError names that m, gamma and k; if several m overflow, it names
     the one with the earliest k, and among equal k the first in ``ms``. A
     constrained run whose criterion fires before any productive step raises
@@ -264,6 +244,7 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
     theta = config.theta
     sigma = prox.sigma
     dual = dual_norm_kind(prox.norm)
+    inf = math.inf
     n_m = len(ms)
     sums = np.zeros((n_m, x.size))  # weighted sums of productive iterates, one row per m
     rows = list(sums)  # views of those rows, updated in place
@@ -328,15 +309,21 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
             stop = StopReason.STATIONARY_POINT
             break
         fx = _value(objective, x, k) if prod and want_f else None
+        rule = state_f if prod else state_g
         try:
-            gamma = (state_f if prod else state_g).step_size(
+            gamma = rule.step_size(
                 k, f_val=fx, grad_dual_norm=gn, f_star=objective.known_fstar
             )
         except StationarySignal:
             stop = StopReason.STATIONARY_POINT
             break
-        if prod and not gamma > 0.0:
-            raise ValueError("averaging weight needs gamma > 0")
+        except (OverflowError, ZeroDivisionError):
+            gamma = math.nan  # the rule's arithmetic has no float64 result
+        if not 0.0 < gamma < inf:
+            raise ValueError(
+                f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
+                f"with subgradient dual norm {gn!r}; steps must be finite and positive"
+            )
         if h is not None:
             hv = h.value(x)
         if scan:
@@ -350,13 +337,11 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
                         h_term[i] = hv / gamma**m
                     rows[i] += w * x
                     totals[i] += w
-                if not certify:
-                    continue
-                if not scan:
+                if certify and not scan:
                     lhs[i] += w
                     sq[i] += gn * gn / gamma ** (m - 1.0)
                     rhs[i] = theta / gamma ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
-                else:
+                elif certify:
                     lhs[i] += (gn * sk / root) ** m
                     if prod:
                         sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
@@ -365,6 +350,9 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
                     rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
                         sum_f[i] + sum_g[i]
                     ) / root ** (m + 1.0)
+                # sums and quotients reach inf without raising
+                if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
+                    raise OverflowError
         except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"weights gamma**(-m) leave the float64 range at iteration {k} "

@@ -86,6 +86,29 @@ def weighted_average(points, gammas, m: float) -> np.ndarray:
     return num / den
 
 
+class WeightedAverager:
+    """Running weighted average with weights gamma^{-m}, folded one point
+    at a time: the reference the solvers' shared averaging is held to."""
+
+    def __init__(self, n: int, m: float):
+        self.m = float(m)
+        self.weighted_sum = np.zeros(n)
+        self.weight_total = 0.0
+
+    def update(self, x: np.ndarray, gamma: float) -> None:
+        if not gamma > 0.0:
+            raise ValueError("averaging weight needs gamma > 0")
+        w = gamma ** (-self.m)
+        self.weighted_sum += w * x
+        self.weight_total += w
+
+    @property
+    def average(self) -> np.ndarray:
+        if not self.weight_total > 0.0:
+            raise RuntimeError("average requested before any update")
+        return self.weighted_sum / self.weight_total
+
+
 def kl_divergence(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

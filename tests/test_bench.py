@@ -378,6 +378,13 @@ def test_plans_reject_constrained_instances(tmp_path):
     )
     with pytest.raises(ValueError, match="use the constrained comparison"):
         run_experiment(plan)
+    cell_path = tmp_path / "cell.csv"
+    with pytest.raises(ValueError, match="use the constrained comparison"):
+        run_single_cell(
+            InstanceSpec("best-approx", n=5, p=3, seed=3), "euclidean", "nonsum",
+            0.0, 10, str(cell_path),
+        )
+    assert not cell_path.exists()
 
 
 def test_plan_validation():

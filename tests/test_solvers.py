@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdbench.bench import default_start
-from mdbench.geometry import L1, Ball, Zero, euclidean_setup, unit_ball
+from mdbench.geometry import L1, Ball, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
 from mdbench.problems import (
     AffineConstraints,
     DistanceToPoint,
@@ -18,13 +19,12 @@ from mdbench.problems import (
     build_constraints,
     build_objective,
 )
-from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
+from mdbench.schedules import TABLE_TAGS, ScheduleState, is_nonincreasing_guaranteed, schedule
 from mdbench.solvers import (
     NoProductiveSteps,
     RunConfig,
     SolveResult,
     StopReason,
-    WeightedAverager,
     bound_composite,
     bound_corollaries,
     bound_main,
@@ -38,7 +38,7 @@ from mdbench.solvers import (
     productive_inequality_sides,
 )
 
-from oracles import SequentialConstraints, weighted_average
+from oracles import SequentialConstraints, WeightedAverager, weighted_average
 
 
 def _state(tag: str, sigma: float = 1.0, **params) -> ScheduleState:
@@ -380,6 +380,47 @@ def test_non_finite_subgradient_raises(solver):
                 obj, _always_satisfied(2), euclidean_setup(), unit_ball(2),
                 state, _state("nonsum"), RunConfig(m=0.0, iters=50, epsilon=0.5),
                 np.zeros(2), use_criterion=False,
+            )
+
+
+def _step_error(tag: str, gamma: str, gn: float) -> str:
+    return re.escape(
+        f"step rule '{tag}' gives gamma={gamma} at iteration 1 with subgradient "
+        f"dual norm {gn!r}; steps must be finite and positive"
+    )
+
+
+@pytest.mark.parametrize("tag", ["quad-grad", "polyak"])
+def test_step_rule_division_by_zero_is_a_named_error(tag):
+    # the squared L-infinity dual norm 1e-200**2 underflows to 0
+    obj = MaxAffine([[1e-200, 0.0]], [0.0])
+    obj.known_fstar = 0.0
+    with pytest.raises(ValueError, match=_step_error(tag, "nan", 1e-200)):
+        mirror_descent(
+            obj, entropy_setup(), Simplex(2), _state(tag),
+            RunConfig(m=0.0, iters=5), np.array([0.5, 0.5]),
+        )
+
+
+@pytest.mark.parametrize("productive", [True, False])
+def test_infinite_step_is_a_named_error(productive):
+    # 0.2 / gn**2 overflows to inf once gn**2 is subnormal; on a
+    # non-productive step the constraint row is the tiny one
+    tiny = [[1e-160, 0.0]]
+    gn = float(np.linalg.norm(tiny))
+    match = _step_error("quad-grad", "inf", gn)
+    x1 = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match=match):
+        if productive:
+            mirror_descent(
+                MaxAffine(tiny, [0.0]), euclidean_setup(), unit_ball(2),
+                _state("quad-grad"), RunConfig(m=0.0, iters=5), x1,
+            )
+        else:
+            constrained_md(
+                DistanceToPoint([10.0, 0.0]), AffineConstraints(tiny, [-1.0]),
+                euclidean_setup(), unit_ball(2), _state("nonsum"), _state("quad-grad"),
+                RunConfig(m=0.0, iters=5, epsilon=0.5), x1,
             )
 
 
@@ -875,6 +916,35 @@ def test_shared_trajectory_matches_separate_runs(m_values, tag):
             RunConfig(m=m, iters=30), x1,
         )
         assert _result_bytes(res) == _result_bytes(alone)
+
+
+_CERTIFIED_TAGS = [t for t in TABLE_TAGS if is_nonincreasing_guaranteed(_rule_state(t).kind)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=1000.0), st.sampled_from(_CERTIFIED_TAGS))
+# near these m the weight sums or the bound overflow to inf without a
+# power raising
+@example(307.0, "constant-step")
+@example(176.5, "nonsum")
+@example(534.5, "adagrad")
+def test_bound_column_is_finite_or_the_overflow_is_named(m, tag):
+    obj = build_objective(InstanceSpec("max-linear", n=6, t=4, seed=2))
+    ball = unit_ball(6)
+    try:
+        res = mirror_descent(
+            obj, euclidean_setup(), ball, _rule_state(tag),
+            RunConfig(m=m, iters=30), default_start(ball),
+        )
+    except ValueError as exc:
+        assert re.fullmatch(
+            rf"weights gamma\*\*\(-m\) leave the float64 range at iteration \d+ "
+            rf"with m={re.escape(format(m, 'g'))} and gamma=\S+; use a smaller m",
+            str(exc),
+        ), str(exc)
+        return
+    assert len(res.trace.bound) == 30
+    assert all(math.isfinite(b) for b in res.trace.bound)
 
 
 class _IterateSpy(DistanceToPoint):

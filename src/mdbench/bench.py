@@ -34,12 +34,13 @@ from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING
 from .solvers import (
     RunConfig,
     StopReason,
+    _check_m_values,
+    _descent,
     bound_corollaries,
     constrained_md,
     constrained_md_multi,
     iteration_estimate,
     mirror_descent,
-    mirror_descent_sweep,
 )
 
 __all__ = [
@@ -108,9 +109,7 @@ class ExperimentPlan:
                 raise ValueError(f"unknown schedule tag: {tag!r}")
         if not self.m_values:
             raise ValueError("plan needs at least one m value")
-        for m in self.m_values:
-            if not (math.isfinite(m) and m >= -1.0):
-                raise ValueError("every m must be finite and >= -1")
+        _check_m_values(self.m_values)
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if self.epsilon is not None and not self.epsilon > 0.0:
@@ -188,13 +187,18 @@ def _geometry(prox_name: str, n: int):
     raise ValueError(f"unknown prox name: {prox_name!r}")
 
 
+def _has_known_fstar(instance: InstanceSpec, prox_name: str) -> bool:
+    """Whether the plan's objective has an analytic optimal value: only the
+    best-approximation family on the unit ball (the Euclidean prox) does."""
+    return instance.kind == KIND_BEST_APPROX and prox_name == "euclidean"
+
+
 def _prepare_problem(instance: InstanceSpec, prox_name: str):
-    """Build (objective, prox, feasible, start). Off the unit ball the
-    analytic optimal value of the best-approximation family no longer
-    applies, so known_fstar is cleared there."""
+    """Build (objective, prox, feasible, start), with known_fstar cleared
+    where ``_has_known_fstar`` says the analytic value does not apply."""
     prox, feasible = _geometry(prox_name, instance.n)
     objective = build_objective(instance)
-    if isinstance(feasible, Simplex) and objective.known_fstar is not None:
+    if not _has_known_fstar(instance, prox_name):
         objective.known_fstar = None
     return objective, prox, feasible, default_start(feasible)
 
@@ -436,9 +440,11 @@ def _m_token(m: float) -> str:
 
 
 def _solve_plan(plan: ExperimentPlan) -> tuple:
-    """Run every schedule of an unconstrained plan: one traced trajectory
-    per schedule, averaged once per m. Writes nothing; returns the
-    reference and (tag, m, SolveResult) triples in plan order."""
+    """Run every schedule of an unconstrained plan as one batch: one traced
+    trajectory per schedule, all advanced together and each averaged once
+    per m. Writes nothing; returns the reference and (tag, m, SolveResult)
+    triples in plan order. If schedules fail, the error of the first in
+    plan order is raised."""
     if plan.instance.p != 0:
         raise ValueError(
             "plan runs are unconstrained; use the constrained comparison for p > 0"
@@ -450,12 +456,12 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     config = RunConfig(
         m=plan.m_values[0], iters=plan.iters, theta=theta_for(feasible), record_trace=True
     )
+    states = [
+        _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
+    ]
+    batch = _descent(objective, prox, feasible, states, config, x1, plan.m_values)
     runs = []
-    for tag in plan.schedules:
-        state = _schedule_state(tag, objective.lipschitz_bound, prox.sigma)
-        results = mirror_descent_sweep(
-            objective, prox, feasible, state, config, x1, plan.m_values
-        )
+    for tag, results in zip(plan.schedules, batch):
         runs.extend(zip(repeat(tag), plan.m_values, results))
     return reference, runs
 

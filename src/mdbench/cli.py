@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 from .bench import (
     ExperimentPlan,
-    _prepare_problem,
+    _has_known_fstar,
+    _prepare_problem,  # noqa: F401  perfbench/tracer.py patches this name
     run_constrained_comparison,
     run_experiment,
     run_single_cell,
@@ -153,9 +154,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     _reject_constraints("compare", args)
     instance = _instance(args)
-    objective, _, _, _ = _prepare_problem(instance, args.prox)
     tags = list(TABLE_TAGS)
-    if objective.known_fstar is None and TAG_POLYAK in tags:
+    if not _has_known_fstar(instance, args.prox):
         tags.remove(TAG_POLYAK)
         print(
             "note: skipping polyak (requires known f*, unavailable for this problem)",

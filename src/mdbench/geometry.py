@@ -34,10 +34,12 @@ __all__ = [
     "bregman",
     "grad_psi",
     "mirror_step",
+    "mirror_step_rows",
     "Zero",
     "L1",
     "Regularizer",
     "composite_mirror_step",
+    "composite_mirror_step_rows",
     "EUCLIDEAN_HALF_SQ",
     "NEG_ENTROPY",
 ]
@@ -68,24 +70,37 @@ class Ball:
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         d = x - self.center
-        return float(np.sqrt(np.dot(d, d))) <= self.radius + tol
+        return math.sqrt(np.dot(d, d)) <= self.radius + tol
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        d = x - self.center
-        r = float(np.sqrt(np.dot(d, d)))
+        return self._project_owned(np.array(x, dtype=np.float64))
+
+    def _project_owned(self, y: np.ndarray) -> np.ndarray:
+        """``project`` of a float64 array the caller hands over: returned
+        as it is when it lies in the ball, so no copy is made."""
+        d = y - self.center
+        r = math.sqrt(np.dot(d, d))
         if r <= self.radius:
-            return np.array(x, dtype=np.float64)
+            return y
         return self.center + d * (self.radius / r)
 
     def project_rows(self, X: np.ndarray) -> np.ndarray:
         """``project`` applied to each row of a (K, n) array, bit for bit."""
-        d = X - self.center
+        return self._project_rows_owned(np.array(X, dtype=np.float64))
+
+    def _project_rows_owned(self, Y: np.ndarray) -> np.ndarray:
+        """``project_rows`` of a float64 array the caller hands over, which
+        is returned as it is when every row lies in the ball."""
+        d = Y - self.center
         # vecdot rounds like np.dot; (d * d).sum(axis=1) does not
         r = np.sqrt(np.vecdot(d, d))
-        out = np.array(X, dtype=np.float64)
-        far = ~(r <= self.radius)
-        out[far] = self.center + d[far] * (self.radius / r[far])[:, None]
-        return out
+        near = r <= self.radius
+        if near.all():
+            return Y
+        # radius / max(r, radius) is radius / r on every far row and never
+        # divides by zero on a near one
+        scale = self.radius / np.maximum(r, self.radius)
+        return np.where(near[:, None], Y, self.center + d * scale[:, None])
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,10 @@ class Simplex:
         rho = Y.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
         tau = (css[np.arange(Y.shape[0]), rho] - 1.0) / (rho + 1.0)
         return np.maximum(Y - tau[:, None], 0.0)
+
+    # both return new arrays, so they serve as the forms for handed-over input
+    _project_owned = project
+    _project_rows_owned = project_rows
 
 
 FeasibleSet = Union[Ball, Simplex]
@@ -182,6 +201,35 @@ def grad_psi(setup: ProxSetup, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
 
 
+def mirror_step_rows(
+    setup: ProxSetup,
+    feasible: FeasibleSet,
+    X: np.ndarray,
+    G: np.ndarray,
+    gammas,
+) -> np.ndarray:
+    """``mirror_step`` applied to row i of the (K, n) arrays X and G with
+    step gammas[i], bit for bit, as one (K, n) array."""
+    if len(X) == 1:
+        # the 1-D form computes the same row with fewer numpy calls
+        return mirror_step(setup, feasible, X[0], G[0], gammas[0])[None]
+    for gamma in gammas:
+        if not gamma > 0.0:
+            raise ValueError("step size gamma must be positive")
+    steps = np.array(gammas)[:, None]
+    if setup.psi_kind == EUCLIDEAN_HALF_SQ:
+        return feasible._project_rows_owned(X - steps * G)
+    if setup.psi_kind == NEG_ENTROPY:
+        if not isinstance(feasible, Simplex):
+            raise ValueError("entropy prox supports only the simplex")
+        Z = np.log(np.maximum(X, _LOG_FLOOR)) - steps * G
+        Z -= Z.max(axis=1, keepdims=True)
+        W = np.exp(Z)
+        # a sum over the last axis adds each row like the 1-D sum
+        return W / W.sum(axis=1, keepdims=True)
+    raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
+
+
 def mirror_step(
     setup: ProxSetup,
     feasible: FeasibleSet,
@@ -192,7 +240,7 @@ def mirror_step(
     if not gamma > 0.0:
         raise ValueError("step size gamma must be positive")
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
-        return feasible.project(x - gamma * g)
+        return feasible._project_owned(x - gamma * g)
     if setup.psi_kind == NEG_ENTROPY:
         if not isinstance(feasible, Simplex):
             raise ValueError("entropy prox supports only the simplex")
@@ -229,6 +277,25 @@ Regularizer = Union[Zero, L1]
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def composite_mirror_step_rows(
+    setup: ProxSetup,
+    feasible: FeasibleSet,
+    X: np.ndarray,
+    G: np.ndarray,
+    gammas,
+    h: Regularizer,
+) -> np.ndarray:
+    """``composite_mirror_step`` applied to row i of the (K, n) arrays X
+    and G with step gammas[i], bit for bit, as one (K, n) array. A nonzero
+    h is handled row by row."""
+    if isinstance(h, Zero):
+        return mirror_step_rows(setup, feasible, X, G, gammas)
+    return np.array([
+        composite_mirror_step(setup, feasible, x, g, gamma, h)
+        for x, g, gamma in zip(X, G, gammas)
+    ])
 
 
 def composite_mirror_step(
@@ -270,7 +337,7 @@ def composite_mirror_step(
     c = ball.center
     if not c.any():
         # centered ball: the unconstrained argmin is pulled back radially
-        r = float(np.sqrt(np.dot(cand, cand)))
+        r = math.sqrt(np.dot(cand, cand))
         return cand * (ball.radius / r)
 
     # general center: the KKT point is y(mu) = soft(base + mu c, thr)/(1+mu)
@@ -279,7 +346,7 @@ def composite_mirror_step(
     def radius_at(mu: float) -> float:
         y = _soft_threshold(base + mu * c, thr) / (1.0 + mu)
         d = y - c
-        return float(np.sqrt(np.dot(d, d)))
+        return math.sqrt(np.dot(d, d))
 
     lo, hi = 0.0, 1.0
     for _ in range(200):

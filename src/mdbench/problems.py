@@ -117,7 +117,7 @@ class DistanceToPoint:
 
     def value(self, x: np.ndarray) -> float:
         d = x - self.a
-        return math.sqrt(float(np.dot(d, d)))
+        return math.sqrt(d.dot(d))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         d = X - self.a
@@ -126,7 +126,7 @@ class DistanceToPoint:
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.a
-        r = math.sqrt(float(np.dot(d, d)))
+        r = math.sqrt(d.dot(d))
         if r == 0.0:
             return np.zeros_like(d)
         return d / r
@@ -155,8 +155,10 @@ class MeanDistance:
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
         r = np.sqrt((d * d).sum(axis=1))
-        out = np.zeros(self.points.shape[1])
         nz = r > 0.0
+        if nz.all():  # no anchor at x: the same sum without the masked copies
+            return (d / r[:, None]).sum(axis=0) / self.points.shape[0]
+        out = np.zeros(self.points.shape[1])
         if nz.any():
             out = (d[nz] / r[nz, None]).sum(axis=0) / self.points.shape[0]
         return out
@@ -185,7 +187,7 @@ class MaxDistance:
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
         r = np.sqrt((d * d).sum(axis=1))
-        i = int(np.argmax(r))
+        i = int(r.argmax())
         if r[i] == 0.0:
             return np.zeros(self.points.shape[1])
         return d[i] / r[i]
@@ -216,7 +218,7 @@ class MaxAffine:
         return (np.matmul(self.a, X[:, :, None])[:, :, 0] + self.b).max(axis=1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        i = int(np.argmax(self.a @ x + self.b))
+        i = int((self.a @ x + self.b).argmax())
         return self.a[i].copy()
 
 
@@ -270,7 +272,7 @@ class AffineConstraints:
         constraint exceeds eps.
         """
         v = self.row_values(x)
-        above = np.flatnonzero(v > eps)
+        above = (v > eps).nonzero()[0]
         if above.size == 0:
             return None, self.p, float(v.max())
         i = int(above[0])

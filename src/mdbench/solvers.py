@@ -1,6 +1,6 @@
 """Four mirror-descent solvers sharing one iteration loop with m-weighted
-averaging, plus the theoretical bound evaluators and stopping criteria they
-are tested against.
+averaging and its stopping criteria. The theoretical bound evaluators they
+are tested against live in ``bounds`` and are re-exported here.
 
 Every solver returns the weighted average
 
@@ -14,8 +14,13 @@ larger m shifts weight toward late iterates when steps shrink.
 The step sequence and the iterates do not depend on m, so one trajectory
 can feed several averages: ``mirror_descent_sweep`` runs the unconstrained
 loop once and returns one result per m, each equal bit for bit to its own
-``mirror_descent`` run. Constrained runs take one m, because there m enters
-the stopping rule.
+``mirror_descent`` run. The one loop also advances several trajectories,
+one per step rule, as one batch: the experiment plans run all their
+schedules that way, and every cell equals its own single run bit for bit.
+If schedules of a batch fail, the error of the first failing one in plan
+order is raised, the error its own run raises. Constrained and
+criterion-stopped runs take one step rule and one m, because there m
+enters the stopping rule; every public solver runs a batch of one.
 
 Solvers run any schedule, including the adaptive ones with no monotonicity
 guarantee. The bound evaluators, by contrast, verify the non-increasing
@@ -25,17 +30,28 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import truediv
 from typing import Optional
 
 import numpy as np
 
+from .bounds import (  # re-exported: the bound evaluators live in bounds.py
+    ConstrainedBoundDiagnostic,
+    bound_composite,
+    bound_corollaries,
+    bound_main,
+    constrained_bound_diagnostic,
+    iteration_estimate,
+    productive_inequality_sides,
+)
 from .geometry import (
     FeasibleSet,
     ProxSetup,
     Regularizer,
-    composite_mirror_step,
-    mirror_step,
+    composite_mirror_step_rows,
+    mirror_step,  # noqa: F401  the loop uses the row forms; perfbench/tracer.py patches this name
+    mirror_step_rows,
 )
 from .problems import AffineConstraints
 from .schedules import (
@@ -46,7 +62,7 @@ from .schedules import (
     is_nonincreasing_guaranteed,
     schedule,
 )
-from .space import as_point, dual_norm_kind, norm
+from .space import as_point, dual_norm_kind, norm, norm_rows  # noqa: F401  norm: like mirror_step
 
 __all__ = [
     "SAFETY_CAP",
@@ -102,8 +118,7 @@ class RunConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m >= -1.0):
-            raise ValueError("weighting exponent m must be finite and >= -1")
+        _check_m_values((self.m,))
         if self.iters is None and self.epsilon is None:
             raise ValueError("set at least one of iters and epsilon")
         if self.iters is not None and self.iters < 1:
@@ -145,6 +160,14 @@ class SolveResult:
     constraint_evals_total: Optional[int] = None
 
 
+def _check_m_values(m_values) -> None:
+    """The one check on weighting exponents, shared by RunConfig, the
+    m sweep and the experiment plans."""
+    for m in m_values:
+        if not (math.isfinite(m) and m >= -1.0):
+            raise ValueError("every m must be finite and >= -1")
+
+
 def _value(objective, x, k) -> float:
     """f(x^k), refused when it is not finite."""
     v = objective.value(x)
@@ -153,25 +176,19 @@ def _value(objective, x, k) -> float:
     return v
 
 
-def _average_values(objective, h, sums, totals, k) -> list:
-    """f (plus h) at each running average sums[i] / totals[i], read with
-    one ``values`` call; NaN where an averager is still empty."""
+def _average_values(objective, sums, totals) -> list:
+    """f at each running average sums[i] / totals[i] of the (R, n) array
+    ``sums``, read with one ``values`` call; NaN where an averager is
+    still empty."""
     if 0.0 in totals:
         live = [i for i, t in enumerate(totals) if t > 0.0]
         out = [math.nan] * len(totals)
         if live:
-            sub = _average_values(objective, h, sums[live], [totals[i] for i in live], k)
+            sub = _average_values(objective, sums[live], [totals[i] for i in live])
             for i, v in zip(live, sub):
                 out[i] = v
         return out
-    avgs = sums / np.array(totals)[:, None]
-    vals = objective.values(avgs).tolist()
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"objective value at the average is {v} at iteration {k}")
-    if h is not None:
-        vals = [v + h.value(a) for v, a in zip(vals, avgs)]
-    return vals
+    return objective.values(sums / np.array(totals)[:, None]).tolist()
 
 
 def _finish(weighted_sum, weight_total, x, stop, objective, h, completed):
@@ -196,39 +213,113 @@ def _finish(weighted_sum, weight_total, x, stop, objective, h, completed):
     return x_hat, f_hat
 
 
-def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
-             constraints=None, scan=False, state_g=None, use_criterion=False):
-    """The iteration loop behind all four solvers; returns one SolveResult
-    per weighting exponent in ``ms``, in that order.
+class _Trajectory:
+    """One schedule's share of a batched ``_descent``: its step rule, the
+    per-m weight totals and certificate sums, its trace, and how it ended.
+    While it runs, its iterate and weighted sums are one row of the batch
+    arrays; when it leaves, they are kept here."""
 
-    The trajectory (subgradient, step, f(x^k), mirror step) does not depend
-    on m, so it is computed once per iteration and feeds one averager, one
-    bound accumulator and one f_avg column per m. Result i equals the run
-    with ``ms = (ms[i],)`` bit for bit. Constrained runs and runs with the
-    stopping rule take exactly one m, because there m drives the stop.
+    __slots__ = (
+        "index", "state", "trace", "bound_column", "certify", "want_f", "totals", "lhs",
+        "sq", "sum_f", "sum_g", "rhs", "h_term", "f_avg", "bound", "prod", "q",
+        "gx", "evals", "gamma", "weights", "evals_total", "n_prod", "n_nonprod", "stop",
+        "error", "x", "sums",
+    )
+
+    def __init__(self, index, state, n_m, record, bound_column, certify, want_f):
+        self.index = index  # position in plan order
+        self.state = state
+        self.trace = Trace() if record else None
+        self.bound_column = bound_column
+        self.certify = certify
+        self.want_f = want_f  # f(x^k) is read by the trace and the Polyak rule
+        # per m:
+        self.totals = [0.0] * n_m  # sums of the weights gamma^{-m}
+        self.lhs = [0.0] * n_m  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
+        self.sq = [0.0] * n_m  # sum of ||grad||_*^2 / gamma^{m-1}
+        self.sum_f = [0.0] * n_m  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
+        self.sum_g = [0.0] * n_m  # the same over non-productive steps
+        self.rhs = [0.0] * n_m
+        self.h_term = [0.0] * n_m  # h(x1) / gamma_1^m, fixed after the first step
+        self.f_avg = []  # per iteration, f at the average of each m, in ms order
+        self.bound = []  # per iteration, the bound for each m
+        # this iteration's classification, step and weights
+        self.prod = True
+        self.q = None
+        self.gx = math.nan
+        self.evals = 0  # constraint evaluations at x^k
+        self.gamma = math.nan
+        self.weights = None  # gamma^{-m} per m on a productive step
+        self.evals_total = 0
+        self.n_prod = 0
+        self.n_nonprod = 0  # n_prod + n_nonprod iterations completed
+        self.stop = None  # a StopReason once it stopped early
+        self.error = None  # the exception that ended it
+        self.x = None  # the last iterate and the weighted sums, kept on leaving
+        self.sums = None
+
+
+def _leave(runs, live, X, G, sums):
+    """Take the trajectories that stopped or failed out of the batch. A
+    failure ends every trajectory after it in plan order too: the batch
+    raises the first failure in plan order, so their results are never
+    read. Returns the new (live, X, G, sums)."""
+    failed = [run.index for run in runs if run.error is not None]
+    cutoff = failed[0] if failed else len(runs)
+    keep = []
+    for j, run in enumerate(live):
+        if run.stop is None and run.error is None and run.index < cutoff:
+            keep.append(j)
+        else:
+            run.x, run.sums = X[j], sums[j]
+    return [live[j] for j in keep], X[keep], G[keep], sums[keep]
+
+
+def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
+             constraints=None, scan=False, state_g=None, use_criterion=False):
+    """The iteration loop behind all four solvers. Runs one trajectory per
+    step rule in ``states``, all from x1, as one batch and returns per
+    trajectory a tuple of one SolveResult per weighting exponent in ``ms``.
+
+    Each trajectory is one row of the batch arrays. Per row and iteration
+    the oracle calls (``subgrad`` and, where read, ``value``), the step
+    rule, the weights gamma^{-m}, the certificate sums and the overflow
+    checks run in Python; the dual norms, the fold of x^k into the
+    weighted sums, f at all averages (one ``values`` call) and the mirror
+    step run once for all rows. The iterates do not depend on m, so each
+    trajectory feeds one averager, one bound accumulator and one f_avg
+    column per m, and result [i][j] equals the run with
+    ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
+    Constrained and criterion-stopped runs take one step rule and one m,
+    because there m drives the stop.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
     (the max of the constraint values), or, with ``scan``, when the
     first-violation scan finds no constraint above epsilon. Both policies
     read the constraint values in one ``row_values`` pass. A productive step
-    follows a subgradient of f with state_f and enters the averages; any
-    other step follows the violated constraint (the maximizing one without
-    ``scan``) with state_g. The certificate sums the realized
+    follows a subgradient of f with its step rule and enters the averages;
+    any other step follows the violated constraint (the maximizing one
+    without ``scan``) with state_g. The certificate sums the realized
     steps, or with ``scan`` takes the worst-case-M form of the
     one-constraint-at-a-time method. It feeds the bound column (certified
     unconstrained runs with a trace) and, with use_criterion, the stopping
     rule.
 
-    Errors: a non-finite subgradient dual norm, f(x^k), f at an average or
-    f at the output point raises ValueError naming the iteration. A step
-    rule whose step is not finite and positive, or whose arithmetic
-    overflows or divides by zero (a tiny dual norm), raises ValueError
-    naming the rule, k and the dual norm. When the weights, their sums or
-    the certificate of some m leave the float64 range, the
-    ValueError names that m, gamma and k; if several m overflow, it names
-    the one with the earliest k, and among equal k the first in ``ms``. A
-    constrained run whose criterion fires before any productive step raises
-    NoProductiveSteps.
+    A trajectory that stops (zero subgradient, StationarySignal) leaves
+    the batch and the others run on. Errors: a non-finite subgradient dual
+    norm, f(x^k), f at an average or f at the output point raises
+    ValueError naming the iteration. A step rule whose step is not finite
+    and positive, or whose arithmetic overflows or divides by zero (a tiny
+    dual norm), raises ValueError naming the rule, k and the dual norm.
+    When the weights, their sums or the certificate of some m leave the
+    float64 range, the ValueError names that m, gamma and k; if several m
+    overflow, it names the one with the earliest k, and among equal k the
+    first in ``ms``. A constrained run whose criterion fires before any
+    productive step raises NoProductiveSteps. A trajectory that raises
+    leaves the batch; after the loop the error of the first failing
+    trajectory in ``states`` order is raised, the error its own run
+    raises. An error of a call shared by all rows (``values``, the mirror
+    step) is raised at once.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -237,8 +328,11 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
         raise ValueError("unconstrained solvers need config.iters")
     if constraints is not None and config.epsilon is None:
         raise ValueError("constrained solvers need config.epsilon")
-    if (constraints is not None or use_criterion) and len(ms) != 1:
-        raise ValueError("constrained runs take one m: it drives the stopping rule")
+    if constraints is not None or use_criterion:
+        if len(ms) != 1:
+            raise ValueError("constrained runs take one m: it drives the stopping rule")
+        if len(states) != 1:
+            raise ValueError("constrained and criterion-stopped runs take one step rule")
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
     theta = config.theta
@@ -246,181 +340,249 @@ def _descent(objective, prox, feasible, state_f, config, x1, ms, *, h=None,
     dual = dual_norm_kind(prox.norm)
     inf = math.inf
     n_m = len(ms)
-    sums = np.zeros((n_m, x.size))  # weighted sums of productive iterates, one row per m
-    rows = list(sums)  # views of those rows, updated in place
-    totals = [0.0] * n_m  # sums of the weights gamma^{-m}
-    trace = Trace() if config.record_trace else None
-    f_avg_rows = []  # per iteration, f at each average
-    bound_rows = []  # per iteration, the bound for each m
-    bound_column = (
-        trace is not None and constraints is None
-        and is_nonincreasing_guaranteed(state_f.kind)
-    )
-    certify = bound_column or use_criterion
-    # f(x^k) is read only by the trace and the Polyak rule
-    want_f = trace is not None or state_f.kind.tag == TAG_POLYAK
+    record = config.record_trace
+    runs = []
+    for index, state in enumerate(states):
+        bound_column = (
+            record and constraints is None and is_nonincreasing_guaranteed(state.kind)
+        )
+        runs.append(_Trajectory(
+            index, state, n_m, record, bound_column, bound_column or use_criterion,
+            record or state.kind.tag == TAG_POLYAK,
+        ))
+    live = list(runs)  # row j of the batch arrays belongs to live[j]
+    X = np.tile(x, (len(runs), 1))  # the iterates x^k
+    sums = np.zeros((len(runs), n_m, x.size))  # weighted sums of productive iterates, per m
+    first_sum = sums[0, 0]  # a view: with one average, x^k is folded into it at once
+    fstar = objective.known_fstar
     if scan:
         root = math.sqrt(2.0 * sigma)
         m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
 
-    # per m:
-    lhs = [0.0] * n_m  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
-    sq = [0.0] * n_m  # sum of ||grad||_*^2 / gamma^{m-1}
-    sum_f = [0.0] * n_m  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
-    sum_g = [0.0] * n_m  # the same over non-productive steps
-    rhs = [0.0] * n_m
-    h_term = [0.0] * n_m  # h(x1) / gamma_1^m, fixed after the first step
-    evals = 0  # constraint evaluations at x^k
-    evals_total = 0
-    n_prod = 0
-    n_nonprod = 0
-    completed = 0
-    stop = StopReason.MAX_ITERS
+    # every error of one trajectory is kept and raised after the loop, in
+    # plan order, so catching Exception here defers it and loses nothing
     for k in range(1, n_iter + 1):
-        if constraints is None:
-            prod = True
-        elif scan:
-            q, evals, g_seen = constraints.first_violation(x, eps)
-            prod = q is None
-            # g(x) is fully known only when the scan saw every constraint
-            gx = g_seen if prod else math.nan
-        else:
-            v = constraints.row_values(x)
-            q = int(np.argmax(v))
-            gx = float(v[q])
-            evals = constraints.p
-            prod = gx <= eps
-        evals_total += evals
-
-        if prod:
-            grad = objective.subgrad(x)
-        else:
-            grad = constraints.subgrad_one(q, x)
-        gn = norm(grad, dual)
-        if not math.isfinite(gn):
-            raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
-        if gn == 0.0:
-            if not prod:
-                which = f"constraint {q}" if scan else "the constraint maximum"
-                raise NoProductiveSteps(
-                    f"{which} has a zero subgradient while above epsilon: "
-                    "the epsilon-feasible region is empty"
-                )
-            stop = StopReason.STATIONARY_POINT
-            break
-        fx = _value(objective, x, k) if prod and want_f else None
-        rule = state_f if prod else state_g
-        try:
-            gamma = rule.step_size(
-                k, f_val=fx, grad_dual_norm=gn, f_star=objective.known_fstar
-            )
-        except StationarySignal:
-            stop = StopReason.STATIONARY_POINT
-            break
-        except (OverflowError, ZeroDivisionError):
-            gamma = math.nan  # the rule's arithmetic has no float64 result
-        if not 0.0 < gamma < inf:
-            raise ValueError(
-                f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
-                f"with subgradient dual norm {gn!r}; steps must be finite and positive"
-            )
-        if h is not None:
-            hv = h.value(x)
-        if scan:
-            sk = math.sqrt(k)
-        try:
-            for i, m in enumerate(ms):
-                if prod or certify and not scan:
-                    w = gamma ** (-m)
+        grads = []
+        for run, x in zip(live, X):
+            try:
+                if constraints is None:
+                    grads.append(objective.subgrad(x))
+                    continue
+                if scan:
+                    q, evals, g_seen = constraints.first_violation(x, eps)
+                    prod = q is None
+                    # g(x) is fully known only when the scan saw every constraint
+                    gx = g_seen if prod else math.nan
+                else:
+                    v = constraints.row_values(x)
+                    q = int(v.argmax())
+                    gx = float(v[q])
+                    evals = constraints.p
+                    prod = gx <= eps
+                run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
+                run.evals_total += evals
+                grads.append(objective.subgrad(x) if prod else constraints.subgrad_one(q, x))
+            except Exception as exc:
+                run.error = exc
+                grads.append(x)  # a placeholder row; the run leaves below
+        G = grads[0][None] if len(grads) == 1 else np.array(grads)
+        gammas = []
+        weights_all = []  # the weights of every live trajectory, for one fold
+        leaving = False
+        # one average folds x^k at once; more fold in one call below
+        one_average = len(live) == 1 and n_m == 1
+        for run, x, gn in zip(live, X, norm_rows(G, dual)):
+            if run.error is not None:
+                leaving = True
+                continue
+            prod = run.prod
+            try:
+                if not math.isfinite(gn):
+                    raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
+                if gn == 0.0:
+                    if not prod:
+                        which = f"constraint {run.q}" if scan else "the constraint maximum"
+                        raise NoProductiveSteps(
+                            f"{which} has a zero subgradient while above epsilon: "
+                            "the epsilon-feasible region is empty"
+                        )
+                    run.stop = StopReason.STATIONARY_POINT
+                    leaving = True
+                    continue
+                fx = _value(objective, x, k) if prod and run.want_f else None
+                rule = run.state if prod else state_g
+                try:
+                    gamma = rule.step_size(k, fx, gn, fstar)
+                except StationarySignal:
+                    run.stop = StopReason.STATIONARY_POINT
+                    leaving = True
+                    continue
+                except (OverflowError, ZeroDivisionError):
+                    gamma = math.nan  # the rule's arithmetic has no float64 result
+                if not 0.0 < gamma < inf:
+                    raise ValueError(
+                        f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
+                        f"with subgradient dual norm {gn!r}; steps must be finite and positive"
+                    )
+                if h is not None:
+                    hv = h.value(x)
+                if scan:
+                    sk = math.sqrt(k)
+                certify = run.certify
+                totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
+                weights = []
+                try:
+                    for i, m in enumerate(ms):
+                        if prod or certify and not scan:
+                            w = gamma ** (-m)
+                        if prod:
+                            if k == 1 and h is not None:
+                                run.h_term[i] = hv / gamma**m
+                            if one_average:
+                                first_sum += w * x
+                            else:
+                                weights.append(w)
+                            totals[i] += w
+                        if certify and not scan:
+                            lhs[i] += w
+                            sq[i] += gn * gn / gamma ** (m - 1.0)
+                            rhs[i] = (
+                                theta / gamma ** (m + 1.0) + run.h_term[i] + sq[i] / (2.0 * sigma)
+                            )
+                        elif certify:
+                            lhs[i] += (gn * sk / root) ** m
+                            if prod:
+                                run.sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
+                            else:
+                                run.sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
+                            rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
+                                run.sum_f[i] + run.sum_g[i]
+                            ) / root ** (m + 1.0)
+                        # sums and quotients reach inf without raising
+                        if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
+                            raise OverflowError
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raise ValueError(
+                        f"weights gamma**(-m) leave the float64 range at iteration {k} "
+                        f"with m={m:g} and gamma={gamma:g}; use a smaller m"
+                    ) from exc
+                run.gamma = gamma
+                gammas.append(gamma)
+                run.weights = weights
+                weights_all += weights
                 if prod:
-                    if k == 1 and h is not None:
-                        h_term[i] = hv / gamma**m
-                    rows[i] += w * x
-                    totals[i] += w
-                if certify and not scan:
-                    lhs[i] += w
-                    sq[i] += gn * gn / gamma ** (m - 1.0)
-                    rhs[i] = theta / gamma ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
-                elif certify:
-                    lhs[i] += (gn * sk / root) ** m
-                    if prod:
-                        sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                    else:
-                        sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                    rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
-                        sum_f[i] + sum_g[i]
-                    ) / root ** (m + 1.0)
-                # sums and quotients reach inf without raising
-                if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
-                    raise OverflowError
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"weights gamma**(-m) leave the float64 range at iteration {k} "
-                f"with m={m:g} and gamma={gamma:g}; use a smaller m"
-            ) from exc
-        if prod:
-            n_prod += 1
-        else:
-            n_nonprod += 1
-        completed = k
-
-        if trace is not None:
-            trace.k.append(k)
-            trace.gamma.append(gamma)
-            f_k = fx if prod else _value(objective, x, k)
-            trace.f_iterate.append(f_k if h is None else f_k + hv)
-            f_avg_rows.append(_average_values(objective, h, sums, totals, k))
-            if constraints is not None:
-                trace.g_iterate.append(gx)
-                trace.productive.append(prod)
-                trace.constraint_evals.append(evals)
-            if bound_column:
-                bound_rows.append([r / s for r, s in zip(rhs, lhs)])
-        if use_criterion and eps * lhs[0] >= rhs[0]:
-            stop = StopReason.EPSILON_CRITERION
-            break
+                    run.n_prod += 1
+                else:
+                    run.n_nonprod += 1
+                trace = run.trace
+                if trace is not None:
+                    trace.gamma.append(gamma)
+                    f_k = fx if prod else _value(objective, x, k)
+                    trace.f_iterate.append(f_k if h is None else f_k + hv)
+                    if constraints is not None:
+                        trace.g_iterate.append(run.gx)
+                        trace.productive.append(prod)
+                        trace.constraint_evals.append(run.evals)
+                    if run.bound_column:
+                        run.bound.extend(map(truediv, rhs, lhs))
+            except Exception as exc:
+                run.error = exc
+                leaving = True
+        if leaving:
+            live, X, G, sums = _leave(runs, live, X, G, sums)
+            if not live:
+                break
+            first_sum = sums[0, 0]
+            gammas = [run.gamma for run in live]
+            weights_all = [w for run in live for w in run.weights]
+            leaving = False
+        if not one_average:
+            # several averages mean an unconstrained run: every step is productive
+            sums += np.array(weights_all).reshape(len(live), n_m, 1) * X[:, None]
+        if record:
+            totals = [t for run in live for t in run.totals]
+            flat_sums = sums.reshape(-1, X.shape[1])
+            vals = _average_values(objective, flat_sums, totals)
+            if not all(map(math.isfinite, vals)):
+                # an empty averager reads NaN; any other non-finite value is an error
+                for i, (v, t) in enumerate(zip(vals, totals)):
+                    run = live[i // n_m]
+                    if t > 0.0 and not math.isfinite(v) and run.error is None:
+                        run.error = ValueError(
+                            f"objective value at the average is {v} at iteration {k}"
+                        )
+                        leaving = True
+            if h is not None:
+                # an empty averager stays NaN
+                vals = [v + h.value(s / t) if t > 0.0 else v
+                        for v, s, t in zip(vals, flat_sums, totals)]
+            for j, run in enumerate(live):
+                run.f_avg.extend(vals[j * n_m:(j + 1) * n_m])
+        if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
+            live[0].stop = StopReason.EPSILON_CRITERION
+            leaving = True
+        if leaving:
+            live, X, G, sums = _leave(runs, live, X, G, sums)
+            if not live:
+                break
+            first_sum = sums[0, 0]
+            gammas = [run.gamma for run in live]
         if h is None:
-            x = mirror_step(prox, feasible, x, grad, gamma)
+            X = mirror_step_rows(prox, feasible, X, G, gammas)
         else:
-            x = composite_mirror_step(prox, feasible, x, grad, gamma, h)
+            X = composite_mirror_step_rows(prox, feasible, X, G, gammas, h)
+    for j, run in enumerate(live):
+        run.x, run.sums = X[j], sums[j]
 
-    if constraints is not None and totals[0] == 0.0:
-        what = "every constraint" if scan else "g <= epsilon"
-        if stop is StopReason.MAX_ITERS:
-            raise NoProductiveSteps(
-                f"no iterate satisfied {what} within {completed} iterations"
+    batch = []
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+        stop = run.stop or StopReason.MAX_ITERS
+        completed = run.n_prod + run.n_nonprod
+        if constraints is not None and run.totals[0] == 0.0:
+            what = "every constraint" if scan else "g <= epsilon"
+            if stop is StopReason.MAX_ITERS:
+                raise NoProductiveSteps(
+                    f"no iterate satisfied {what} within {completed} iterations"
+                )
+            if stop is StopReason.EPSILON_CRITERION:
+                raise NoProductiveSteps(
+                    f"the epsilon criterion fired at iteration {completed} before any "
+                    f"productive step: likely no point with {what} lies within "
+                    f"Bregman distance theta={theta:g} of x1"
+                )
+        results = []
+        for i in range(n_m):
+            x_hat, f_hat = _finish(
+                run.sums[i], run.totals[i], run.x, stop, objective, h, completed
             )
-        if stop is StopReason.EPSILON_CRITERION:
-            raise NoProductiveSteps(
-                f"the epsilon criterion fired at iteration {completed} before any "
-                f"productive step: likely no point with {what} lies within "
-                f"Bregman distance theta={theta:g} of x1"
+            if run.trace is None:
+                trace_i = None
+            else:
+                # the last m takes the shared columns, the others get copies
+                last = i == n_m - 1
+                cols = {name: col if last else list(col) for name, col in vars(run.trace).items()}
+                cols.update(
+                    k=list(range(1, completed + 1)),
+                    f_avg=run.f_avg if n_m == 1 else run.f_avg[i::n_m],
+                    bound=run.bound if n_m == 1 else run.bound[i::n_m],
+                )
+                trace_i = Trace(**cols)
+            results.append(
+                SolveResult(
+                    x_hat=x_hat,
+                    f_hat=f_hat,
+                    iterations=completed,
+                    productive_count=run.n_prod,
+                    nonproductive_count=run.n_nonprod,
+                    stop_reason=stop,
+                    trace=trace_i,
+                    constraint_evals_total=None if constraints is None else run.evals_total,
+                )
             )
-    # transpose the per-iteration rows into one column per m
-    f_avg_cols = [list(c) for c in zip(*f_avg_rows)] or [[] for _ in ms]
-    bound_cols = [list(c) for c in zip(*bound_rows)] or [[] for _ in ms]
-    results = []
-    for i in range(n_m):
-        x_hat, f_hat = _finish(sums[i], totals[i], x, stop, objective, h, completed)
-        if trace is None:
-            trace_i = None
-        else:
-            cols = {name: list(col) for name, col in vars(trace).items()}
-            cols.update(f_avg=f_avg_cols[i], bound=bound_cols[i])
-            trace_i = Trace(**cols)
-        results.append(
-            SolveResult(
-                x_hat=x_hat,
-                f_hat=f_hat,
-                iterations=completed,
-                productive_count=n_prod,
-                nonproductive_count=n_nonprod,
-                stop_reason=stop,
-                trace=trace_i,
-                constraint_evals_total=None if constraints is None else evals_total,
-            )
-        )
-    return tuple(results)
+        batch.append(tuple(results))
+    return batch
 
 
 def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
@@ -428,7 +590,7 @@ def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
     """Plain mirror descent: subgradient, step size, mirror step, fold into
     the weighted average. Exits early with StationaryPoint on a zero
     subgradient (the point is optimal)."""
-    return _descent(objective, prox, feasible, state, config, x1, (config.m,))[0]
+    return _descent(objective, prox, feasible, (state,), config, x1, (config.m,))[0][0]
 
 
 def mirror_descent_sweep(objective, prox: ProxSetup, feasible: FeasibleSet,
@@ -440,9 +602,8 @@ def mirror_descent_sweep(objective, prox: ProxSetup, feasible: FeasibleSet,
     bit for bit; ``config.m`` itself is not read."""
     if not m_values:
         raise ValueError("m_values needs at least one m")
-    for m in m_values:
-        replace(config, m=m)  # validates m as RunConfig does
-    return _descent(objective, prox, feasible, state, config, x1, tuple(m_values))
+    _check_m_values(m_values)
+    return _descent(objective, prox, feasible, (state,), config, x1, tuple(m_values))[0]
 
 
 def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
@@ -456,7 +617,7 @@ def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,
             "the composite averaging guarantee covers only -1 <= m <= 0; "
             f"got m={config.m}"
         )
-    return _descent(objective, prox, feasible, state, config, x1, (config.m,), h=h)[0]
+    return _descent(objective, prox, feasible, (state,), config, x1, (config.m,), h=h)[0][0]
 
 
 def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
@@ -481,9 +642,9 @@ def constrained_md(objective, constraints: AffineConstraints, prox: ProxSetup,
     estimates instead. Output averages productive iterates only.
     """
     return _descent(
-        objective, prox, feasible, state_f, config, x1, (config.m,),
+        objective, prox, feasible, (state_f,), config, x1, (config.m,),
         constraints=constraints, state_g=state_g, use_criterion=use_criterion,
-    )[0]
+    )[0][0]
 
 
 def constrained_md_multi(objective, constraints: AffineConstraints,
@@ -509,166 +670,6 @@ def constrained_md_multi(objective, constraints: AffineConstraints,
     """
     state = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
     return _descent(
-        objective, prox, feasible, state, config, x1, (config.m,),
+        objective, prox, feasible, (state,), config, x1, (config.m,),
         constraints=constraints, scan=True, state_g=state, use_criterion=True,
-    )[0]
-
-
-def _bound_arrays(gammas, grad_dual_norms):
-    g = np.asarray(gammas, dtype=np.float64)
-    s = np.asarray(grad_dual_norms, dtype=np.float64)
-    if g.size == 0:
-        raise ValueError("bound evaluation needs at least one step")
-    if g.shape != s.shape or g.ndim != 1:
-        raise ValueError("step sizes and gradient norms must be 1-D of equal length")
-    if not np.all(g > 0.0):
-        raise ValueError("step sizes must be positive")
-    if np.any(np.diff(g) > 0.0):
-        raise ValueError(
-            "theorem hypothesis violated: the step-size sequence must be "
-            "positive and non-increasing"
-        )
-    return g, s
-
-
-def bound_main(m: float, gammas, grad_dual_norms, theta: float, sigma: float) -> float:
-    """Averaged-point gap bound along a realized trajectory:
-
-        ( sum gamma_k^{-m} )^{-1} *
-            [ theta / gamma_N^{m+1}
-              + (1/2 sigma) * sum ||grad f(x^k)||_*^2 / gamma_k^{m-1} ].
-
-    Requires the non-increasing step hypothesis and m >= -1.
-    """
-    if not m >= -1.0:
-        raise ValueError("m must be >= -1")
-    g, s = _bound_arrays(gammas, grad_dual_norms)
-    w = float(np.sum(g ** (-m)))
-    num = theta / g[-1] ** (m + 1.0) + float(np.sum(s * s / g ** (m - 1.0))) / (
-        2.0 * sigma
-    )
-    return num / w
-
-
-def bound_corollaries(m: float, n_iters: int, lipschitz: float, theta: float,
-                      sigma: float) -> float:
-    """Closed-form gap bounds for the step rule gamma_k = sqrt(2 sigma)/(M sqrt(k)):
-
-        m = -1   M (theta + 1 + ln N) / (sqrt(sigma) sqrt(N))
-        m = 0    M (2 + theta) / sqrt(2 sigma N)
-        m >= 1   M (m + 2) (1 + theta) / (2 sqrt(2 sigma) sqrt(N))
-    """
-    if n_iters < 1:
-        raise ValueError("N must be at least 1")
-    n = float(n_iters)
-    if m == -1.0:
-        return lipschitz * (theta + 1.0 + math.log(n)) / (math.sqrt(sigma) * math.sqrt(n))
-    if m == 0.0:
-        return lipschitz * (2.0 + theta) / math.sqrt(2.0 * sigma * n)
-    if m >= 1.0:
-        return (
-            lipschitz * (m + 2.0) * (1.0 + theta) / (2.0 * math.sqrt(2.0 * sigma) * math.sqrt(n))
-        )
-    raise ValueError("closed forms exist for m = -1, m = 0, and m >= 1 only")
-
-
-def bound_composite(m: float, gammas, grad_dual_norms, h_at_x1: float,
-                    theta: float, sigma: float) -> float:
-    """Composite variant of bound_main: adds h(x^1)/gamma_1^m to the
-    numerator. Valid for -1 <= m <= 0 only."""
-    if not -1.0 <= m <= 0.0:
-        raise ValueError("the composite bound covers only -1 <= m <= 0")
-    if h_at_x1 < 0.0:
-        raise ValueError("h must be nonnegative")
-    g, s = _bound_arrays(gammas, grad_dual_norms)
-    w = float(np.sum(g ** (-m)))
-    num = (
-        theta / g[-1] ** (m + 1.0)
-        + h_at_x1 / g[0] ** m
-        + float(np.sum(s * s / g ** (m - 1.0))) / (2.0 * sigma)
-    )
-    return num / w
-
-
-def iteration_estimate(lipschitz: float, theta1: float, sigma: float,
-                       epsilon: float, m: float) -> int:
-    """A-priori iteration count sufficient for the constrained solver's
-    stopping criterion: ceil(M^2 (1+theta1)^2 / (2 sigma eps^2)) for m >= 1
-    and ceil(M^2 (2+theta1)^2 / (2 sigma eps^2)) for m = 0."""
-    if not (lipschitz > 0.0 and sigma > 0.0 and epsilon > 0.0):
-        raise ValueError("lipschitz, sigma, and epsilon must be positive")
-    if not theta1 >= 0.0:
-        raise ValueError("theta1 must be nonnegative")
-    if m >= 1.0:
-        c = (1.0 + theta1) ** 2
-    elif m == 0.0:
-        c = (2.0 + theta1) ** 2
-    else:
-        raise ValueError("iteration estimates cover m = 0 and m >= 1 only")
-    return math.ceil(lipschitz**2 * c / (2.0 * sigma * epsilon**2))
-
-
-@dataclass(frozen=True)
-class ConstrainedBoundDiagnostic:
-    """Both readings of the constrained run's gap bound: the underlying
-    inequality carries a term -eps * sum_J (gamma_j^g)^{-m} that its own
-    consequences drop; with_slack keeps it, without_slack does not."""
-
-    with_slack: float
-    without_slack: float
-
-
-def constrained_bound_diagnostic(m: float, prod_gammas, prod_grad_norms,
-                                 nonprod_gammas, nonprod_grad_norms,
-                                 gamma_last: float, theta1: float, sigma: float,
-                                 epsilon: float) -> ConstrainedBoundDiagnostic:
-    """Evaluate the constrained gap bound along a realized trajectory.
-
-    gamma_last is the step size of the final iteration regardless of phase.
-    Inputs are the realized per-phase step and subgradient-norm sequences;
-    only the productive weights enter the normalizer.
-    """
-    gp = np.asarray(prod_gammas, dtype=np.float64)
-    sp = np.asarray(prod_grad_norms, dtype=np.float64)
-    gq = np.asarray(nonprod_gammas, dtype=np.float64)
-    sq = np.asarray(nonprod_grad_norms, dtype=np.float64)
-    if gp.size == 0:
-        raise ValueError("diagnostic needs at least one productive step")
-    if gp.shape != sp.shape or gq.shape != sq.shape:
-        raise ValueError("step sizes and gradient norms must pair up")
-    if not gamma_last > 0.0:
-        raise ValueError("gamma_last must be positive")
-    w = float(np.sum(gp ** (-m)))
-    num = theta1 / gamma_last ** (m + 1.0)
-    num += float(np.sum(sp * sp / gp ** (m - 1.0))) / (2.0 * sigma)
-    if gq.size:
-        num += float(np.sum(sq * sq / gq ** (m - 1.0))) / (2.0 * sigma)
-    without = num / w
-    slack = epsilon * float(np.sum(gq ** (-m))) if gq.size else 0.0
-    return ConstrainedBoundDiagnostic(
-        with_slack=(num - slack) / w, without_slack=without
-    )
-
-
-def productive_inequality_sides(theta: float, m: float, lipschitz: float,
-                                epsilon: float, sigma: float,
-                                n_iters: int) -> tuple[float, float]:
-    """Both sides of the schedule-level inequality behind the a-priori
-    iteration estimates:
-
-        lhs = (M/sqrt(2 sigma))^{m+1} * (theta N^{(m+1)/2} + sum_k k^{(m-1)/2})
-        rhs = eps * (M/sqrt(2 sigma))^m * sum_k k^{m/2}
-
-    Returns (lhs, rhs) with no claim about which dominates; the estimate is
-    meaningful when rhs >= lhs at N.
-    """
-    if n_iters < 1:
-        raise ValueError("N must be at least 1")
-    root = math.sqrt(2.0 * sigma)
-    ks = np.arange(1, n_iters + 1, dtype=np.float64)
-    ratio = lipschitz / root
-    lhs = ratio ** (m + 1.0) * (
-        theta * float(n_iters) ** ((m + 1.0) / 2.0) + float(np.sum(ks ** ((m - 1.0) / 2.0)))
-    )
-    rhs = epsilon * ratio**m * float(np.sum(ks ** (m / 2.0)))
-    return lhs, rhs
+    )[0][0]

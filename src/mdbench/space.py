@@ -6,10 +6,11 @@ the dual norm: l1 pairs with l-infinity and l2 pairs with itself.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
-__all__ = ["NormKind", "as_point", "norm", "dual_norm_kind", "inner"]
+__all__ = ["NormKind", "as_point", "norm", "norm_rows", "dual_norm_kind", "inner"]
 
 
 class NormKind(enum.Enum):
@@ -41,11 +42,26 @@ def as_point(x) -> np.ndarray:
 
 def norm(p: np.ndarray, kind: NormKind) -> float:
     if kind is NormKind.L2:
-        return float(np.sqrt(np.dot(p, p)))
+        return math.sqrt(np.dot(p, p))
     if kind is NormKind.L1:
         return float(np.abs(p).sum())
     if kind is NormKind.LINF:
         return float(np.abs(p).max())
+    raise ValueError(f"unknown norm kind: {kind!r}")
+
+
+def norm_rows(P: np.ndarray, kind: NormKind) -> list:
+    """``norm`` of each row of a (K, n) array, bit for bit, as a list of
+    floats."""
+    if len(P) == 1:
+        return [norm(P[0], kind)]  # fewer numpy calls for one row
+    if kind is NormKind.L2:
+        # vecdot rounds like np.dot; (P * P).sum(axis=1) does not
+        return list(map(math.sqrt, np.vecdot(P, P).tolist()))
+    if kind is NormKind.L1:
+        return np.abs(P).sum(axis=1).tolist()
+    if kind is NormKind.LINF:
+        return np.abs(P).max(axis=1).tolist()
     raise ValueError(f"unknown norm kind: {kind!r}")
 
 

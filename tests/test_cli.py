@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 
+import mdbench.bench
 from mdbench.cli import main
 
 
@@ -163,3 +164,23 @@ def test_gen_cli(tmp_path, capsys):
     assert doc["kind"] == "max-linear"
     assert doc["constraints"] is not None
     assert len(doc["constraints"]["alphas"]) == 3
+
+
+def test_compare_builds_its_instance_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = mdbench.bench.build_objective
+
+    def counting_build(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(mdbench.bench, "build_objective", counting_build)
+    for prox in ("euclidean", "entropy"):
+        built.clear()
+        rc = main([
+            "compare", "--problem", "fts", "--n", "4", "--t", "3", "--prox", prox,
+            "--iters", "5", "--out", str(tmp_path / prox),
+        ])
+        assert rc == 0
+        assert len(built) == 1
+        assert "skipping polyak" in capsys.readouterr().err

@@ -13,10 +13,12 @@ from mdbench.geometry import (
     Zero,
     bregman,
     composite_mirror_step,
+    composite_mirror_step_rows,
     entropy_setup,
     euclidean_setup,
     grad_psi,
     mirror_step,
+    mirror_step_rows,
     unit_ball,
 )
 from mdbench.space import NormKind, norm
@@ -367,3 +369,48 @@ def test_composite_errors():
 def test_regularizer_values():
     assert Zero().value(np.array([3.0, -4.0])) == 0.0
     assert L1(0.5).value(np.array([3.0, -4.0])) == 3.5
+
+
+# ---------------------------------------------------------------- row forms
+
+
+@pytest.mark.parametrize("rows", [1, 2, 9])
+@pytest.mark.parametrize("n", [1, 3, 300])
+def test_step_rows_match_the_1d_steps_bit_for_bit(rows, n):
+    rng = np.random.default_rng(60 + 7 * rows + n)
+    simplex = Simplex(n)
+    centered, off = unit_ball(n), Ball(rng.uniform(-1.0, 1.0, size=n), 1.5)
+    G = rng.normal(size=(rows, n)) * 3.0
+    # steps small enough to stay inside and large enough to leave
+    gammas = list(rng.choice([1e-4, 0.05, 0.7, 3.0], size=rows))
+    cases = [
+        (ENT, simplex, _simplex_points(rng, n, rows), (None, Zero(), L1(0.4))),
+        (EUC, simplex, _simplex_points(rng, n, rows), (None, L1(0.4))),
+        (EUC, centered, centered.project_rows(rng.normal(size=(rows, n)) * 0.5), (None, L1(0.4))),
+        (EUC, off, off.project_rows(off.center + rng.normal(size=(rows, n))), (None, L1(0.4))),
+    ]
+    for setup, feasible, X, regs in cases:
+        for h in regs:
+            if h is None:
+                got = mirror_step_rows(setup, feasible, X, G, gammas)
+                want = [mirror_step(setup, feasible, x, g, gm) for x, g, gm in zip(X, G, gammas)]
+            elif setup is ENT and isinstance(h, L1):
+                with pytest.raises(ValueError, match="squared-Euclidean"):
+                    composite_mirror_step_rows(setup, feasible, X, G, gammas, h)
+                continue
+            else:
+                got = composite_mirror_step_rows(setup, feasible, X, G, gammas, h)
+                want = [composite_mirror_step(setup, feasible, x, g, gm, h)
+                        for x, g, gm in zip(X, G, gammas)]
+            assert got.shape == (rows, n)
+            assert got.tobytes() == np.array(want).tobytes(), (setup.psi_kind, feasible, h)
+
+
+def test_step_rows_validate_like_the_1d_steps():
+    X, G = np.full((2, 2), 0.5), np.ones((2, 2))
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        mirror_step_rows(EUC, unit_ball(2), X, G, [0.1, 0.0])
+    with pytest.raises(ValueError, match="only the simplex"):
+        mirror_step_rows(ENT, unit_ball(2), X, G, [0.1, 0.1])
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        composite_mirror_step_rows(EUC, unit_ball(2), X, G, [0.1, -1.0], L1(0.5))

@@ -370,3 +370,17 @@ def test_constraint_subgradient_inequality():
         y = ball.project(rng.normal(size=6))
         g = cons.subgrad(x)
         assert cons.value(y) >= cons.value(x) + float(g @ (y - x)) - 1e-9
+
+
+def test_mean_distance_subgrad_matches_the_masked_sum_bit_for_bit():
+    # away from every anchor the mask keeps all rows; the subgradient must
+    # be the masked sum all the same
+    rng = np.random.default_rng(77)
+    obj = MeanDistance(rng.random((10, 50)))
+    for _ in range(20):
+        x = rng.normal(size=50)
+        d = x - obj.points
+        r = np.sqrt((d * d).sum(axis=1))
+        nz = r > 0.0
+        want = (d[nz] / r[nz, None]).sum(axis=0) / obj.points.shape[0]
+        assert obj.subgrad(x).tobytes() == want.tobytes()

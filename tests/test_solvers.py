@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mdbench.bench import default_start
 from mdbench.geometry import L1, Ball, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
 from mdbench.problems import (
+    OBJECTIVE_KINDS,
     AffineConstraints,
     DistanceToPoint,
     InstanceSpec,
@@ -22,6 +24,7 @@ from mdbench.problems import (
 from mdbench.schedules import TABLE_TAGS, ScheduleState, is_nonincreasing_guaranteed, schedule
 from mdbench.solvers import (
     NoProductiveSteps,
+    _descent,
     RunConfig,
     SolveResult,
     StopReason,
@@ -1083,4 +1086,142 @@ def test_criterion_before_any_productive_step_raises():
             _state("adaptive-time-varying"), _state("adaptive-time-varying"),
             RunConfig(m=1.0, epsilon=0.25, theta=2.0, record_trace=False),
             np.zeros(10),
+        )
+
+
+# ---------------------------------------------------------------- batched plans
+
+
+def _cell_bytes(res: SolveResult):
+    columns = {} if res.trace is None else {
+        name: np.asarray(col, dtype=np.float64).tobytes()
+        for name, col in vars(res.trace).items()
+    }
+    return (res.x_hat.tobytes(), repr(res.f_hat), res.iterations,
+            res.stop_reason, columns)
+
+
+def _plan_problem(kind: str, prox_name: str):
+    obj = build_objective(InstanceSpec(kind, n=6, t=4, seed=3))
+    if prox_name == "euclidean":
+        prox, feasible = euclidean_setup(), unit_ball(6)
+    else:
+        # the analytic optimum of best-approx holds on the unit ball only
+        prox, feasible = entropy_setup(), Simplex(6)
+        obj.known_fstar = None
+    return obj, prox, feasible, default_start(feasible)
+
+
+def _sweep_or_error(obj, prox, feasible, tag, config, x1, m_values):
+    try:
+        return mirror_descent_sweep(obj, prox, feasible, _rule_state(tag), config, x1, m_values)
+    except (ValueError, NoProductiveSteps) as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(TABLE_TAGS), min_size=1, max_size=len(TABLE_TAGS), unique=True),
+    st.lists(st.floats(min_value=-1.0, max_value=8.0), min_size=1, max_size=3),
+    st.sampled_from(OBJECTIVE_KINDS),
+    st.sampled_from(("euclidean", "entropy")),
+    st.booleans(),
+)
+def test_every_cell_of_a_batch_matches_its_single_run(tags, m_values, kind, prox_name, trace):
+    obj, prox, feasible, x1 = _plan_problem(kind, prox_name)
+    config = RunConfig(m=0.0, iters=30, record_trace=trace)
+    states = [_rule_state(tag) for tag in tags]
+    alone = [_sweep_or_error(obj, prox, feasible, tag, config, x1, m_values) for tag in tags]
+    failures = [a for a in alone if isinstance(a, Exception)]
+    if failures:
+        # polyak without a known f*, or an overflowing m: the batch raises
+        # the error of the first failing schedule in plan order
+        event("the batch raises")
+        with pytest.raises(type(failures[0])) as info:
+            _descent(obj, prox, feasible, states, config, x1, tuple(m_values))
+        assert str(info.value) == str(failures[0])
+        return
+    event("every cell compared")
+    batch = _descent(obj, prox, feasible, states, config, x1, tuple(m_values))
+    assert len(batch) == len(tags)
+    for tag, results in zip(tags, batch):
+        assert len(results) == len(m_values)
+        for m, res in zip(m_values, results):
+            single = mirror_descent(
+                obj, prox, feasible, _rule_state(tag), replace(config, m=m), x1
+            )
+            assert _cell_bytes(res) == _cell_bytes(single), (tag, m)
+
+
+def test_a_row_that_stops_leaves_the_batch_and_the_others_run_on():
+    # a inside the ball with f* = 0: the Polyak rule reaches the minimizer
+    # and stops at a stationary point, the other rules use every iteration
+    obj = DistanceToPoint([0.3, 0.4], known_fstar=0.0)
+    tags = ("nonsum", "polyak", "constant-step")
+    config = RunConfig(m=0.0, iters=40)
+    m_values = (0.0, 2.0)
+    batch = _descent(
+        obj, euclidean_setup(), unit_ball(2), [_rule_state(t) for t in tags], config,
+        np.zeros(2), m_values,
+    )
+    stops = [results[0].stop_reason for results in batch]
+    assert stops == [StopReason.MAX_ITERS, StopReason.STATIONARY_POINT, StopReason.MAX_ITERS]
+    assert batch[1][0].iterations < 40 == batch[0][0].iterations == batch[2][0].iterations
+    for tag, results in zip(tags, batch):
+        for m, res in zip(m_values, results):
+            single = mirror_descent(
+                obj, euclidean_setup(), unit_ball(2), _rule_state(tag),
+                replace(config, m=m), np.zeros(2),
+            )
+            assert _cell_bytes(res) == _cell_bytes(single), (tag, m)
+
+
+def test_a_batch_raises_the_first_failure_in_plan_order():
+    # at m = 400, gamma = 0.5/k overflows at k = 3 and gamma = 0.1 at k = 1:
+    # the schedule first in plan order is named, not the one failing first
+    obj = DistanceToPoint([10.0, 0.0])
+    config = RunConfig(m=0.0, iters=20)
+
+    def batch(tags):
+        return _descent(
+            obj, euclidean_setup(), unit_ball(2), [_rule_state(t) for t in tags], config,
+            np.zeros(2), (0.0, 400.0),
+        )
+
+    for tags, first in ((("fixed-length", "sqrsum-nonsum", "constant-step"), "sqrsum-nonsum"),
+                        (("constant-step", "fixed-length", "sqrsum-nonsum"), "constant-step")):
+        alone = _sweep_or_error(
+            obj, euclidean_setup(), unit_ball(2), first, config, np.zeros(2), (0.0, 400.0)
+        )
+        assert isinstance(alone, ValueError)
+        with pytest.raises(ValueError) as info:
+            batch(tags)
+        assert str(info.value) == str(alone)
+    assert "iteration 3 with m=400 and gamma=0.166667" in str(
+        _sweep_or_error(obj, euclidean_setup(), unit_ball(2), "sqrsum-nonsum", config,
+                        np.zeros(2), (0.0, 400.0))
+    )
+
+
+def test_constrained_and_criterion_runs_take_one_step_rule():
+    cons = _always_satisfied(2)
+    obj = DistanceToPoint([10.0, 0.0])
+    states = [_state("nonsum"), _state("constant-step")]
+    config = RunConfig(m=1.0, iters=10, epsilon=0.1)
+    with pytest.raises(ValueError, match="take one step rule"):
+        _descent(obj, euclidean_setup(), unit_ball(2), states, config, np.zeros(2), (1.0,),
+                 constraints=cons, state_g=_state("nonsum"))
+    with pytest.raises(ValueError, match="take one step rule"):
+        _descent(obj, euclidean_setup(), unit_ball(2), states, config, np.zeros(2), (1.0,),
+                 use_criterion=True)
+
+
+def test_every_m_check_has_one_message():
+    obj = DistanceToPoint([10.0, 0.0])
+    with pytest.raises(ValueError, match=r"^every m must be finite and >= -1$"):
+        RunConfig(m=-2.0, iters=5)
+    with pytest.raises(ValueError, match=r"^every m must be finite and >= -1$"):
+        mirror_descent_sweep(
+            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
+            RunConfig(m=0.0, iters=5), np.zeros(2), (0.0, math.inf),
         )

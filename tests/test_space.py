@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdbench.space import NormKind, as_point, dual_norm_kind, inner, norm
+from mdbench.space import NormKind, as_point, dual_norm_kind, inner, norm, norm_rows
 
 from oracles import norm_direct
 
@@ -99,3 +99,13 @@ def test_triangle_inequality_and_homogeneity(xs, ys, c):
         na, nb = norm(a, kind), norm(b, kind)
         assert norm(a + b, kind) <= na + nb + 1e-9 * (1.0 + na + nb)
         assert norm(c * a, kind) == pytest.approx(abs(c) * na, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 9])
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_norm_rows_match_norm_bit_for_bit(rows, n):
+    rng = np.random.default_rng(rows * 1000 + n)
+    P = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-150, 150, size=(rows, 1))
+    for kind in _KINDS:
+        got = norm_rows(P, kind)
+        assert [repr(v) for v in got] == [repr(norm(p, kind)) for p in P]

@@ -66,6 +66,9 @@ COMMANDS = (
     "--m 2 --trace-dir tr_never_atv --out never_atv.csv",
     "constrained --n 10 --t 10 --p 5 --seed 11 --dist standard-normal --epsilon 0.25 "
     "--m 400 --out cons_m400.csv",
+    "run --problem max-linear --n 50 --t 10 --seed 0 --prox entropy --schedule constant-step "
+    "--m 0 --iters 300 --out run_entropy_certified.csv",
+    "constrained --theta1 inf --out cons_theta_inf.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

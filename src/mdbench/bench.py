@@ -7,9 +7,10 @@ Conventions shared by all experiments:
   onto the feasible set, which on the unit ball is the point itself and on
   the simplex is the barycenter;
 * constrained runs start at x1 = 0 on the ball;
-* theta defaults to half the squared feasible-set diameter (2 r^2 for a
-  ball of radius r, 1 for the simplex), a bound on the Bregman distance to
-  any minimizer;
+* theta bounds the Bregman distance from x1 to any minimizer: half the
+  squared feasible-set diameter for the squared-Euclidean prox (2 r^2 for
+  a ball of radius r, 1 for the simplex; ``theta_for``), and ln n for the
+  entropy prox from the barycenter of the simplex;
 * CSV files use '.' decimals, 17 significant digits, comma delimiters, a
   header row, and LF line endings, so the same plan and seed reproduce the
   same bytes;
@@ -119,14 +120,7 @@ class ExperimentPlan:
 
     def to_dict(self) -> dict:
         return {
-            "instance": {
-                "kind": self.instance.kind,
-                "n": self.instance.n,
-                "t": self.instance.t,
-                "p": self.instance.p,
-                "seed": self.instance.seed,
-                "distribution": self.instance.distribution,
-            },
+            "instance": self.instance.to_dict(),
             "schedules": list(self.schedules),
             "m_values": list(self.m_values),
             "iters": self.iters,
@@ -138,16 +132,8 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentPlan":
-        inst = doc["instance"]
         return cls(
-            instance=InstanceSpec(
-                kind=inst["kind"],
-                n=int(inst["n"]),
-                t=int(inst["t"]),
-                p=int(inst["p"]),
-                seed=int(inst["seed"]),
-                distribution=inst["distribution"],
-            ),
+            instance=InstanceSpec.from_dict(doc["instance"]),
             schedules=tuple(doc["schedules"]),
             m_values=tuple(doc["m_values"]),
             iters=int(doc["iters"]),
@@ -159,8 +145,10 @@ class ExperimentPlan:
 
 
 def theta_for(feasible: FeasibleSet) -> float:
-    """Half the squared diameter of the set: a valid Bregman-distance bound
-    from any feasible start to any minimizer."""
+    """Half the squared Euclidean diameter of the set: a bound on the
+    Bregman distance of the squared-Euclidean prox from any feasible start
+    to any minimizer. It does not hold for the entropy prox, whose plans
+    use ln n (see ``_geometry``)."""
     if isinstance(feasible, Ball):
         return 2.0 * feasible.radius**2
     return 1.0
@@ -180,10 +168,15 @@ def constrained_start(feasible: FeasibleSet) -> np.ndarray:
 
 
 def _geometry(prox_name: str, n: int):
+    """(prox, feasible set, theta) of a plan. With the entropy prox the
+    Bregman distance from the barycenter is KL(x || 1/n) <= ln n (Beck &
+    Teboulle 2003); at n = 1 the simplex is one point, the distance is 0
+    and any positive theta holds."""
     if prox_name == "euclidean":
-        return euclidean_setup(), unit_ball(n)
+        ball = unit_ball(n)
+        return euclidean_setup(), ball, theta_for(ball)
     if prox_name == "entropy":
-        return entropy_setup(), Simplex(n)
+        return entropy_setup(), Simplex(n), math.log(n) if n > 1 else 1.0
     raise ValueError(f"unknown prox name: {prox_name!r}")
 
 
@@ -194,13 +187,14 @@ def _has_known_fstar(instance: InstanceSpec, prox_name: str) -> bool:
 
 
 def _prepare_problem(instance: InstanceSpec, prox_name: str):
-    """Build (objective, prox, feasible, start), with known_fstar cleared
-    where ``_has_known_fstar`` says the analytic value does not apply."""
-    prox, feasible = _geometry(prox_name, instance.n)
+    """Build (objective, prox, feasible, start, theta), with known_fstar
+    cleared where ``_has_known_fstar`` says the analytic value does not
+    apply."""
+    prox, feasible, theta = _geometry(prox_name, instance.n)
     objective = build_objective(instance)
     if not _has_known_fstar(instance, prox_name):
         objective.known_fstar = None
-    return objective, prox, feasible, default_start(feasible)
+    return objective, prox, feasible, default_start(feasible), theta
 
 
 # mesh rows built, projected and evaluated per batch; bounds the
@@ -449,13 +443,11 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
         raise ValueError(
             "plan runs are unconstrained; use the constrained comparison for p > 0"
         )
-    objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
+    objective, prox, feasible, x1, theta = _prepare_problem(plan.instance, plan.prox)
     if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
         raise ValueError("Polyak requires known f*")
     reference = reference_solution(objective, feasible, iters_budget=plan.iters)
-    config = RunConfig(
-        m=plan.m_values[0], iters=plan.iters, theta=theta_for(feasible), record_trace=True
-    )
+    config = RunConfig(m=plan.m_values[0], iters=plan.iters, theta=theta, record_trace=True)
     states = [
         _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
     ]

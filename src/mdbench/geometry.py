@@ -39,7 +39,6 @@ __all__ = [
     "L1",
     "Regularizer",
     "composite_mirror_step",
-    "composite_mirror_step_rows",
     "EUCLIDEAN_HALF_SQ",
     "NEG_ENTROPY",
 ]
@@ -277,25 +276,6 @@ Regularizer = Union[Zero, L1]
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def composite_mirror_step_rows(
-    setup: ProxSetup,
-    feasible: FeasibleSet,
-    X: np.ndarray,
-    G: np.ndarray,
-    gammas,
-    h: Regularizer,
-) -> np.ndarray:
-    """``composite_mirror_step`` applied to row i of the (K, n) arrays X
-    and G with step gammas[i], bit for bit, as one (K, n) array. A nonzero
-    h is handled row by row."""
-    if isinstance(h, Zero):
-        return mirror_step_rows(setup, feasible, X, G, gammas)
-    return np.array([
-        composite_mirror_step(setup, feasible, x, g, gamma, h)
-        for x, g, gamma in zip(X, G, gammas)
-    ])
 
 
 def composite_mirror_step(

@@ -18,7 +18,7 @@ JSON exactly because float64 survives repr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,6 +84,22 @@ class InstanceSpec:
             raise ValueError("p must be nonnegative")
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution: {self.distribution!r}")
+
+    def to_dict(self) -> dict:
+        """The spec as a JSON-ready dict; ``from_dict`` inverts it."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "InstanceSpec":
+        """Read the spec fields of ``doc``; any other keys are ignored."""
+        return cls(
+            kind=doc["kind"],
+            n=int(doc["n"]),
+            t=int(doc["t"]),
+            p=int(doc["p"]),
+            seed=int(doc["seed"]),
+            distribution=doc["distribution"],
+        )
 
 
 def _objective_rng(spec: InstanceSpec) -> np.random.Generator:
@@ -314,14 +330,7 @@ def serialize_instance(spec: InstanceSpec) -> dict:
     """Realize the instance and return a JSON-ready document holding both
     the generating spec and the drawn arrays."""
     obj = build_objective(spec)
-    doc = {
-        "kind": spec.kind,
-        "n": spec.n,
-        "t": spec.t,
-        "p": spec.p,
-        "seed": spec.seed,
-        "distribution": spec.distribution,
-    }
+    doc = spec.to_dict()
     if spec.kind == KIND_BEST_APPROX:
         doc["objective"] = {"a": obj.a.tolist(), "known_fstar": obj.known_fstar}
     elif spec.kind in (KIND_FTS, KIND_COVERING_BALL):
@@ -342,14 +351,7 @@ def serialize_instance(spec: InstanceSpec) -> dict:
 def deserialize_instance(doc: dict):
     """Rebuild (spec, objective, constraints or None) from a serialized
     document, using the stored arrays rather than redrawing them."""
-    spec = InstanceSpec(
-        kind=doc["kind"],
-        n=int(doc["n"]),
-        t=int(doc["t"]),
-        p=int(doc["p"]),
-        seed=int(doc["seed"]),
-        distribution=doc["distribution"],
-    )
+    spec = InstanceSpec.from_dict(doc)
     body = doc["objective"]
     if spec.kind == KIND_BEST_APPROX:
         obj = DistanceToPoint(body["a"], known_fstar=body.get("known_fstar"))

@@ -18,9 +18,11 @@ loop once and returns one result per m, each equal bit for bit to its own
 one per step rule, as one batch: the experiment plans run all their
 schedules that way, and every cell equals its own single run bit for bit.
 If schedules of a batch fail, the error of the first failing one in plan
-order is raised, the error its own run raises. Constrained and
-criterion-stopped runs take one step rule and one m, because there m
-enters the stopping rule; every public solver runs a batch of one.
+order is raised, the error its own run raises; an error of a call shared
+by all rows (f at the averages, the mirror step) is raised at once.
+Constrained and criterion-stopped runs take one step rule and one m,
+because there m enters the stopping rule, and composite runs take one step
+rule; every public solver runs a batch of one.
 
 Solvers run any schedule, including the adaptive ones with no monotonicity
 guarantee. The bound evaluators, by contrast, verify the non-increasing
@@ -49,8 +51,8 @@ from .geometry import (
     FeasibleSet,
     ProxSetup,
     Regularizer,
-    composite_mirror_step_rows,
-    mirror_step,  # noqa: F401  the loop uses the row forms; perfbench/tracer.py patches this name
+    composite_mirror_step,
+    mirror_step,  # noqa: F401  the loop uses the row form; perfbench/tracer.py patches this name
     mirror_step_rows,
 )
 from .problems import AffineConstraints
@@ -106,9 +108,10 @@ class RunConfig:
     """Run parameters shared by all solvers.
 
     theta is the user-supplied bound on the Bregman distance from the start
-    to the nearest minimizer; for the unit Euclidean ball the diameter gives
-    theta = 2. At least one of iters/epsilon must be set; the constrained
-    solvers need epsilon and the unconstrained ones need iters.
+    to the nearest minimizer, finite and positive; for the unit Euclidean
+    ball the diameter gives theta = 2. At least one of iters/epsilon must
+    be set; the constrained solvers need epsilon and the unconstrained ones
+    need iters.
     """
 
     m: float
@@ -125,8 +128,8 @@ class RunConfig:
             raise ValueError("iters must be at least 1")
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
 
 
 @dataclass
@@ -291,7 +294,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     column per m, and result [i][j] equals the run with
     ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
     Constrained and criterion-stopped runs take one step rule and one m,
-    because there m drives the stop.
+    because there m drives the stop; composite runs (``h`` set) take one
+    step rule and step with ``composite_mirror_step``.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
     (the max of the constraint values), or, with ``scan``, when the
@@ -305,8 +309,10 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     unconstrained runs with a trace) and, with use_criterion, the stopping
     rule.
 
-    A trajectory that stops (zero subgradient, StationarySignal) leaves
-    the batch and the others run on. Errors: a non-finite subgradient dual
+    Rows leave the batch at one point per iteration, after the step
+    phase: a trajectory that stops (zero subgradient, StationarySignal)
+    leaves and the others run on. The epsilon criterion, which runs with
+    one row only, ends the run. Errors: a non-finite subgradient dual
     norm, f(x^k), f at an average or f at the output point raises
     ValueError naming the iteration. A step rule whose step is not finite
     and positive, or whose arithmetic overflows or divides by zero (a tiny
@@ -315,11 +321,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     float64 range, the ValueError names that m, gamma and k; if several m
     overflow, it names the one with the earliest k, and among equal k the
     first in ``ms``. A constrained run whose criterion fires before any
-    productive step raises NoProductiveSteps. A trajectory that raises
-    leaves the batch; after the loop the error of the first failing
-    trajectory in ``states`` order is raised, the error its own run
-    raises. An error of a call shared by all rows (``values``, the mirror
-    step) is raised at once.
+    productive step raises NoProductiveSteps. A trajectory that raises in
+    the step phase leaves the batch; after the loop the error of the first
+    failing trajectory in ``states`` order is raised, the error its own run
+    raises. An error of a call shared by all rows is raised at once: a
+    non-finite f at an average (read by the one ``values`` call) and an
+    error of the mirror step.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -328,11 +335,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         raise ValueError("unconstrained solvers need config.iters")
     if constraints is not None and config.epsilon is None:
         raise ValueError("constrained solvers need config.epsilon")
-    if constraints is not None or use_criterion:
-        if len(ms) != 1:
-            raise ValueError("constrained runs take one m: it drives the stopping rule")
-        if len(states) != 1:
-            raise ValueError("constrained and criterion-stopped runs take one step rule")
+    if (constraints is not None or use_criterion) and len(ms) != 1:
+        raise ValueError("constrained runs take one m: it drives the stopping rule")
+    if (constraints is not None or use_criterion or h is not None) and len(states) != 1:
+        raise ValueError(
+            "constrained, criterion-stopped and composite runs take one step rule"
+        )
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
     theta = config.theta
@@ -386,8 +394,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 run.error = exc
                 grads.append(x)  # a placeholder row; the run leaves below
         G = grads[0][None] if len(grads) == 1 else np.array(grads)
-        gammas = []
-        weights_all = []  # the weights of every live trajectory, for one fold
         leaving = False
         # one average folds x^k at once; more fold in one call below
         one_average = len(live) == 1 and n_m == 1
@@ -467,9 +473,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                         f"with m={m:g} and gamma={gamma:g}; use a smaller m"
                     ) from exc
                 run.gamma = gamma
-                gammas.append(gamma)
                 run.weights = weights
-                weights_all += weights
                 if prod:
                     run.n_prod += 1
                 else:
@@ -493,11 +497,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             if not live:
                 break
             first_sum = sums[0, 0]
-            gammas = [run.gamma for run in live]
-            weights_all = [w for run in live for w in run.weights]
-            leaving = False
         if not one_average:
             # several averages mean an unconstrained run: every step is productive
+            weights_all = [w for run in live for w in run.weights]
             sums += np.array(weights_all).reshape(len(live), n_m, 1) * X[:, None]
         if record:
             totals = [t for run in live for t in run.totals]
@@ -505,13 +507,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             vals = _average_values(objective, flat_sums, totals)
             if not all(map(math.isfinite, vals)):
                 # an empty averager reads NaN; any other non-finite value is an error
-                for i, (v, t) in enumerate(zip(vals, totals)):
-                    run = live[i // n_m]
-                    if t > 0.0 and not math.isfinite(v) and run.error is None:
-                        run.error = ValueError(
-                            f"objective value at the average is {v} at iteration {k}"
-                        )
-                        leaving = True
+                for v, t in zip(vals, totals):
+                    if t > 0.0 and not math.isfinite(v):
+                        raise ValueError(f"objective value at the average is {v} at iteration {k}")
             if h is not None:
                 # an empty averager stays NaN
                 vals = [v + h.value(s / t) if t > 0.0 else v
@@ -520,17 +518,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 run.f_avg.extend(vals[j * n_m:(j + 1) * n_m])
         if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
             live[0].stop = StopReason.EPSILON_CRITERION
-            leaving = True
-        if leaving:
-            live, X, G, sums = _leave(runs, live, X, G, sums)
-            if not live:
-                break
-            first_sum = sums[0, 0]
-            gammas = [run.gamma for run in live]
+            break
+        gammas = [run.gamma for run in live]
         if h is None:
             X = mirror_step_rows(prox, feasible, X, G, gammas)
         else:
-            X = composite_mirror_step_rows(prox, feasible, X, G, gammas, h)
+            X = composite_mirror_step(prox, feasible, X[0], G[0], gammas[0], h)[None]
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
 

@@ -65,6 +65,22 @@ def test_theta_for_values():
     assert theta_for(Simplex(6)) == 1.0
 
 
+def test_entropy_runs_certify_with_theta_ln_n(tmp_path):
+    # the entropy prox's Bregman distance from the barycenter reaches
+    # ln n > 1, so the Euclidean theta of the simplex gives no certificate
+    cell = run_single_cell(
+        InstanceSpec("max-linear", n=50, t=10, seed=0), "entropy", "constant-step", 0.0,
+        300, str(tmp_path / "ent.csv"),
+    )
+    assert cell["final_k"] == 300
+    rows = (tmp_path / "ent.csv").read_text().strip("\n").split("\n")
+    header = rows[0].split(",")
+    gap, bound = header.index("gap_avg"), header.index("bound")
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert float(cells[gap]) <= float(cells[bound]), row
+
+
 def test_start_points():
     ball = unit_ball(4)
     x = default_start(ball)

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
+
+import pytest
 
 import mdbench.bench
 from mdbench.cli import main
+from mdbench.solvers import RunConfig
 
 
 def test_run_happy_path(tmp_path, capsys):
@@ -184,3 +188,13 @@ def test_compare_builds_its_instance_once(tmp_path, capsys, monkeypatch):
         assert rc == 0
         assert len(built) == 1
         assert "skipping polyak" in capsys.readouterr().err
+
+
+def test_an_infinite_theta_is_rejected_by_name(tmp_path, capsys):
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        RunConfig(m=1.0, epsilon=0.25, theta=math.inf)
+    out = tmp_path / "table.csv"
+    rc = main(["constrained", "--theta1", "inf", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: theta must be positive and finite\n"
+    assert not out.exists()

@@ -13,7 +13,6 @@ from mdbench.geometry import (
     Zero,
     bregman,
     composite_mirror_step,
-    composite_mirror_step_rows,
     entropy_setup,
     euclidean_setup,
     grad_psi,
@@ -384,26 +383,16 @@ def test_step_rows_match_the_1d_steps_bit_for_bit(rows, n):
     # steps small enough to stay inside and large enough to leave
     gammas = list(rng.choice([1e-4, 0.05, 0.7, 3.0], size=rows))
     cases = [
-        (ENT, simplex, _simplex_points(rng, n, rows), (None, Zero(), L1(0.4))),
-        (EUC, simplex, _simplex_points(rng, n, rows), (None, L1(0.4))),
-        (EUC, centered, centered.project_rows(rng.normal(size=(rows, n)) * 0.5), (None, L1(0.4))),
-        (EUC, off, off.project_rows(off.center + rng.normal(size=(rows, n))), (None, L1(0.4))),
+        (ENT, simplex, _simplex_points(rng, n, rows)),
+        (EUC, simplex, _simplex_points(rng, n, rows)),
+        (EUC, centered, centered.project_rows(rng.normal(size=(rows, n)) * 0.5)),
+        (EUC, off, off.project_rows(off.center + rng.normal(size=(rows, n)))),
     ]
-    for setup, feasible, X, regs in cases:
-        for h in regs:
-            if h is None:
-                got = mirror_step_rows(setup, feasible, X, G, gammas)
-                want = [mirror_step(setup, feasible, x, g, gm) for x, g, gm in zip(X, G, gammas)]
-            elif setup is ENT and isinstance(h, L1):
-                with pytest.raises(ValueError, match="squared-Euclidean"):
-                    composite_mirror_step_rows(setup, feasible, X, G, gammas, h)
-                continue
-            else:
-                got = composite_mirror_step_rows(setup, feasible, X, G, gammas, h)
-                want = [composite_mirror_step(setup, feasible, x, g, gm, h)
-                        for x, g, gm in zip(X, G, gammas)]
-            assert got.shape == (rows, n)
-            assert got.tobytes() == np.array(want).tobytes(), (setup.psi_kind, feasible, h)
+    for setup, feasible, X in cases:
+        got = mirror_step_rows(setup, feasible, X, G, gammas)
+        want = [mirror_step(setup, feasible, x, g, gm) for x, g, gm in zip(X, G, gammas)]
+        assert got.shape == (rows, n)
+        assert got.tobytes() == np.array(want).tobytes(), (setup.psi_kind, feasible)
 
 
 def test_step_rows_validate_like_the_1d_steps():
@@ -412,5 +401,3 @@ def test_step_rows_validate_like_the_1d_steps():
         mirror_step_rows(EUC, unit_ball(2), X, G, [0.1, 0.0])
     with pytest.raises(ValueError, match="only the simplex"):
         mirror_step_rows(ENT, unit_ball(2), X, G, [0.1, 0.1])
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        composite_mirror_step_rows(EUC, unit_ball(2), X, G, [0.1, -1.0], L1(0.5))

@@ -1216,6 +1216,35 @@ def test_constrained_and_criterion_runs_take_one_step_rule():
                  use_criterion=True)
 
 
+def test_composite_runs_take_one_step_rule():
+    obj = DistanceToPoint([10.0, 0.0])
+    states = [_state("nonsum"), _state("constant-step")]
+    with pytest.raises(ValueError, match="take one step rule"):
+        _descent(obj, euclidean_setup(), unit_ball(2), states, RunConfig(m=0.0, iters=10),
+                 np.zeros(2), (0.0,), h=L1(0.5))
+
+
+class _NanInLastAverage(DistanceToPoint):
+    """f at the running averages reads NaN in the last row of every
+    ``values`` call; in a batch that row belongs to the last trajectory."""
+
+    def values(self, X):
+        out = super().values(X)
+        out[-1] = math.nan
+        return out
+
+
+def test_a_nan_average_of_a_later_row_is_raised_at_once():
+    # both rows overflow gamma**(-400) at k = 3; the NaN average of the
+    # later row comes from the one values call all rows share, so the
+    # batch raises it at k = 1 instead of running the first row on
+    obj = _NanInLastAverage([10.0, 0.0])
+    states = [_state("sqrsum-nonsum"), _state("sqrsum-nonsum")]
+    with pytest.raises(ValueError, match="^objective value at the average is nan at iteration 1$"):
+        _descent(obj, euclidean_setup(), unit_ball(2), states, RunConfig(m=0.0, iters=20),
+                 np.zeros(2), (400.0,))
+
+
 def test_every_m_check_has_one_message():
     obj = DistanceToPoint([10.0, 0.0])
     with pytest.raises(ValueError, match=r"^every m must be finite and >= -1$"):

@@ -69,6 +69,8 @@ COMMANDS = (
     "run --problem max-linear --n 50 --t 10 --seed 0 --prox entropy --schedule constant-step "
     "--m 0 --iters 300 --out run_entropy_certified.csv",
     "constrained --theta1 inf --out cons_theta_inf.csv",
+    "constrained --n 4 --t 2 --p 3 --epsilon 0.5000001 0.5000002 --trace-dir tr_collide "
+    "--out collide.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

@@ -86,18 +86,17 @@ class ReferenceSolution:
 class ExperimentPlan:
     """A deterministic batch of (schedule, m) solver runs on one instance.
 
-    ``seed`` is the experiment seed and should match ``instance.seed``;
     ``prox`` selects the geometry ("euclidean" on the unit ball or
-    "entropy" on the simplex). Plans serialize losslessly to dicts.
+    "entropy" on the simplex). Plans serialize losslessly to dicts; the
+    dict's "seed" is ``instance.seed``, the one seed a plan runs with, and
+    ``from_dict`` ignores it (and the "epsilon" key of older summaries).
     """
 
     instance: InstanceSpec
     schedules: tuple = ()
     m_values: tuple = ()
     iters: int = 1000
-    epsilon: Optional[float] = None
     output_dir: str = "."
-    seed: int = 0
     prox: str = "euclidean"
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class ExperimentPlan:
         _check_m_values(self.m_values)
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
         if self.prox not in _PROX_NAMES:
             raise ValueError(f"unknown prox name: {self.prox!r}")
 
@@ -124,9 +121,8 @@ class ExperimentPlan:
             "schedules": list(self.schedules),
             "m_values": list(self.m_values),
             "iters": self.iters,
-            "epsilon": self.epsilon,
             "output_dir": self.output_dir,
-            "seed": self.seed,
+            "seed": self.instance.seed,
             "prox": self.prox,
         }
 
@@ -137,9 +133,7 @@ class ExperimentPlan:
             schedules=tuple(doc["schedules"]),
             m_values=tuple(doc["m_values"]),
             iters=int(doc["iters"]),
-            epsilon=doc.get("epsilon"),
             output_dir=doc["output_dir"],
-            seed=int(doc["seed"]),
             prox=doc.get("prox", "euclidean"),
         )
 
@@ -433,6 +427,16 @@ def _m_token(m: float) -> str:
     return format(float(m), "g")
 
 
+def _check_unique(files, name, values) -> None:
+    """Refuse, before anything runs, two cells that would write one file:
+    ``%g`` tokens keep six significant digits, so close values share one."""
+    seen = {}
+    for file, value in zip(files, values):
+        if file in seen:
+            raise ValueError(f"{name}={seen[file]!r} and {name}={value!r} would both write {file}")
+        seen[file] = value
+
+
 def _solve_plan(plan: ExperimentPlan) -> tuple:
     """Run every schedule of an unconstrained plan as one batch: one traced
     trajectory per schedule, all advanced together and each averaged once
@@ -482,8 +486,7 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
     like every plan (constrained instances are rejected) and a matching
     run_experiment cell has identical bytes."""
     plan = ExperimentPlan(
-        instance=instance, schedules=(tag,), m_values=(m,), iters=iters,
-        seed=instance.seed, prox=prox_name,
+        instance=instance, schedules=(tag,), m_values=(m,), iters=iters, prox=prox_name,
     )
     reference, ((_, m, result),) = _solve_plan(plan)
     cell = _write_cell(out_path, tag, m, result, reference)
@@ -498,14 +501,16 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     Each schedule runs one trajectory that feeds an average for every m of
     the plan, so a cell matches its own ``run_single_cell`` byte for byte.
     All runs finish before any file is written; files and summary cells
-    follow plan order.
+    follow plan order. Two cells whose file names coincide raise
+    ValueError before any run.
     """
+    files = [f"{tag}_m{_m_token(m)}.csv" for tag in plan.schedules for m in plan.m_values]
+    _check_unique(files, "m", plan.m_values * len(plan.schedules))
     reference, runs = _solve_plan(plan)
     os.makedirs(plan.output_dir, exist_ok=True)
     cells = [
-        _write_cell(os.path.join(plan.output_dir, f"{tag}_m{_m_token(m)}.csv"),
-                    tag, m, result, reference)
-        for tag, m, result in runs
+        _write_cell(os.path.join(plan.output_dir, file), tag, m, result, reference)
+        for file, (tag, m, result) in zip(files, runs)
     ]
     summary = {
         "plan": plan.to_dict(),
@@ -546,6 +551,10 @@ def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
     return out_path
 
 
+def _trace_name(algorithm: str, eps: float, m: float) -> str:
+    return f"{algorithm}_eps{_m_token(eps)}_m{_m_token(m)}.csv"
+
+
 _COMPARISON_HEADER = (
     "algorithm,epsilon,m,iterations,productive,nonproductive,"
     "constraint_evals,wall_seconds,f_hat,g_hat,stop_reason"
@@ -566,7 +575,8 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     "adaptive-time-varying" divides by the realized subgradient norm. The
     one-constraint-at-a-time solver always uses its built-in adaptive rule.
     wall_seconds is machine-dependent by nature; every other column is
-    deterministic. With trace_dir set, per-iteration CSVs are written too.
+    deterministic. With trace_dir set, per-iteration CSVs are written too;
+    two epsilons whose file names coincide raise ValueError before any run.
     """
     if instance.p < 1:
         raise ValueError("constrained comparison needs p >= 1")
@@ -581,12 +591,12 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     x1 = constrained_start(feasible)
     record = trace_dir is not None
     if record:
+        # the two solvers' files of one epsilon differ only in the prefix
+        _check_unique([_trace_name("alg3", eps, m) for eps in epsilons], "epsilon", epsilons)
         os.makedirs(trace_dir, exist_ok=True)
 
     rows = []
     for eps in epsilons:
-        if not eps > 0.0:
-            raise ValueError("epsilon must be positive")
         config = RunConfig(
             m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record
         )
@@ -618,9 +628,8 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
                 }
             )
             if record:
-                tname = f"{name}_eps{_m_token(eps)}_m{_m_token(m)}.csv"
                 write_trace_csv(
-                    os.path.join(trace_dir, tname),
+                    os.path.join(trace_dir, _trace_name(name, eps, m)),
                     res.trace,
                     None,
                     include_productive=True,

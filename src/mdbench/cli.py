@@ -167,7 +167,6 @@ def _cmd_compare(args) -> int:
         m_values=(args.m,),
         iters=args.iters,
         output_dir=args.out,
-        seed=args.seed,
         prox=args.prox,
     )
     summary = run_experiment(plan)
@@ -188,7 +187,6 @@ def _cmd_sweep(args) -> int:
         m_values=tuple(args.m),
         iters=args.iters,
         output_dir=".",
-        seed=args.seed,
         prox=args.prox,
     )
     path = sweep_m(plan, out_path=args.out)

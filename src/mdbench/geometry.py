@@ -209,9 +209,6 @@ def mirror_step_rows(
 ) -> np.ndarray:
     """``mirror_step`` applied to row i of the (K, n) arrays X and G with
     step gammas[i], bit for bit, as one (K, n) array."""
-    if len(X) == 1:
-        # the 1-D form computes the same row with fewer numpy calls
-        return mirror_step(setup, feasible, X[0], G[0], gammas[0])[None]
     for gamma in gammas:
         if not gamma > 0.0:
             raise ValueError("step size gamma must be positive")

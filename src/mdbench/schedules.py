@@ -21,12 +21,15 @@ Rules and defaults:
     adaptive-time-varying    gamma = sqrt(2 sigma) / (||g|| sqrt(k))
 
 ``||g||`` is always the dual norm of the subgradient.
+
+One table, ``_RULES``, holds each rule's parameters, defaults and flags;
+a ScheduleKind checks its parameters when it is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "TABLE_TAGS",
@@ -47,47 +50,27 @@ TAG_POLYAK = "polyak"
 TAG_TIME_VARYING = "time-varying"
 TAG_ADAPTIVE_TV = "adaptive-time-varying"
 
-TABLE_TAGS = (
-    TAG_CONSTANT,
-    TAG_FIXED_LENGTH,
-    TAG_NONSUM,
-    TAG_SQRSUM,
-    TAG_QUAD_GRAD,
-    TAG_ADAGRAD,
-    TAG_POLYAK,
-    TAG_TIME_VARYING,
-    TAG_ADAPTIVE_TV,
-)
 
-_DEFAULT_C = {
-    TAG_CONSTANT: 0.1,
-    TAG_FIXED_LENGTH: 0.2,
-    TAG_NONSUM: 0.1,
-    TAG_SQRSUM: 0.5,
-    TAG_QUAD_GRAD: 0.2,
+class _Rule(NamedTuple):
+    params: dict  # each parameter the rule takes, with its default; None: required
+    certified: bool  # steps non-increasing whatever the objective feeds the rule
+    reads_norm: bool  # reads the dual norm of the subgradient
+    reads_f: bool  # reads f(x^k) and f*
+
+
+_RULES = {
+    TAG_CONSTANT: _Rule({"c": 0.1}, True, False, False),
+    TAG_FIXED_LENGTH: _Rule({"c": 0.2}, False, True, False),
+    TAG_NONSUM: _Rule({"c": 0.1}, True, False, False),
+    TAG_SQRSUM: _Rule({"c": 0.5}, True, False, False),
+    TAG_QUAD_GRAD: _Rule({"c": 0.2}, False, True, False),
+    TAG_ADAGRAD: _Rule({"theta0": math.sqrt(2.0), "alpha": 1e-8}, True, True, False),
+    TAG_POLYAK: _Rule({}, False, True, True),
+    TAG_TIME_VARYING: _Rule({"m_lipschitz": None}, True, False, False),
+    TAG_ADAPTIVE_TV: _Rule({}, False, True, False),
 }
 
-# rules whose entire step sequence is non-increasing no matter what the
-# objective feeds them; the others depend on realized gradient norms
-_CERTIFIED = frozenset(
-    {TAG_CONSTANT, TAG_NONSUM, TAG_SQRSUM, TAG_ADAGRAD, TAG_TIME_VARYING}
-)
-
-_NEEDS_GRAD = frozenset(
-    {TAG_FIXED_LENGTH, TAG_QUAD_GRAD, TAG_ADAGRAD, TAG_POLYAK, TAG_ADAPTIVE_TV}
-)
-
-_ALLOWED_PARAMS = {
-    TAG_CONSTANT: {"c"},
-    TAG_FIXED_LENGTH: {"c"},
-    TAG_NONSUM: {"c"},
-    TAG_SQRSUM: {"c"},
-    TAG_QUAD_GRAD: {"c"},
-    TAG_ADAGRAD: {"theta0", "alpha"},
-    TAG_POLYAK: set(),
-    TAG_TIME_VARYING: {"m_lipschitz"},
-    TAG_ADAPTIVE_TV: set(),
-}
+TABLE_TAGS = tuple(_RULES)
 
 
 class StationarySignal(Exception):
@@ -97,11 +80,32 @@ class StationarySignal(Exception):
 
 @dataclass(frozen=True)
 class ScheduleKind:
+    """A rule and its parameters: the rule's own, positive and finite
+    (stored as floats), and the others unset."""
+
     tag: str
     c: Optional[float] = None
     theta0: Optional[float] = None
     alpha: Optional[float] = None
     m_lipschitz: Optional[float] = None
+
+    def __post_init__(self):
+        rule = _RULES.get(self.tag)
+        if rule is None:
+            raise ValueError(f"unknown schedule tag: {self.tag!r}")
+        for name in ("c", "theta0", "alpha", "m_lipschitz"):
+            value = getattr(self, name)
+            if name not in rule.params:
+                if value is not None:
+                    raise ValueError(f"schedule {self.tag!r} does not take parameter {name!r}")
+                continue
+            noun = "constant c" if name == "c" else name
+            if value is None:
+                raise ValueError(f"schedule {self.tag!r} needs a positive {noun}")
+            value = float(value)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"schedule {self.tag!r} {noun} must be positive and finite")
+            object.__setattr__(self, name, value)
 
 
 def schedule(
@@ -115,41 +119,20 @@ def schedule(
     """Build a ScheduleKind for ``tag``, filling table defaults.
 
     ``time-varying`` requires ``m_lipschitz`` (the Lipschitz constant of the
-    objective in the chosen norm). Parameters that a rule does not use are
-    rejected rather than silently ignored.
+    objective in the chosen norm).
     """
-    if tag not in TABLE_TAGS:
-        raise ValueError(f"unknown schedule tag: {tag!r}")
-    allowed = _ALLOWED_PARAMS[tag]
     given = {"c": c, "theta0": theta0, "alpha": alpha, "m_lipschitz": m_lipschitz}
-    for name, val in given.items():
-        if val is not None and name not in allowed:
-            raise ValueError(f"schedule {tag!r} does not take parameter {name!r}")
-    if tag in _DEFAULT_C:
-        cc = _DEFAULT_C[tag] if c is None else float(c)
-        if not cc > 0.0:
-            raise ValueError("schedule constant c must be positive")
-        return ScheduleKind(tag, c=cc)
-    if tag == TAG_ADAGRAD:
-        t0 = math.sqrt(2.0) if theta0 is None else float(theta0)
-        al = 1e-8 if alpha is None else float(alpha)
-        if not t0 > 0.0:
-            raise ValueError("adagrad theta0 must be positive")
-        if not al > 0.0:
-            raise ValueError("adagrad alpha must be positive")
-        return ScheduleKind(tag, theta0=t0, alpha=al)
-    if tag == TAG_TIME_VARYING:
-        if m_lipschitz is None:
-            raise ValueError("time-varying schedule needs m_lipschitz")
-        ml = float(m_lipschitz)
-        if not ml > 0.0:
-            raise ValueError("m_lipschitz must be positive")
-        return ScheduleKind(tag, m_lipschitz=ml)
-    return ScheduleKind(tag)
+    if tag in _RULES:
+        for name, default in _RULES[tag].params.items():
+            if given[name] is None:
+                if default is None:
+                    raise ValueError(f"schedule {tag!r} needs {name}")
+                given[name] = default
+    return ScheduleKind(tag, **given)
 
 
 def is_nonincreasing_guaranteed(kind: ScheduleKind) -> bool:
-    return kind.tag in _CERTIFIED
+    return _RULES[kind.tag].certified
 
 
 class ScheduleState:
@@ -158,26 +141,17 @@ class ScheduleState:
     ``step_size`` must be called with strictly increasing k; the counter may
     skip values, which happens when two rules share the global iteration
     counter of a constrained run. AdaGrad accumulates the squared dual norms
-    it has been shown, current one included.
+    it has been shown, current one included. ``reads_f`` says whether the
+    rule reads f(x^k).
     """
 
     def __init__(self, kind: ScheduleKind, sigma: float):
-        if kind.tag not in TABLE_TAGS:
-            raise ValueError(f"unknown schedule tag: {kind.tag!r}")
         if not (sigma > 0.0 and math.isfinite(sigma)):
             raise ValueError("sigma must be positive and finite")
-        if kind.tag in _DEFAULT_C and not (kind.c is not None and kind.c > 0.0):
-            raise ValueError(f"schedule {kind.tag!r} needs a positive constant c")
-        if kind.tag == TAG_ADAGRAD:
-            if not (kind.theta0 is not None and kind.theta0 > 0.0):
-                raise ValueError("adagrad needs a positive theta0")
-            if not (kind.alpha is not None and kind.alpha > 0.0):
-                raise ValueError("adagrad needs a positive alpha")
-        if kind.tag == TAG_TIME_VARYING and not (
-            kind.m_lipschitz is not None and kind.m_lipschitz > 0.0
-        ):
-            raise ValueError("time-varying schedule needs a positive m_lipschitz")
+        rule = _RULES[kind.tag]
         self.kind = kind
+        self.reads_f = rule.reads_f
+        self._reads_norm = rule.reads_norm
         self.sigma = float(sigma)
         self.grad_sq_accum = 0.0
         self._k_last = 0
@@ -195,7 +169,7 @@ class ScheduleState:
             )
         tag = self.kind.tag
         gn = grad_dual_norm
-        if tag in _NEEDS_GRAD:
+        if self._reads_norm:
             if gn is None:
                 raise ValueError(f"schedule {tag!r} needs the subgradient dual norm")
             if gn < 0.0 or not math.isfinite(gn):

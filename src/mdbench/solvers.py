@@ -52,19 +52,18 @@ from .geometry import (
     ProxSetup,
     Regularizer,
     composite_mirror_step,
-    mirror_step,  # noqa: F401  the loop uses the row form; perfbench/tracer.py patches this name
+    mirror_step,
     mirror_step_rows,
 )
 from .problems import AffineConstraints
 from .schedules import (
     TAG_ADAPTIVE_TV,
-    TAG_POLYAK,
     ScheduleState,
     StationarySignal,
     is_nonincreasing_guaranteed,
     schedule,
 )
-from .space import as_point, dual_norm_kind, norm, norm_rows  # noqa: F401  norm: like mirror_step
+from .space import as_point, dual_norm_kind, norm, norm_rows
 
 __all__ = [
     "SAFETY_CAP",
@@ -229,13 +228,13 @@ class _Trajectory:
         "error", "x", "sums",
     )
 
-    def __init__(self, index, state, n_m, record, bound_column, certify, want_f):
+    def __init__(self, index, state, n_m, record, bound_column, certify):
         self.index = index  # position in plan order
         self.state = state
         self.trace = Trace() if record else None
         self.bound_column = bound_column
         self.certify = certify
-        self.want_f = want_f  # f(x^k) is read by the trace and the Polyak rule
+        self.want_f = record or state.reads_f  # f(x^k) is read by the trace or the rule
         # per m:
         self.totals = [0.0] * n_m  # sums of the weights gamma^{-m}
         self.lhs = [0.0] * n_m  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
@@ -289,7 +288,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     rule, the weights gamma^{-m}, the certificate sums and the overflow
     checks run in Python; the dual norms, the fold of x^k into the
     weighted sums, f at all averages (one ``values`` call) and the mirror
-    step run once for all rows. The iterates do not depend on m, so each
+    step run once for all rows; with one live row the loop calls the 1-D
+    forms ``norm`` and ``mirror_step`` (or ``composite_mirror_step``)
+    instead of the row forms. The iterates do not depend on m, so each
     trajectory feeds one averager, one bound accumulator and one f_avg
     column per m, and result [i][j] equals the run with
     ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
@@ -356,7 +357,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         )
         runs.append(_Trajectory(
             index, state, n_m, record, bound_column, bound_column or use_criterion,
-            record or state.kind.tag == TAG_POLYAK,
         ))
     live = list(runs)  # row j of the batch arrays belongs to live[j]
     X = np.tile(x, (len(runs), 1))  # the iterates x^k
@@ -393,11 +393,14 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             except Exception as exc:
                 run.error = exc
                 grads.append(x)  # a placeholder row; the run leaves below
-        G = grads[0][None] if len(grads) == 1 else np.array(grads)
         leaving = False
-        # one average folds x^k at once; more fold in one call below
-        one_average = len(live) == 1 and n_m == 1
-        for run, x, gn in zip(live, X, norm_rows(G, dual)):
+        # one row takes the 1-D norm and step, which make fewer numpy calls;
+        # one average also folds x^k at once, more fold in one call below
+        one_row = len(live) == 1
+        one_average = one_row and n_m == 1
+        G = grads[0][None] if one_row else np.array(grads)
+        gns = [norm(grads[0], dual)] if one_row else norm_rows(G, dual)
+        for run, x, gn in zip(live, X, gns):
             if run.error is not None:
                 leaving = True
                 continue
@@ -519,11 +522,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
             live[0].stop = StopReason.EPSILON_CRITERION
             break
-        gammas = [run.gamma for run in live]
-        if h is None:
-            X = mirror_step_rows(prox, feasible, X, G, gammas)
+        if not one_row:
+            X = mirror_step_rows(prox, feasible, X, G, [run.gamma for run in live])
+        elif h is None:
+            X = mirror_step(prox, feasible, X[0], G[0], live[0].gamma)[None]
         else:
-            X = composite_mirror_step(prox, feasible, X[0], G[0], gammas[0], h)[None]
+            X = composite_mirror_step(prox, feasible, X[0], G[0], live[0].gamma, h)[None]
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
 

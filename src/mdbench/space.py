@@ -53,8 +53,6 @@ def norm(p: np.ndarray, kind: NormKind) -> float:
 def norm_rows(P: np.ndarray, kind: NormKind) -> list:
     """``norm`` of each row of a (K, n) array, bit for bit, as a list of
     floats."""
-    if len(P) == 1:
-        return [norm(P[0], kind)]  # fewer numpy calls for one row
     if kind is NormKind.L2:
         # vecdot rounds like np.dot; (P * P).sum(axis=1) does not
         return list(map(math.sqrt, np.vecdot(P, P).tolist()))

@@ -238,7 +238,6 @@ def test_criterion_11_determinism(tmp_path):
         m_values=(0.0, 1.0),
         iters=300,
         output_dir=str(tmp_path),
-        seed=7,
     )
     run_experiment(ExperimentPlan(**plan_args))
     first = {

@@ -50,7 +50,6 @@ def _small_plan(tmp, **kw) -> ExperimentPlan:
         m_values=(0.0, 1.0),
         iters=40,
         output_dir=str(tmp),
-        seed=3,
     )
     args.update(kw)
     return ExperimentPlan(**args)
@@ -359,7 +358,6 @@ def test_entropy_prox_experiment(tmp_path):
         m_values=(0.0,),
         iters=30,
         output_dir=str(tmp_path),
-        seed=2,
         prox="entropy",
     )
     summary = run_experiment(plan)
@@ -414,10 +412,6 @@ def test_plan_validation():
         ExperimentPlan(instance=BA5, schedules=("nonsum",), m_values=(-2.0,))
     with pytest.raises(ValueError, match="iters must be at least 1"):
         ExperimentPlan(instance=BA5, schedules=("nonsum",), m_values=(0.0,), iters=0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        ExperimentPlan(
-            instance=BA5, schedules=("nonsum",), m_values=(0.0,), epsilon=0.0
-        )
     with pytest.raises(ValueError, match="unknown prox name"):
         ExperimentPlan(
             instance=BA5, schedules=("nonsum",), m_values=(0.0,), prox="l1"
@@ -425,9 +419,34 @@ def test_plan_validation():
 
 
 def test_plan_dict_round_trip(tmp_path):
-    plan = _small_plan(tmp_path, epsilon=0.5)
+    plan = _small_plan(tmp_path)
     doc = json.loads(json.dumps(plan.to_dict()))
     assert ExperimentPlan.from_dict(doc) == plan
+
+
+def test_the_plan_seed_is_its_instance_seed(tmp_path):
+    plan = _small_plan(tmp_path)
+    assert plan.to_dict()["seed"] == plan.instance.seed == 3
+    # summaries written before the seed and epsilon fields went still load
+    old = dict(plan.to_dict(), seed=5, epsilon=None)
+    assert ExperimentPlan.from_dict(old) == plan
+
+
+def test_cells_that_would_share_a_file_are_refused_before_any_run(tmp_path):
+    out = tmp_path / "cells"
+    close = _small_plan(out, schedules=("nonsum",), m_values=(1.0000001, 1.0000002))
+    with pytest.raises(
+        ValueError, match=r"m=1\.0000001 and m=1\.0000002 would both write nonsum_m1\.csv"
+    ):
+        run_experiment(close)
+    repeated = _small_plan(out, schedules=("nonsum", "time-varying", "nonsum"))
+    with pytest.raises(ValueError, match=r"m=0\.0 and m=0\.0 would both write nonsum_m0\.csv"):
+        run_experiment(repeated)
+    assert not out.exists()
+    # the sweep writes m with 17 digits, so the same m values stay apart
+    path = sweep_m(close, out_path=str(tmp_path / "sweep.csv"))
+    tokens = {row.split(",")[0] for row in open(path).read().split("\n")[1:] if row}
+    assert tokens == {"%.17g" % 1.0000001, "%.17g" % 1.0000002}
 
 
 # ---------------------------------------------------------------- m sweep
@@ -508,6 +527,20 @@ def test_constrained_comparison_rows_and_file(tmp_path):
         )
         flags = {r.split(",")[8] for r in tlines[1:] if r}
         assert flags <= {"0", "1"}
+
+
+def test_constrained_traces_that_would_share_a_file_are_refused(tmp_path):
+    spec = InstanceSpec("max-linear", n=4, t=2, p=3, seed=42)
+    tdir = tmp_path / "traces"
+    with pytest.raises(
+        ValueError,
+        match=r"epsilon=0\.5000001 and epsilon=0\.5000002 would both write alg3_eps0\.5_m1\.csv",
+    ):
+        run_constrained_comparison(
+            spec, [0.5000001, 0.5000002], m=1.0, out_path=str(tmp_path / "t.csv"),
+            trace_dir=str(tdir),
+        )
+    assert not tdir.exists() and not (tmp_path / "t.csv").exists()
 
 
 def test_constrained_comparison_validation(tmp_path):

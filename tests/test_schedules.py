@@ -209,3 +209,29 @@ def test_state_validation():
         ScheduleState(ScheduleKind("time-varying"), sigma=1.0)
     with pytest.raises(ValueError, match="unknown schedule tag"):
         ScheduleState(ScheduleKind("bogus"), sigma=1.0)
+
+
+def test_hand_built_kinds_reject_parameters_their_rule_does_not_take():
+    with pytest.raises(ValueError, match="does not take parameter 'theta0'"):
+        ScheduleKind("nonsum", c=0.1, theta0=1.0)
+    with pytest.raises(ValueError, match="does not take parameter 'c'"):
+        ScheduleKind("polyak", c=0.1)
+    with pytest.raises(ValueError, match="does not take parameter 'm_lipschitz'"):
+        ScheduleKind("adaptive-time-varying", m_lipschitz=1.0)
+
+
+_OWN_PARAMS = {"nonsum": ("c",), "adagrad": ("theta0", "alpha"), "time-varying": ("m_lipschitz",)}
+
+
+@pytest.mark.parametrize(
+    "tag, name", [("nonsum", "c"), ("adagrad", "theta0"), ("adagrad", "alpha"),
+                  ("time-varying", "m_lipschitz")]
+)
+def test_infinite_parameters_are_rejected(tag, name):
+    # an infinite m_lipschitz used to give gamma = 0 at k = 1
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        schedule(tag, **{name: math.inf})
+    params = dict.fromkeys(_OWN_PARAMS[tag], 1.0)
+    params[name] = math.inf
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        ScheduleKind(tag, **params)

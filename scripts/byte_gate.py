@@ -71,6 +71,7 @@ COMMANDS = (
     "constrained --theta1 inf --out cons_theta_inf.csv",
     "constrained --n 4 --t 2 --p 3 --epsilon 0.5000001 0.5000002 --trace-dir tr_collide "
     "--out collide.csv",
+    "constrained --n 4 --t 2 --p 3 --epsilon inf --out eps_inf.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

@@ -575,8 +575,9 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     "adaptive-time-varying" divides by the realized subgradient norm. The
     one-constraint-at-a-time solver always uses its built-in adaptive rule.
     wall_seconds is machine-dependent by nature; every other column is
-    deterministic. With trace_dir set, per-iteration CSVs are written too;
-    two epsilons whose file names coincide raise ValueError before any run.
+    deterministic. With trace_dir set, per-iteration CSVs are written too.
+    Every epsilon is checked before the first solve: an invalid one, or two
+    whose trace file names coincide, raise ValueError before any run.
     """
     if instance.p < 1:
         raise ValueError("constrained comparison needs p >= 1")
@@ -584,22 +585,23 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
         raise ValueError(
             "schedule_mode must be 'time-varying' or 'adaptive-time-varying'"
         )
+    record = trace_dir is not None
+    configs = [
+        RunConfig(m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record)
+        for eps in epsilons
+    ]
     objective = build_objective(instance)
     constraints = build_constraints(instance)
     prox = euclidean_setup()
     feasible = unit_ball(instance.n)
     x1 = constrained_start(feasible)
-    record = trace_dir is not None
     if record:
         # the two solvers' files of one epsilon differ only in the prefix
         _check_unique([_trace_name("alg3", eps, m) for eps in epsilons], "epsilon", epsilons)
         os.makedirs(trace_dir, exist_ok=True)
 
     rows = []
-    for eps in epsilons:
-        config = RunConfig(
-            m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record
-        )
+    for eps, config in zip(epsilons, configs):
         state_f = _schedule_state(schedule_mode, objective.lipschitz_bound, prox.sigma)
         state_g = _schedule_state(schedule_mode, constraints.lipschitz_bound, prox.sigma)
         t0 = time.perf_counter()

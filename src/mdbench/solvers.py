@@ -17,9 +17,8 @@ loop once and returns one result per m, each equal bit for bit to its own
 ``mirror_descent`` run. The one loop also advances several trajectories,
 one per step rule, as one batch: the experiment plans run all their
 schedules that way, and every cell equals its own single run bit for bit.
-If schedules of a batch fail, the error of the first failing one in plan
-order is raised, the error its own run raises; an error of a call shared
-by all rows (f at the averages, the mirror step) is raised at once.
+The first error ends the batch where it happens; rows do not interact, so
+it is the error the failing schedule's own run raises.
 Constrained and criterion-stopped runs take one step rule and one m,
 because there m enters the stopping rule, and composite runs take one step
 rule; every public solver runs a batch of one.
@@ -109,8 +108,8 @@ class RunConfig:
     theta is the user-supplied bound on the Bregman distance from the start
     to the nearest minimizer, finite and positive; for the unit Euclidean
     ball the diameter gives theta = 2. At least one of iters/epsilon must
-    be set; the constrained solvers need epsilon and the unconstrained ones
-    need iters.
+    be set, and epsilon, when set, is finite and positive; the constrained
+    solvers need epsilon and the unconstrained ones need iters.
     """
 
     m: float
@@ -125,8 +124,8 @@ class RunConfig:
             raise ValueError("set at least one of iters and epsilon")
         if self.iters is not None and self.iters < 1:
             raise ValueError("iters must be at least 1")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
 
@@ -222,14 +221,13 @@ class _Trajectory:
     arrays; when it leaves, they are kept here."""
 
     __slots__ = (
-        "index", "state", "trace", "bound_column", "certify", "want_f", "totals", "lhs",
-        "sq", "sum_f", "sum_g", "rhs", "h_term", "f_avg", "bound", "prod", "q",
-        "gx", "evals", "gamma", "weights", "evals_total", "n_prod", "n_nonprod", "stop",
-        "error", "x", "sums",
+        "state", "trace", "bound_column", "certify", "want_f", "totals", "lhs", "sq",
+        "sum_f", "sum_g", "rhs", "h_term", "f_avg", "bound", "prod", "q", "gx",
+        "evals", "gamma", "weights", "evals_total", "n_prod", "n_nonprod", "stop", "x",
+        "sums",
     )
 
-    def __init__(self, index, state, n_m, record, bound_column, certify):
-        self.index = index  # position in plan order
+    def __init__(self, state, n_m, record, bound_column, certify):
         self.state = state
         self.trace = Trace() if record else None
         self.bound_column = bound_column
@@ -256,21 +254,16 @@ class _Trajectory:
         self.n_prod = 0
         self.n_nonprod = 0  # n_prod + n_nonprod iterations completed
         self.stop = None  # a StopReason once it stopped early
-        self.error = None  # the exception that ended it
         self.x = None  # the last iterate and the weighted sums, kept on leaving
         self.sums = None
 
 
-def _leave(runs, live, X, G, sums):
-    """Take the trajectories that stopped or failed out of the batch. A
-    failure ends every trajectory after it in plan order too: the batch
-    raises the first failure in plan order, so their results are never
-    read. Returns the new (live, X, G, sums)."""
-    failed = [run.index for run in runs if run.error is not None]
-    cutoff = failed[0] if failed else len(runs)
+def _leave(live, X, G, sums):
+    """Take the trajectories that stopped out of the batch, keeping their
+    last iterate and weighted sums. Returns the new (live, X, G, sums)."""
     keep = []
     for j, run in enumerate(live):
-        if run.stop is None and run.error is None and run.index < cutoff:
+        if run.stop is None:
             keep.append(j)
         else:
             run.x, run.sums = X[j], sums[j]
@@ -322,12 +315,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     float64 range, the ValueError names that m, gamma and k; if several m
     overflow, it names the one with the earliest k, and among equal k the
     first in ``ms``. A constrained run whose criterion fires before any
-    productive step raises NoProductiveSteps. A trajectory that raises in
-    the step phase leaves the batch; after the loop the error of the first
-    failing trajectory in ``states`` order is raised, the error its own run
-    raises. An error of a call shared by all rows is raised at once: a
-    non-finite f at an average (read by the one ``values`` call) and an
-    error of the mirror step.
+    productive step raises NoProductiveSteps. Any error ends the batch at
+    once. Each iteration runs the oracle phase of every row, then the step
+    phase of every row, each in ``states`` order, then the calls all rows
+    share; the first error in that order is raised. Rows do not interact,
+    so it is the error the failing trajectory's own run raises.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -351,13 +343,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     n_m = len(ms)
     record = config.record_trace
     runs = []
-    for index, state in enumerate(states):
+    for state in states:
         bound_column = (
             record and constraints is None and is_nonincreasing_guaranteed(state.kind)
         )
-        runs.append(_Trajectory(
-            index, state, n_m, record, bound_column, bound_column or use_criterion,
-        ))
+        runs.append(_Trajectory(state, n_m, record, bound_column, bound_column or use_criterion))
     live = list(runs)  # row j of the batch arrays belongs to live[j]
     X = np.tile(x, (len(runs), 1))  # the iterates x^k
     sums = np.zeros((len(runs), n_m, x.size))  # weighted sums of productive iterates, per m
@@ -367,32 +357,26 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         root = math.sqrt(2.0 * sigma)
         m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
 
-    # every error of one trajectory is kept and raised after the loop, in
-    # plan order, so catching Exception here defers it and loses nothing
     for k in range(1, n_iter + 1):
         grads = []
         for run, x in zip(live, X):
-            try:
-                if constraints is None:
-                    grads.append(objective.subgrad(x))
-                    continue
-                if scan:
-                    q, evals, g_seen = constraints.first_violation(x, eps)
-                    prod = q is None
-                    # g(x) is fully known only when the scan saw every constraint
-                    gx = g_seen if prod else math.nan
-                else:
-                    v = constraints.row_values(x)
-                    q = int(v.argmax())
-                    gx = float(v[q])
-                    evals = constraints.p
-                    prod = gx <= eps
-                run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
-                run.evals_total += evals
-                grads.append(objective.subgrad(x) if prod else constraints.subgrad_one(q, x))
-            except Exception as exc:
-                run.error = exc
-                grads.append(x)  # a placeholder row; the run leaves below
+            if constraints is None:
+                grads.append(objective.subgrad(x))
+                continue
+            if scan:
+                q, evals, g_seen = constraints.first_violation(x, eps)
+                prod = q is None
+                # g(x) is fully known only when the scan saw every constraint
+                gx = g_seen if prod else math.nan
+            else:
+                v = constraints.row_values(x)
+                q = int(v.argmax())
+                gx = float(v[q])
+                evals = constraints.p
+                prod = gx <= eps
+            run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
+            run.evals_total += evals
+            grads.append(objective.subgrad(x) if prod else constraints.subgrad_one(q, x))
         leaving = False
         # one row takes the 1-D norm and step, which make fewer numpy calls;
         # one average also folds x^k at once, more fold in one call below
@@ -401,102 +385,95 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         G = grads[0][None] if one_row else np.array(grads)
         gns = [norm(grads[0], dual)] if one_row else norm_rows(G, dual)
         for run, x, gn in zip(live, X, gns):
-            if run.error is not None:
+            prod = run.prod
+            if not math.isfinite(gn):
+                raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
+            if gn == 0.0:
+                if not prod:
+                    which = f"constraint {run.q}" if scan else "the constraint maximum"
+                    raise NoProductiveSteps(
+                        f"{which} has a zero subgradient while above epsilon: "
+                        "the epsilon-feasible region is empty"
+                    )
+                run.stop = StopReason.STATIONARY_POINT
                 leaving = True
                 continue
-            prod = run.prod
+            fx = _value(objective, x, k) if prod and run.want_f else None
+            rule = run.state if prod else state_g
             try:
-                if not math.isfinite(gn):
-                    raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
-                if gn == 0.0:
-                    if not prod:
-                        which = f"constraint {run.q}" if scan else "the constraint maximum"
-                        raise NoProductiveSteps(
-                            f"{which} has a zero subgradient while above epsilon: "
-                            "the epsilon-feasible region is empty"
-                        )
-                    run.stop = StopReason.STATIONARY_POINT
-                    leaving = True
-                    continue
-                fx = _value(objective, x, k) if prod and run.want_f else None
-                rule = run.state if prod else state_g
-                try:
-                    gamma = rule.step_size(k, fx, gn, fstar)
-                except StationarySignal:
-                    run.stop = StopReason.STATIONARY_POINT
-                    leaving = True
-                    continue
-                except (OverflowError, ZeroDivisionError):
-                    gamma = math.nan  # the rule's arithmetic has no float64 result
-                if not 0.0 < gamma < inf:
-                    raise ValueError(
-                        f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
-                        f"with subgradient dual norm {gn!r}; steps must be finite and positive"
-                    )
-                if h is not None:
-                    hv = h.value(x)
-                if scan:
-                    sk = math.sqrt(k)
-                certify = run.certify
-                totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
-                weights = []
-                try:
-                    for i, m in enumerate(ms):
-                        if prod or certify and not scan:
-                            w = gamma ** (-m)
-                        if prod:
-                            if k == 1 and h is not None:
-                                run.h_term[i] = hv / gamma**m
-                            if one_average:
-                                first_sum += w * x
-                            else:
-                                weights.append(w)
-                            totals[i] += w
-                        if certify and not scan:
-                            lhs[i] += w
-                            sq[i] += gn * gn / gamma ** (m - 1.0)
-                            rhs[i] = (
-                                theta / gamma ** (m + 1.0) + run.h_term[i] + sq[i] / (2.0 * sigma)
-                            )
-                        elif certify:
-                            lhs[i] += (gn * sk / root) ** m
-                            if prod:
-                                run.sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                            else:
-                                run.sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                            rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
-                                run.sum_f[i] + run.sum_g[i]
-                            ) / root ** (m + 1.0)
-                        # sums and quotients reach inf without raising
-                        if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
-                            raise OverflowError
-                except (OverflowError, ZeroDivisionError) as exc:
-                    raise ValueError(
-                        f"weights gamma**(-m) leave the float64 range at iteration {k} "
-                        f"with m={m:g} and gamma={gamma:g}; use a smaller m"
-                    ) from exc
-                run.gamma = gamma
-                run.weights = weights
-                if prod:
-                    run.n_prod += 1
-                else:
-                    run.n_nonprod += 1
-                trace = run.trace
-                if trace is not None:
-                    trace.gamma.append(gamma)
-                    f_k = fx if prod else _value(objective, x, k)
-                    trace.f_iterate.append(f_k if h is None else f_k + hv)
-                    if constraints is not None:
-                        trace.g_iterate.append(run.gx)
-                        trace.productive.append(prod)
-                        trace.constraint_evals.append(run.evals)
-                    if run.bound_column:
-                        run.bound.extend(map(truediv, rhs, lhs))
-            except Exception as exc:
-                run.error = exc
+                gamma = rule.step_size(k, fx, gn, fstar)
+            except StationarySignal:
+                run.stop = StopReason.STATIONARY_POINT
                 leaving = True
+                continue
+            except (OverflowError, ZeroDivisionError):
+                gamma = math.nan  # the rule's arithmetic has no float64 result
+            if not 0.0 < gamma < inf:
+                raise ValueError(
+                    f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
+                    f"with subgradient dual norm {gn!r}; steps must be finite and positive"
+                )
+            if h is not None:
+                hv = h.value(x)
+            if scan:
+                sk = math.sqrt(k)
+            certify = run.certify
+            totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
+            weights = []
+            try:
+                for i, m in enumerate(ms):
+                    if prod or certify and not scan:
+                        w = gamma ** (-m)
+                    if prod:
+                        if k == 1 and h is not None:
+                            run.h_term[i] = hv / gamma**m
+                        if one_average:
+                            first_sum += w * x
+                        else:
+                            weights.append(w)
+                        totals[i] += w
+                    if certify and not scan:
+                        lhs[i] += w
+                        sq[i] += gn * gn / gamma ** (m - 1.0)
+                        rhs[i] = (
+                            theta / gamma ** (m + 1.0) + run.h_term[i] + sq[i] / (2.0 * sigma)
+                        )
+                    elif certify:
+                        lhs[i] += (gn * sk / root) ** m
+                        if prod:
+                            run.sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
+                        else:
+                            run.sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
+                        rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
+                            run.sum_f[i] + run.sum_g[i]
+                        ) / root ** (m + 1.0)
+                    # sums and quotients reach inf without raising
+                    if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
+                        raise OverflowError
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"weights gamma**(-m) leave the float64 range at iteration {k} "
+                    f"with m={m:g} and gamma={gamma:g}; use a smaller m"
+                ) from exc
+            run.gamma = gamma
+            run.weights = weights
+            if prod:
+                run.n_prod += 1
+            else:
+                run.n_nonprod += 1
+            trace = run.trace
+            if trace is not None:
+                trace.gamma.append(gamma)
+                f_k = fx if prod else _value(objective, x, k)
+                trace.f_iterate.append(f_k if h is None else f_k + hv)
+                if constraints is not None:
+                    trace.g_iterate.append(run.gx)
+                    trace.productive.append(prod)
+                    trace.constraint_evals.append(run.evals)
+                if run.bound_column:
+                    run.bound.extend(map(truediv, rhs, lhs))
         if leaving:
-            live, X, G, sums = _leave(runs, live, X, G, sums)
+            live, X, G, sums = _leave(live, X, G, sums)
             if not live:
                 break
             first_sum = sums[0, 0]
@@ -533,8 +510,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
 
     batch = []
     for run in runs:
-        if run.error is not None:
-            raise run.error
         stop = run.stop or StopReason.MAX_ITERS
         completed = run.n_prod + run.n_nonprod
         if constraints is not None and run.totals[0] == 0.0:

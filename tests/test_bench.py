@@ -543,7 +543,11 @@ def test_constrained_traces_that_would_share_a_file_are_refused(tmp_path):
     assert not tdir.exists() and not (tmp_path / "t.csv").exists()
 
 
-def test_constrained_comparison_validation(tmp_path):
+def test_constrained_comparison_validation(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an invalid comparison reached a solve")
+
+    monkeypatch.setattr("mdbench.bench.constrained_md", never)
     out = str(tmp_path / "t.csv")
     with pytest.raises(ValueError, match="needs p >= 1"):
         run_constrained_comparison(BA5, [0.25], m=1.0, out_path=out)
@@ -554,8 +558,10 @@ def test_constrained_comparison_validation(tmp_path):
         run_constrained_comparison(
             spec, [0.25], m=1.0, out_path=out, schedule_mode="nonsum"
         )
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        run_constrained_comparison(spec, [0.0], m=1.0, out_path=out)
+    # every epsilon is checked before the first solve, not when its turn comes
+    for epsilons in ([0.0], [0.25, 0.0]):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            run_constrained_comparison(spec, epsilons, m=1.0, out_path=out)
 
 
 def test_instance_json_round_trip(tmp_path):

@@ -198,3 +198,15 @@ def test_an_infinite_theta_is_rejected_by_name(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: theta must be positive and finite\n"
     assert not out.exists()
+
+
+def test_an_infinite_epsilon_is_rejected_by_name(tmp_path, capsys):
+    # an infinite epsilon would stop at once and certify nothing
+    out = tmp_path / "table.csv"
+    rc = main([
+        "constrained", "--n", "5", "--t", "3", "--p", "3", "--epsilon", "inf",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: epsilon must be positive and finite\n"
+    assert not out.exists()

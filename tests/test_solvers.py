@@ -131,6 +131,8 @@ def test_run_config_validation():
         RunConfig(m=0.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         RunConfig(m=0.0, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        RunConfig(m=0.0, epsilon=math.inf)
     with pytest.raises(ValueError, match="theta must be positive"):
         RunConfig(m=0.0, iters=5, theta=0.0)
     with pytest.raises(ValueError, match="iters must be at least 1"):
@@ -1176,30 +1178,47 @@ def test_a_row_that_stops_leaves_the_batch_and_the_others_run_on():
             assert _cell_bytes(res) == _cell_bytes(single), (tag, m)
 
 
-def test_a_batch_raises_the_first_failure_in_plan_order():
-    # at m = 400, gamma = 0.5/k overflows at k = 3 and gamma = 0.1 at k = 1:
-    # the schedule first in plan order is named, not the one failing first
-    obj = DistanceToPoint([10.0, 0.0])
+class _CountingSubgrad(DistanceToPoint):
+    """Counts its subgradient calls."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.subgrad_calls = 0
+
+    def subgrad(self, x):
+        self.subgrad_calls += 1
+        return super().subgrad(x)
+
+
+def test_a_batch_raises_the_first_failure_where_it_happens():
+    # at m = 400, gamma = 0.5/k overflows at k = 3 and gamma = 0.1 at k = 1;
+    # polyak without f* fails at k = 1. The first failure in execution order
+    # ends the batch, with the rows of one iteration taken in plan order
     config = RunConfig(m=0.0, iters=20)
-
-    def batch(tags):
-        return _descent(
-            obj, euclidean_setup(), unit_ball(2), [_rule_state(t) for t in tags], config,
-            np.zeros(2), (0.0, 400.0),
-        )
-
-    for tags, first in ((("fixed-length", "sqrsum-nonsum", "constant-step"), "sqrsum-nonsum"),
-                        (("constant-step", "fixed-length", "sqrsum-nonsum"), "constant-step")):
+    m_values = (0.0, 400.0)
+    for tags, first, k in (
+        (("fixed-length", "sqrsum-nonsum", "constant-step"), "constant-step", 1),
+        (("fixed-length", "sqrsum-nonsum"), "sqrsum-nonsum", 3),
+        (("polyak", "fixed-length", "constant-step"), "polyak", 1),
+        (("constant-step", "fixed-length", "polyak"), "constant-step", 1),
+    ):
+        obj = _CountingSubgrad([10.0, 0.0])
         alone = _sweep_or_error(
-            obj, euclidean_setup(), unit_ball(2), first, config, np.zeros(2), (0.0, 400.0)
+            obj, euclidean_setup(), unit_ball(2), first, config, np.zeros(2), m_values
         )
         assert isinstance(alone, ValueError)
+        obj.subgrad_calls = 0
         with pytest.raises(ValueError) as info:
-            batch(tags)
+            _descent(
+                obj, euclidean_setup(), unit_ball(2), [_rule_state(t) for t in tags], config,
+                np.zeros(2), m_values,
+            )
         assert str(info.value) == str(alone)
+        # every row took its subgradients up to the failing iteration, none after
+        assert obj.subgrad_calls == len(tags) * k, tags
     assert "iteration 3 with m=400 and gamma=0.166667" in str(
         _sweep_or_error(obj, euclidean_setup(), unit_ball(2), "sqrsum-nonsum", config,
-                        np.zeros(2), (0.0, 400.0))
+                        np.zeros(2), m_values)
     )
 
 

@@ -104,18 +104,26 @@ def iteration_estimate(lipschitz: float, theta1: float, sigma: float,
                        epsilon: float, m: float) -> int:
     """A-priori iteration count sufficient for the constrained solver's
     stopping criterion: ceil(M^2 (1+theta1)^2 / (2 sigma eps^2)) for m >= 1
-    and ceil(M^2 (2+theta1)^2 / (2 sigma eps^2)) for m = 0."""
-    if not (lipschitz > 0.0 and sigma > 0.0 and epsilon > 0.0):
-        raise ValueError("lipschitz, sigma, and epsilon must be positive")
-    if not theta1 >= 0.0:
-        raise ValueError("theta1 must be nonnegative")
+    and ceil(M^2 (2+theta1)^2 / (2 sigma eps^2)) for m = 0. An estimate
+    beyond the float64 range is refused."""
+    for name, v in (("lipschitz", lipschitz), ("sigma", sigma), ("epsilon", epsilon)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if not 0.0 <= theta1 < math.inf:
+        raise ValueError("theta1 must be nonnegative and finite")
     if m >= 1.0:
-        c = (1.0 + theta1) ** 2
+        shift = 1.0
     elif m == 0.0:
-        c = (2.0 + theta1) ** 2
+        shift = 2.0
     else:
         raise ValueError("iteration estimates cover m = 0 and m >= 1 only")
-    return math.ceil(lipschitz**2 * c / (2.0 * sigma * epsilon**2))
+    try:
+        est = lipschitz**2 * (shift + theta1) ** 2 / (2.0 * sigma * epsilon**2)
+    except (OverflowError, ZeroDivisionError):  # a power overflows, or eps^2 underflows
+        est = math.inf
+    if not est < math.inf:
+        raise ValueError("the iteration estimate overflows the float64 range")
+    return math.ceil(est)
 
 
 @dataclass(frozen=True)

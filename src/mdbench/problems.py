@@ -3,10 +3,13 @@
 Each oracle exposes ``value`` and ``subgrad`` plus a worst-case subgradient
 norm bound ``lipschitz_bound`` and, when available analytically,
 ``known_fstar``. Objectives also have ``values(X)``, which maps a (K, n)
-array to K values; row i equals ``value(X[i])`` bit for bit. Subgradients
-of max-type objectives come from the active term with the lowest index, and
-a distance term contributes the zero vector at its own anchor point, so
-``subgrad`` is total.
+array to K values, ``value_and_subgrad(x)``, which returns the pair
+(``value(x)``, ``subgrad(x)``) from one pass over the shared work, and its
+row form ``value_and_subgrad_rows(X)``, which returns the K values and the
+(K, n) subgradients. Every row form equals its 1-D form row by row, bit for
+bit. Subgradients of max-type objectives come from the active term with the
+lowest index, and a distance term contributes the zero vector at its own
+anchor point, so ``subgrad`` is total.
 
 Instances are generated from an ``InstanceSpec`` through seeded PCG64
 streams: objective data always comes from stream ``[seed, 0]`` drawing
@@ -114,6 +117,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows * rows).sum(axis=1))
 
 
+def _unit_rows(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row i is d[i] / r[i], or the zero vector where r[i] == 0, as the
+    1-D subgradients divide a difference by its length."""
+    if r.all():
+        return d / r[:, None]
+    out = np.zeros_like(d)
+    nz = r != 0.0
+    out[nz] = d[nz] / r[nz, None]
+    return out
+
+
 def _distances(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(K, t) distances from each row of X to each anchor point, with the
     arithmetic of the single-point ``value`` methods."""
@@ -147,6 +161,16 @@ class DistanceToPoint:
             return np.zeros_like(d)
         return d / r
 
+    def value_and_subgrad(self, x: np.ndarray):
+        d = x - self.a
+        r = math.sqrt(d.dot(d))
+        return r, (d / r if r != 0.0 else np.zeros_like(d))
+
+    def value_and_subgrad_rows(self, X: np.ndarray):
+        d = X - self.a
+        r = np.sqrt(np.vecdot(d, d))
+        return r, _unit_rows(d, r)
+
 
 class MeanDistance:
     """f(x) = mean_j ||x - a_j||_2 over anchor points a_j."""
@@ -170,7 +194,25 @@ class MeanDistance:
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
+        return self._direction(d, np.sqrt((d * d).sum(axis=1)))
+
+    def value_and_subgrad(self, x: np.ndarray):
+        d = x - self.points
         r = np.sqrt((d * d).sum(axis=1))
+        return float(np.mean(r)), self._direction(d, r)
+
+    def value_and_subgrad_rows(self, X: np.ndarray):
+        d = X[:, None] - self.points
+        r = np.sqrt((d * d).sum(axis=2))
+        if r.all():  # no row on an anchor: one sum for all rows
+            G = (d / r[:, :, None]).sum(axis=1) / self.points.shape[0]
+        else:
+            G = np.array([self._direction(di, ri) for di, ri in zip(d, r)])
+        return np.mean(r, axis=1), G
+
+    def _direction(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The mean of the unit vectors d_j / r_j, with a zero term for an
+        anchor at x."""
         nz = r > 0.0
         if nz.all():  # no anchor at x: the same sum without the masked copies
             return (d / r[:, None]).sum(axis=0) / self.points.shape[0]
@@ -208,6 +250,21 @@ class MaxDistance:
             return np.zeros(self.points.shape[1])
         return d[i] / r[i]
 
+    def value_and_subgrad(self, x: np.ndarray):
+        d = x - self.points
+        r = np.sqrt((d * d).sum(axis=1))
+        i = int(r.argmax())
+        if r[i] == 0.0:
+            return float(r.max()), np.zeros(self.points.shape[1])
+        return float(r.max()), d[i] / r[i]
+
+    def value_and_subgrad_rows(self, X: np.ndarray):
+        d = X[:, None] - self.points
+        r = np.sqrt((d * d).sum(axis=2))
+        rows = np.arange(X.shape[0])
+        i = r.argmax(axis=1)
+        return r.max(axis=1), _unit_rows(d[rows, i], r[rows, i])
+
 
 class MaxAffine:
     """f(x) = max_i (<a_i, x> + b_i), a piecewise-linear convex objective."""
@@ -236,6 +293,14 @@ class MaxAffine:
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         i = int((self.a @ x + self.b).argmax())
         return self.a[i].copy()
+
+    def value_and_subgrad(self, x: np.ndarray):
+        v = self.a @ x + self.b
+        return float(v.max()), self.a[int(v.argmax())].copy()
+
+    def value_and_subgrad_rows(self, X: np.ndarray):
+        v = np.matmul(self.a, X[:, :, None])[:, :, 0] + self.b
+        return v.max(axis=1), self.a[v.argmax(axis=1)]
 
 
 class AffineConstraints:

@@ -17,6 +17,8 @@ loop once and returns one result per m, each equal bit for bit to its own
 ``mirror_descent`` run. The one loop also advances several trajectories,
 one per step rule, as one batch: the experiment plans run all their
 schedules that way, and every cell equals its own single run bit for bit.
+Each iteration makes one oracle pass for all rows, which yields f(x^k) and
+the subgradient of every row at once.
 The first error ends the batch where it happens; rows do not interact, so
 it is the error the failing schedule's own run raises.
 Constrained and criterion-stopped runs take one step rule and one m,
@@ -169,9 +171,8 @@ def _check_m_values(m_values) -> None:
             raise ValueError("every m must be finite and >= -1")
 
 
-def _value(objective, x, k) -> float:
-    """f(x^k), refused when it is not finite."""
-    v = objective.value(x)
+def _finite_f(v, k) -> float:
+    """v = f(x^k), refused when it is not finite."""
     if not math.isfinite(v):
         raise ValueError(f"objective value is {v} at iteration {k}")
     return v
@@ -276,15 +277,20 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     step rule in ``states``, all from x1, as one batch and returns per
     trajectory a tuple of one SolveResult per weighting exponent in ``ms``.
 
-    Each trajectory is one row of the batch arrays. Per row and iteration
-    the oracle calls (``subgrad`` and, where read, ``value``), the step
-    rule, the weights gamma^{-m}, the certificate sums and the overflow
-    checks run in Python; the dual norms, the fold of x^k into the
-    weighted sums, f at all averages (one ``values`` call) and the mirror
-    step run once for all rows; with one live row the loop calls the 1-D
-    forms ``norm`` and ``mirror_step`` (or ``composite_mirror_step``)
-    instead of the row forms. The iterates do not depend on m, so each
-    trajectory feeds one averager, one bound accumulator and one f_avg
+    Each trajectory is one row of the batch arrays. Each iteration makes
+    one oracle pass for all rows: more than one live row (an unconstrained
+    batch) takes f(x^k) and the subgradients of every row from one
+    ``value_and_subgrad_rows`` call. One live row calls ``value_and_subgrad``
+    when it reads f(x^k) (trace on, or a rule that reads f) and ``subgrad``
+    otherwise; a non-productive step takes the constraint's ``subgrad_one``.
+    Per row, the step rule, the weights gamma^{-m}, the certificate sums and
+    the finite and overflow checks run in Python; the dual norms, the fold
+    of x^k into the weighted sums, f at all averages (one ``values`` call)
+    and the mirror step run once for all rows; with one live row the loop
+    calls the 1-D forms ``norm`` and ``mirror_step`` (or
+    ``composite_mirror_step``) instead of the row forms. Every row form
+    equals its 1-D form bit for bit. The iterates do not depend on m, so
+    each trajectory feeds one averager, one bound accumulator and one f_avg
     column per m, and result [i][j] equals the run with
     ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
     Constrained and criterion-stopped runs take one step rule and one m,
@@ -316,10 +322,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     overflow, it names the one with the earliest k, and among equal k the
     first in ``ms``. A constrained run whose criterion fires before any
     productive step raises NoProductiveSteps. Any error ends the batch at
-    once. Each iteration runs the oracle phase of every row, then the step
-    phase of every row, each in ``states`` order, then the calls all rows
-    share; the first error in that order is raised. Rows do not interact,
-    so it is the error the failing trajectory's own run raises.
+    once. Each iteration runs the oracle pass, then the step phase of every
+    row in ``states`` order, which checks the row's dual norm and then the
+    f(x^k) it reads (a value no one reads is not checked), then the calls
+    all rows share; the first error in that order is raised. Rows do not
+    interact, so it is the error the failing trajectory's own run raises.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -358,33 +365,40 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
 
     for k in range(1, n_iter + 1):
-        grads = []
-        for run, x in zip(live, X):
-            if constraints is None:
-                grads.append(objective.subgrad(x))
-                continue
-            if scan:
-                q, evals, g_seen = constraints.first_violation(x, eps)
-                prod = q is None
-                # g(x) is fully known only when the scan saw every constraint
-                gx = g_seen if prod else math.nan
-            else:
-                v = constraints.row_values(x)
-                q = int(v.argmax())
-                gx = float(v[q])
-                evals = constraints.p
-                prod = gx <= eps
-            run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
-            run.evals_total += evals
-            grads.append(objective.subgrad(x) if prod else constraints.subgrad_one(q, x))
-        leaving = False
-        # one row takes the 1-D norm and step, which make fewer numpy calls;
-        # one average also folds x^k at once, more fold in one call below
+        # one row takes the 1-D oracle, norm and step, which make fewer numpy
+        # calls; one average also folds x^k at once, more fold in one call below
         one_row = len(live) == 1
         one_average = one_row and n_m == 1
-        G = grads[0][None] if one_row else np.array(grads)
-        gns = [norm(grads[0], dual)] if one_row else norm_rows(G, dual)
-        for run, x, gn in zip(live, X, gns):
+        if one_row:
+            run, x = live[0], X[0]
+            if constraints is not None:
+                if scan:
+                    q, evals, g_seen = constraints.first_violation(x, eps)
+                    prod = q is None
+                    # g(x) is fully known only when the scan saw every constraint
+                    gx = g_seen if prod else math.nan
+                else:
+                    v = constraints.row_values(x)
+                    q = int(v.argmax())
+                    gx = float(v[q])
+                    evals = constraints.p
+                    prod = gx <= eps
+                run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
+                run.evals_total += evals
+            fx = None
+            if not run.prod:
+                g = constraints.subgrad_one(run.q, x)
+            elif run.want_f:
+                fx, g = objective.value_and_subgrad(x)
+            else:
+                g = objective.subgrad(x)
+            fs, G, gns = (fx,), g[None], (norm(g, dual),)
+        else:
+            # more rows are an unconstrained batch: one oracle pass for all
+            F, G = objective.value_and_subgrad_rows(X)
+            fs, gns = F.tolist(), norm_rows(G, dual)
+        leaving = False
+        for run, x, gn, fx in zip(live, X, gns, fs):
             prod = run.prod
             if not math.isfinite(gn):
                 raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
@@ -398,7 +412,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 run.stop = StopReason.STATIONARY_POINT
                 leaving = True
                 continue
-            fx = _value(objective, x, k) if prod and run.want_f else None
+            # a value that no one reads is not checked
+            fx = _finite_f(fx, k) if prod and run.want_f else None
             rule = run.state if prod else state_g
             try:
                 gamma = rule.step_size(k, fx, gn, fstar)
@@ -464,7 +479,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             trace = run.trace
             if trace is not None:
                 trace.gamma.append(gamma)
-                f_k = fx if prod else _value(objective, x, k)
+                f_k = fx if prod else _finite_f(objective.value(x), k)
                 trace.f_iterate.append(f_k if h is None else f_k + hv)
                 if constraints is not None:
                     trace.g_iterate.append(run.gx)

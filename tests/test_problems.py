@@ -139,6 +139,43 @@ def test_values_match_value_bit_for_bit_at_solver_sizes(n):
             assert one.tobytes() == want[i:i + 1].tobytes(), type(f).__name__
 
 
+@pytest.mark.parametrize("t", [1, 10, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+def test_fused_oracles_match_value_and_subgrad_bit_for_bit(n, t):
+    # the solver loop reads f(x^k) and the subgradient from one fused call
+    rng = np.random.default_rng(1000 * n + t)
+    points = rng.random((t, n))
+    # max-affine pieces 0-2 tie at x = 0, and piece 3 repeats piece 1
+    a, b = points[::-1].copy(), rng.random(t)
+    b[:3] = 1.0
+    if t > 3:
+        a[3], b[3] = a[1], b[1]
+    objectives = (
+        DistanceToPoint(points[0]),
+        MeanDistance(points),
+        MaxDistance(points),
+        MaxDistance(points[:1]),  # a row on its one anchor has max distance 0
+        MaxAffine(a, b),
+    )
+    # the first rows hit the special paths: x = 0 ties the max-affine
+    # pieces, a row on points[0] sits on an anchor (or on a), and a repeated
+    # row must give the same answer twice
+    X = rng.uniform(-1.0, 1.0, size=(max(6, min(40, 200_000 // (n * t))), n))
+    X[0] = 0.0
+    X[1] = X[2] = points[0]
+    for f in objectives:
+        name = type(f).__name__
+        values, grads = f.value_and_subgrad_rows(X)
+        assert values.shape == (X.shape[0],) and grads.shape == X.shape, name
+        for x, v_row, g_row in zip(X, values, grads):
+            v, g = f.value(x), f.subgrad(x)
+            v_one, g_one = f.value_and_subgrad(x)
+            assert isinstance(v_one, float), name
+            assert repr(v_one) == repr(float(v_row)) == repr(v), name
+            assert np.float64(v_row).tobytes() == np.float64(v).tobytes(), name
+            assert g_one.tobytes() == g_row.tobytes() == g.tobytes(), name
+
+
 # ---------------------------------------------------------------- constraints
 
 

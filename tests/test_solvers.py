@@ -298,12 +298,14 @@ def test_solver_determinism():
 
 
 class _CountingDistance(DistanceToPoint):
-    """DistanceToPoint that counts its oracle calls."""
+    """DistanceToPoint that counts the calls of each oracle method."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.value_calls = 0
         self.subgrad_calls = 0
+        self.fused_calls = 0
+        self.rows_calls = 0
 
     def value(self, x):
         self.value_calls += 1
@@ -313,9 +315,18 @@ class _CountingDistance(DistanceToPoint):
         self.subgrad_calls += 1
         return super().subgrad(x)
 
+    def value_and_subgrad(self, x):
+        self.fused_calls += 1
+        return super().value_and_subgrad(x)
+
+    def value_and_subgrad_rows(self, X):
+        self.rows_calls += 1
+        return super().value_and_subgrad_rows(X)
+
 
 def test_objective_value_computed_only_when_read():
-    # trace off and a rule that ignores f: the only value call is f_hat
+    # trace off and a rule that ignores f: no fused call, the only value
+    # call is f_hat
     obj = _CountingDistance([10.0, 0.0])
     res = mirror_descent(
         obj,
@@ -328,6 +339,25 @@ def test_objective_value_computed_only_when_read():
     assert res.iterations == 100
     assert obj.subgrad_calls == 100
     assert obj.value_calls == 1
+    assert obj.fused_calls == obj.rows_calls == 0
+
+
+def test_a_traced_batch_makes_one_oracle_pass_per_iteration():
+    # a far from the ball: no rule reaches the minimizer, so all nine rows
+    # stay in the batch for every iteration
+    spec = InstanceSpec("best-approx", n=50, seed=3)
+    obj = _CountingDistance(build_objective(spec).a, known_fstar=9.0)
+    ball = unit_ball(50)
+    batch = _descent(
+        obj, euclidean_setup(), ball, [_rule_state(t) for t in TABLE_TAGS],
+        RunConfig(m=0.0, iters=40), default_start(ball), (0.0, 2.0),
+    )
+    assert len(batch) == len(TABLE_TAGS) == 9
+    assert all(res.iterations == 40 for results in batch for res in results)
+    assert obj.rows_calls == 40
+    assert obj.subgrad_calls == obj.fused_calls == 0
+    # the only value calls are f_hat, once per schedule and m
+    assert obj.value_calls == 9 * 2
 
 
 def test_polyak_receives_the_objective_value_on_every_step():
@@ -352,22 +382,25 @@ def test_polyak_receives_the_objective_value_on_every_step():
     assert res.iterations >= 2
     assert len(seen) >= res.iterations
     assert all(isinstance(f, float) for f in seen)
-    # one value per step rule call, plus the final f_hat
-    assert obj.value_calls == len(seen) + 1
+    # one fused value and subgradient per step rule call, plus the final f_hat
+    assert obj.fused_calls == len(seen)
+    assert obj.value_calls == 1
+    assert obj.subgrad_calls == obj.rows_calls == 0
 
 
 class _NanAfter(DistanceToPoint):
-    """DistanceToPoint whose subgradient turns NaN from call ``bad`` on."""
+    """DistanceToPoint whose fused subgradient turns NaN from call ``bad``
+    on; traced runs take f(x^k) and the subgradient from that call."""
 
     def __init__(self, a, bad: int):
         super().__init__(a)
         self.bad = bad
         self.calls = 0
 
-    def subgrad(self, x):
+    def value_and_subgrad(self, x):
         self.calls += 1
-        g = super().subgrad(x)
-        return np.full_like(g, math.nan) if self.calls >= self.bad else g
+        v, g = super().value_and_subgrad(x)
+        return v, np.full_like(g, math.nan) if self.calls >= self.bad else g
 
 
 @pytest.mark.parametrize("solver", ["mirror_descent", "constrained_md"])
@@ -855,6 +888,25 @@ def test_iteration_estimate_domain():
         iteration_estimate(1.0, -1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1.0, 2.0, 1.0, math.inf, 1.0), "epsilon must be positive and finite"),
+        ((1.0, 2.0, math.inf, 1.0, 1.0), "sigma must be positive and finite"),
+        ((math.inf, 2.0, 1.0, 1.0, 1.0), "lipschitz must be positive and finite"),
+        ((1.0, math.inf, 1.0, 1.0, 1.0), "theta1 must be nonnegative and finite"),
+        ((1e200, 2.0, 1.0, 1.0, 1.0), "the iteration estimate overflows"),
+        ((1.0, 1e200, 1.0, 1.0, 0.0), "the iteration estimate overflows"),
+        ((1.0, 2.0, 1.0, 1e-200, 1.0), "the iteration estimate overflows"),
+    ],
+    ids=["epsilon-inf", "sigma-inf", "lipschitz-inf", "theta1-inf", "lipschitz-1e200",
+         "theta1-1e200", "epsilon-squared-underflows"],
+)
+def test_iteration_estimate_refuses_non_finite_inputs_and_results(args, match):
+    with pytest.raises(ValueError, match=match):
+        iteration_estimate(*args)
+
+
 def test_productive_inequality_sides_shape():
     lhs, rhs = productive_inequality_sides(2.0, 1.0, 4.0, 0.25, 1.0, 100)
     assert math.isfinite(lhs) and math.isfinite(rhs)
@@ -953,16 +1005,16 @@ def test_bound_column_is_finite_or_the_overflow_is_named(m, tag):
 
 
 class _IterateSpy(DistanceToPoint):
-    """DistanceToPoint that records every point its subgradient is taken at,
-    which in an unconstrained run is each iterate x^k."""
+    """DistanceToPoint that records every point its fused oracle is called
+    at, which in a traced unconstrained run of one row is each iterate x^k."""
 
     def __init__(self, a):
         super().__init__(a)
         self.points = []
 
-    def subgrad(self, x):
+    def value_and_subgrad(self, x):
         self.points.append(x.copy())
-        return super().subgrad(x)
+        return super().value_and_subgrad(x)
 
 
 def test_shared_averages_match_weighted_averager():
@@ -1029,13 +1081,17 @@ def test_overflow_names_earliest_k_then_plan_order():
 
 
 class _NanValue(DistanceToPoint):
-    """DistanceToPoint whose value is NaN everywhere."""
+    """DistanceToPoint whose value is NaN everywhere, also where the fused
+    oracle computes it."""
 
     def value(self, x):
         return math.nan
 
     def values(self, X):
         return np.full(X.shape[0], math.nan)
+
+    def value_and_subgrad(self, x):
+        return math.nan, super().subgrad(x)
 
 
 class _NanAverageValue(DistanceToPoint):
@@ -1179,15 +1235,15 @@ def test_a_row_that_stops_leaves_the_batch_and_the_others_run_on():
 
 
 class _CountingSubgrad(DistanceToPoint):
-    """Counts its subgradient calls."""
+    """Counts the subgradients its batched oracle takes, one per row."""
 
     def __init__(self, a):
         super().__init__(a)
         self.subgrad_calls = 0
 
-    def subgrad(self, x):
-        self.subgrad_calls += 1
-        return super().subgrad(x)
+    def value_and_subgrad_rows(self, X):
+        self.subgrad_calls += X.shape[0]
+        return super().value_and_subgrad_rows(X)
 
 
 def test_a_batch_raises_the_first_failure_where_it_happens():

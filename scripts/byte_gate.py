@@ -72,6 +72,10 @@ COMMANDS = (
     "constrained --n 4 --t 2 --p 3 --epsilon 0.5000001 0.5000002 --trace-dir tr_collide "
     "--out collide.csv",
     "constrained --n 4 --t 2 --p 3 --epsilon inf --out eps_inf.csv",
+    "constrained --problem best-approx --n 5 --p 6 --dist standard-normal --epsilon 0.2 "
+    "--m -1 --seed 4 --trace-dir tr_scan_m-1 --out scan_m-1.csv",
+    "constrained --problem covering-ball --n 5 --t 4 --p 6 --dist standard-normal "
+    "--epsilon 0.3 --m 3 --seed 3 --trace-dir tr_scan_m3 --out scan_m3.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

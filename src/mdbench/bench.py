@@ -30,7 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Ball, FeasibleSet, Simplex, euclidean_setup, entropy_setup, unit_ball
-from .problems import InstanceSpec, KIND_BEST_APPROX, build_constraints, build_objective, serialize_instance
+from .problems import (
+    InstanceSpec, KIND_BEST_APPROX, _count_field, build_constraints, build_objective,
+    serialize_instance,
+)
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
     RunConfig,
@@ -110,8 +113,7 @@ class ExperimentPlan:
         if not self.m_values:
             raise ValueError("plan needs at least one m value")
         _check_m_values(self.m_values)
-        if self.iters < 1:
-            raise ValueError("iters must be at least 1")
+        object.__setattr__(self, "iters", _count_field(self.iters, "iters", 1))
         if self.prox not in _PROX_NAMES:
             raise ValueError(f"unknown prox name: {self.prox!r}")
 
@@ -132,7 +134,7 @@ class ExperimentPlan:
             instance=InstanceSpec.from_dict(doc["instance"]),
             schedules=tuple(doc["schedules"]),
             m_values=tuple(doc["m_values"]),
-            iters=int(doc["iters"]),
+            iters=doc["iters"],
             output_dir=doc["output_dir"],
             prox=doc.get("prox", "euclidean"),
         )

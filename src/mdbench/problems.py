@@ -21,6 +21,7 @@ JSON exactly because float64 survives repr.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -60,6 +61,17 @@ OBJECTIVE_KINDS = (KIND_BEST_APPROX, KIND_FTS, KIND_COVERING_BALL, KIND_MAX_LINE
 _DISTRIBUTIONS = (DIST_UNIFORM, DIST_NORMAL)
 
 
+def _count_field(value, name: str, lowest: int) -> int:
+    """Field ``name`` as a Python int of at least ``lowest``, or a ValueError naming it."""
+    try:
+        value = int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < lowest:
+        raise ValueError(f"{name} must be " + (f"at least {lowest}" if lowest else "nonnegative"))
+    return value
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Recipe for a reproducible problem instance.
@@ -79,12 +91,8 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind: {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
+        for name, lowest in (("n", 1), ("t", 1), ("p", 0), ("seed", 0)):
+            object.__setattr__(self, name, _count_field(getattr(self, name), name, lowest))
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution: {self.distribution!r}")
 
@@ -97,10 +105,10 @@ class InstanceSpec:
         """Read the spec fields of ``doc``; any other keys are ignored."""
         return cls(
             kind=doc["kind"],
-            n=int(doc["n"]),
-            t=int(doc["t"]),
-            p=int(doc["p"]),
-            seed=int(doc["seed"]),
+            n=doc["n"],
+            t=doc["t"],
+            p=doc["p"],
+            seed=doc["seed"],
             distribution=doc["distribution"],
         )
 

@@ -23,7 +23,9 @@ The first error ends the batch where it happens; rows do not interact, so
 it is the error the failing schedule's own run raises.
 Constrained and criterion-stopped runs take one step rule and one m,
 because there m enters the stopping rule, and composite runs take one step
-rule; every public solver runs a batch of one.
+rule; every public solver runs a batch of one. One certificate, built from
+the realized steps, gives the bound column and both constrained stopping
+rules (see ``constrained_md_multi``).
 
 Solvers run any schedule, including the adaptive ones with no monotonicity
 guarantee. The bound evaluators, by contrast, verify the non-increasing
@@ -56,7 +58,7 @@ from .geometry import (
     mirror_step,
     mirror_step_rows,
 )
-from .problems import AffineConstraints
+from .problems import AffineConstraints, _count_field
 from .schedules import (
     TAG_ADAPTIVE_TV,
     ScheduleState,
@@ -124,8 +126,8 @@ class RunConfig:
         _check_m_values((self.m,))
         if self.iters is None and self.epsilon is None:
             raise ValueError("set at least one of iters and epsilon")
-        if self.iters is not None and self.iters < 1:
-            raise ValueError("iters must be at least 1")
+        if self.iters is not None:
+            self.iters = _count_field(self.iters, "iters", 1)
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.theta < math.inf:
@@ -223,35 +225,27 @@ class _Trajectory:
 
     __slots__ = (
         "state", "trace", "bound_column", "certify", "want_f", "totals", "lhs", "sq",
-        "sum_f", "sum_g", "rhs", "h_term", "f_avg", "bound", "prod", "q", "gx",
-        "evals", "gamma", "weights", "evals_total", "n_prod", "n_nonprod", "stop", "x",
+        "rhs", "f_avg", "bound", "gamma", "weights", "n_prod", "n_nonprod", "stop", "x",
         "sums",
     )
 
-    def __init__(self, state, n_m, record, bound_column, certify):
+    def __init__(self, state, n_m, record, unconstrained, use_criterion):
         self.state = state
         self.trace = Trace() if record else None
-        self.bound_column = bound_column
-        self.certify = certify
+        # a bound column needs a trace, no constraints and a certified step rule
+        self.bound_column = record and unconstrained and is_nonincreasing_guaranteed(state.kind)
+        self.certify = self.bound_column or use_criterion
         self.want_f = record or state.reads_f  # f(x^k) is read by the trace or the rule
         # per m:
-        self.totals = [0.0] * n_m  # sums of the weights gamma^{-m}
-        self.lhs = [0.0] * n_m  # sum of gamma^{-m}, or with scan of (L_k sqrt(k)/sqrt(2 sigma))^m
-        self.sq = [0.0] * n_m  # sum of ||grad||_*^2 / gamma^{m-1}
-        self.sum_f = [0.0] * n_m  # with scan: sum of sqrt(k)^{m-1} L_k^{m+1}, productive steps
-        self.sum_g = [0.0] * n_m  # the same over non-productive steps
+        self.totals = [0.0] * n_m  # sums of the weights gamma^{-m} of productive steps
+        self.lhs = [0.0] * n_m  # sums of gamma^{-m} over every step
+        self.sq = [0.0] * n_m  # sums of ||grad||_*^2 / gamma^{m-1} over every step
         self.rhs = [0.0] * n_m
-        self.h_term = [0.0] * n_m  # h(x1) / gamma_1^m, fixed after the first step
         self.f_avg = []  # per iteration, f at the average of each m, in ms order
         self.bound = []  # per iteration, the bound for each m
-        # this iteration's classification, step and weights
-        self.prod = True
-        self.q = None
-        self.gx = math.nan
-        self.evals = 0  # constraint evaluations at x^k
+        # this iteration's step and weights
         self.gamma = math.nan
         self.weights = None  # gamma^{-m} per m on a productive step
-        self.evals_total = 0
         self.n_prod = 0
         self.n_nonprod = 0  # n_prod + n_nonprod iterations completed
         self.stop = None  # a StopReason once it stopped early
@@ -303,11 +297,13 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     read the constraint values in one ``row_values`` pass. A productive step
     follows a subgradient of f with its step rule and enters the averages;
     any other step follows the violated constraint (the maximizing one
-    without ``scan``) with state_g. The certificate sums the realized
-    steps, or with ``scan`` takes the worst-case-M form of the
-    one-constraint-at-a-time method. It feeds the bound column (certified
-    unconstrained runs with a trace) and, with use_criterion, the stopping
-    rule.
+    without ``scan``) with state_g. The certificate sets, per m, eps times
+    the sum of gamma_i^{-m} over every step against theta / gamma_k^{m+1}
+    + h(x1) / gamma_1^m + the sum of ||grad||_*^2 / (2 sigma gamma_i^{m-1})
+    over every step; with ``scan`` the theta term takes the worst-case step
+    sqrt(2 sigma) / (M sqrt(k)) (see ``constrained_md_multi``). It feeds
+    the bound column (certified unconstrained runs with a trace) and, with
+    use_criterion, the stopping rule; other runs do not compute it.
 
     Rows leave the batch at one point per iteration, after the step
     phase: a trajectory that stops (zero subgradient, StationarySignal)
@@ -349,20 +345,17 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     inf = math.inf
     n_m = len(ms)
     record = config.record_trace
-    runs = []
-    for state in states:
-        bound_column = (
-            record and constraints is None and is_nonincreasing_guaranteed(state.kind)
-        )
-        runs.append(_Trajectory(state, n_m, record, bound_column, bound_column or use_criterion))
+    runs = [_Trajectory(state, n_m, record, constraints is None, use_criterion) for state in states]
     live = list(runs)  # row j of the batch arrays belongs to live[j]
     X = np.tile(x, (len(runs), 1))  # the iterates x^k
     sums = np.zeros((len(runs), n_m, x.size))  # weighted sums of productive iterates, per m
     first_sum = sums[0, 0]  # a view: with one average, x^k is folded into it at once
     fstar = objective.known_fstar
-    if scan:
-        root = math.sqrt(2.0 * sigma)
-        m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
+    # x^k's class and constraint evaluations: only constrained (one-row) runs change them
+    prod, q, gx, evals, evals_total = True, None, math.nan, 0, 0
+    h_term = [0.0] * n_m  # h(x1) / gamma_1^m per m, fixed after a composite run's first step
+    # with scan the theta term takes the worst-case step sqrt(2 sigma) / (M sqrt(k))
+    m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound) if scan else None
 
     for k in range(1, n_iter + 1):
         # one row takes the 1-D oracle, norm and step, which make fewer numpy
@@ -383,11 +376,10 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     gx = float(v[q])
                     evals = constraints.p
                     prod = gx <= eps
-                run.prod, run.q, run.gx, run.evals = prod, q, gx, evals
-                run.evals_total += evals
+                evals_total += evals
             fx = None
-            if not run.prod:
-                g = constraints.subgrad_one(run.q, x)
+            if not prod:
+                g = constraints.subgrad_one(q, x)
             elif run.want_f:
                 fx, g = objective.value_and_subgrad(x)
             else:
@@ -399,12 +391,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             fs, gns = F.tolist(), norm_rows(G, dual)
         leaving = False
         for run, x, gn, fx in zip(live, X, gns, fs):
-            prod = run.prod
             if not math.isfinite(gn):
                 raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
             if gn == 0.0:
                 if not prod:
-                    which = f"constraint {run.q}" if scan else "the constraint maximum"
+                    which = f"constraint {q}" if scan else "the constraint maximum"
                     raise NoProductiveSteps(
                         f"{which} has a zero subgradient while above epsilon: "
                         "the epsilon-feasible region is empty"
@@ -430,38 +421,29 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 )
             if h is not None:
                 hv = h.value(x)
-            if scan:
-                sk = math.sqrt(k)
             certify = run.certify
+            if certify:
+                theta_step = math.sqrt(2.0 * sigma) / (m_big * math.sqrt(k)) if scan else gamma
             totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
             weights = []
             try:
                 for i, m in enumerate(ms):
-                    if prod or certify and not scan:
+                    if prod or certify:
                         w = gamma ** (-m)
                     if prod:
                         if k == 1 and h is not None:
-                            run.h_term[i] = hv / gamma**m
+                            h_term[i] = hv / gamma**m
                         if one_average:
                             first_sum += w * x
                         else:
                             weights.append(w)
                         totals[i] += w
-                    if certify and not scan:
+                    if certify:
                         lhs[i] += w
                         sq[i] += gn * gn / gamma ** (m - 1.0)
                         rhs[i] = (
-                            theta / gamma ** (m + 1.0) + run.h_term[i] + sq[i] / (2.0 * sigma)
+                            theta / theta_step ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
                         )
-                    elif certify:
-                        lhs[i] += (gn * sk / root) ** m
-                        if prod:
-                            run.sum_f[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                        else:
-                            run.sum_g[i] += sk ** (m - 1.0) * gn ** (m + 1.0)
-                        rhs[i] = theta * (m_big * sk / root) ** (m + 1.0) + (
-                            run.sum_f[i] + run.sum_g[i]
-                        ) / root ** (m + 1.0)
                     # sums and quotients reach inf without raising
                     if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
                         raise OverflowError
@@ -482,9 +464,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 f_k = fx if prod else _finite_f(objective.value(x), k)
                 trace.f_iterate.append(f_k if h is None else f_k + hv)
                 if constraints is not None:
-                    trace.g_iterate.append(run.gx)
+                    trace.g_iterate.append(gx)
                     trace.productive.append(prod)
-                    trace.constraint_evals.append(run.evals)
+                    trace.constraint_evals.append(evals)
                 if run.bound_column:
                     run.bound.extend(map(truediv, rhs, lhs))
         if leaving:
@@ -565,7 +547,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     nonproductive_count=run.n_nonprod,
                     stop_reason=stop,
                     trace=trace_i,
-                    constraint_evals_total=None if constraints is None else run.evals_total,
+                    constraint_evals_total=None if constraints is None else evals_total,
                 )
             )
         batch.append(tuple(results))
@@ -654,6 +636,12 @@ def constrained_md_multi(objective, constraints: AffineConstraints,
                                             + sum_J sqrt(j)^{m-1} ||grad g_q||^{m+1} ]
 
     holds, with M = max of the objective and constraint Lipschitz bounds.
+    This is ``constrained_md``'s rule with the worst-case step in the theta
+    term: at the built-in steps (L_i sqrt(i)/sqrt(2 sigma))^m = gamma_i^{-m},
+    sqrt(i)^{m-1} L_i^{m+1} / sqrt(2 sigma)^{m+1} = L_i^2 / (2 sigma gamma_i^{m-1})
+    and (M sqrt(k)/sqrt(2 sigma))^{m+1} = 1 / gamma_bar_k^{m+1}, gamma_bar_k =
+    sqrt(2 sigma) / (M sqrt(k)). The run evaluates the right-hand forms, which
+    round differently from the left-hand ones by about 1e-12 relative.
     """
     state = ScheduleState(schedule(TAG_ADAPTIVE_TV), prox.sigma)
     return _descent(

@@ -6,10 +6,13 @@ arithmetic, never by the closed forms under test.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
+from mdbench.geometry import composite_mirror_step, mirror_step
 from mdbench.problems import AffineConstraints
+from mdbench.schedules import StationarySignal, is_nonincreasing_guaranteed
 
 
 def refine_1d(fn, lo: float, hi: float, rounds: int = 60, points: int = 17) -> float:
@@ -264,3 +267,302 @@ class SequentialConstraints(AffineConstraints):
             if v > eps:
                 return i, i + 1, worst
         return None, self.p, worst
+
+
+
+
+# ---------------------------------------------------------------- reference loops
+#
+# One plain loop per solver, written from the formulas in the solver
+# docstrings: one step rule, one m, the trace always on, Python lists for
+# every per-iteration quantity and no call into ``mdbench.solvers``. The
+# scalar sums of the bound and the stopping rules are recomputed from their
+# lists every iteration by a left-to-right fold, which adds in the order a
+# running total does; the average is a ``WeightedAverager``. Every loop
+# returns a dict: x_hat, f_hat, iterations, productive, nonproductive, stop
+# (the StopReason value) and trace (the Trace columns by name); the
+# constrained loops add evals (constraint evaluations in total) and
+# certificate (the pair (lhs, rhs) of the stopping rule eps * lhs >= rhs
+# per iteration). Where the arithmetic has no float64 result a loop raises
+# ValueError; where the epsilon-feasible region is empty or no step was
+# productive, RuntimeError.
+
+_DUAL_NORM = {"l2": "l2", "l1": "linf", "linf": "l1"}
+
+
+def _fold(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@contextmanager
+def _float64_results():
+    """Powers that overflow and quotients by an underflowed power have no
+    float64 result: report them as ValueError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"arithmetic leaves the float64 range: {exc}") from exc
+
+
+def _finite(value, what: str, k: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is {value} at iteration {k}")
+    return value
+
+
+def _rule_step(rule, k, f_k, gn, fstar):
+    """gamma_k of one step rule, or None where the rule signals a
+    stationary point."""
+    try:
+        gamma = rule.step_size(k, f_k, gn, fstar)
+    except StationarySignal:
+        return None
+    except (OverflowError, ZeroDivisionError):
+        gamma = math.nan
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"no finite positive step at iteration {k}: {gamma!r}")
+    return gamma
+
+
+def _fold_in(avg, x, gamma, k) -> np.ndarray:
+    """Fold x with weight gamma^{-m} into ``avg`` and return the average."""
+    avg.update(x, gamma)
+    _finite(avg.weight_total, "the weight sum", k)
+    return avg.average
+
+
+def _trace(gammas, f_iterate, f_avg, bound=(), g_iterate=(), productive=(), evals=()):
+    return {
+        "k": list(range(1, len(gammas) + 1)), "gamma": gammas, "f_iterate": f_iterate,
+        "f_avg": f_avg, "g_iterate": list(g_iterate), "productive": list(productive),
+        "bound": list(bound), "constraint_evals": list(evals),
+    }
+
+
+def reference_mirror_descent(objective, prox, feasible, rule, m, iters, theta, x1):
+    """Plain mirror descent: x^{k+1} = mirror_step(x^k, grad f(x^k), gamma_k)
+    and x_hat = sum_k gamma_k^{-m} x^k / sum_k gamma_k^{-m}. A rule whose
+    steps never increase carries the bound column
+
+        ( theta / gamma_k^{m+1} + sum_{i<=k} ||g_i||_*^2 / (2 sigma gamma_i^{m-1}) )
+            / sum_{i<=k} gamma_i^{-m}.
+
+    A zero subgradient, or a rule that signals a stationary point, ends the
+    run before that iteration counts."""
+    dual = _DUAL_NORM[prox.norm.value]
+    certified = is_nonincreasing_guaranteed(rule.kind)
+    x = np.asarray(x1, dtype=np.float64)
+    avg = WeightedAverager(x.size, m)
+    gammas, weights, sq, f_iterate, f_avg, bound = [], [], [], [], [], []
+    stop = "MaxIters"
+    with _float64_results():
+        for k in range(1, iters + 1):
+            f_k = _finite(objective.value(x), "f(x^k)", k)
+            g = objective.subgrad(x)
+            gn = _finite(norm_direct(g, dual), "the dual norm", k)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn, objective.known_fstar)
+            if gamma is None:
+                stop = "StationaryPoint"
+                break
+            gammas.append(gamma)
+            f_iterate.append(f_k)
+            x_avg = _fold_in(avg, x, gamma, k)
+            f_avg.append(_finite(objective.value(x_avg), "f(x_hat)", k))
+            if certified:
+                weights.append(gamma ** (-m))
+                sq.append(gn * gn / gamma ** (m - 1.0))
+                rhs = theta / gamma ** (m + 1.0) + _fold(sq) / (2.0 * prox.sigma)
+                bound.append(_finite(rhs, "the bound", k) / _fold(weights))
+            x = mirror_step(prox, feasible, x, g, gamma)
+    x_hat = avg.average if gammas else x
+    return {
+        "x_hat": x_hat, "f_hat": objective.value(x_hat), "iterations": len(gammas),
+        "productive": len(gammas), "nonproductive": 0, "stop": stop,
+        "trace": _trace(gammas, f_iterate, f_avg, bound),
+    }
+
+
+def reference_composite_md(objective, h, prox, feasible, rule, m, iters, theta, x1):
+    """Composite mirror descent for F = f + h: the step is
+    composite_mirror_step(x^k, grad f(x^k), gamma_k, h), the trace reads F
+    at x^k and at the average, and the numerator of the bound column gains
+    h(x^1) / gamma_1^m."""
+    dual = _DUAL_NORM[prox.norm.value]
+    certified = is_nonincreasing_guaranteed(rule.kind)
+    x = np.asarray(x1, dtype=np.float64)
+    avg = WeightedAverager(x.size, m)
+    gammas, weights, sq, f_iterate, f_avg, bound = [], [], [], [], [], []
+    h_term = None
+    stop = "MaxIters"
+    with _float64_results():
+        for k in range(1, iters + 1):
+            f_k = _finite(objective.value(x), "f(x^k)", k)
+            g = objective.subgrad(x)
+            gn = _finite(norm_direct(g, dual), "the dual norm", k)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn, objective.known_fstar)
+            if gamma is None:
+                stop = "StationaryPoint"
+                break
+            if k == 1:
+                h_term = h.value(x) / gamma**m
+            gammas.append(gamma)
+            f_iterate.append(f_k + h.value(x))
+            x_avg = _fold_in(avg, x, gamma, k)
+            f_avg.append(_finite(objective.value(x_avg), "f(x_hat)", k) + h.value(x_avg))
+            if certified:
+                weights.append(gamma ** (-m))
+                sq.append(gn * gn / gamma ** (m - 1.0))
+                rhs = theta / gamma ** (m + 1.0) + h_term + _fold(sq) / (2.0 * prox.sigma)
+                bound.append(_finite(rhs, "the bound", k) / _fold(weights))
+            x = composite_mirror_step(prox, feasible, x, g, gamma, h)
+    x_hat = avg.average if gammas else x
+    return {
+        "x_hat": x_hat, "f_hat": objective.value(x_hat) + h.value(x_hat),
+        "iterations": len(gammas), "productive": len(gammas), "nonproductive": 0,
+        "stop": stop, "trace": _trace(gammas, f_iterate, f_avg, bound),
+    }
+
+
+def _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
+                        productive, evals, scans, certificate):
+    """The result dict; ``scans`` counts the constraint evaluations of every
+    scan, the one of an iteration that stopped at a stationary point too."""
+    n_prod = productive.count(True)
+    if not n_prod and stop != "StationaryPoint":
+        raise RuntimeError(f"no productive step in {len(gammas)} iterations ({stop})")
+    x_hat = avg.average if n_prod else x
+    return {
+        "x_hat": x_hat, "f_hat": objective.value(x_hat), "iterations": len(gammas),
+        "productive": n_prod, "nonproductive": len(gammas) - n_prod,
+        "stop": stop, "evals": sum(scans), "certificate": certificate,
+        "trace": _trace(gammas, f_iterate, f_avg, (), g_iterate, productive, evals),
+    }
+
+
+def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_g, m,
+                           epsilon, iters, theta, x1, use_criterion=True):
+    """Algorithm 3, switching mirror descent for min f s.t. g <= 0 with
+    g = max_i g_i. x^k is productive when g(x^k) <= epsilon: it steps along
+    grad f with rule_f and enters the average. Otherwise it steps along the
+    first maximizing g_i with rule_g. With ``use_criterion`` the run stops
+    after the first iteration k with
+
+        eps * sum_{i<=k} gamma_i^{-m}
+            >= theta / gamma_k^{m+1} + sum_{i<=k} ||grad_i||_*^2 / (2 sigma gamma_i^{m-1}),
+
+    both sums over every step."""
+    dual = _DUAL_NORM[prox.norm.value]
+    x = np.asarray(x1, dtype=np.float64)
+    avg = WeightedAverager(x.size, m)
+    gammas, weights, sq, f_iterate, f_avg = [], [], [], [], []
+    g_iterate, productive, evals, scans, certificate = [], [], [], [], []
+    x_avg = None
+    stop = "MaxIters"
+    with _float64_results():
+        for k in range(1, iters + 1):
+            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            scans.append(len(values))
+            gx = max(values)
+            prod = gx <= epsilon
+            if prod:
+                f_k = _finite(objective.value(x), "f(x^k)", k)
+                g = objective.subgrad(x)
+            else:
+                g = constraints.subgrad_one(values.index(gx), x)
+            gn = _finite(norm_direct(g, dual), "the dual norm", k)
+            if gn == 0.0 and not prod:
+                raise RuntimeError("the violated constraint has a zero subgradient")
+            rule, f_arg = (rule_f, f_k) if prod else (rule_g, None)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_arg, gn, objective.known_fstar)
+            if gamma is None:
+                stop = "StationaryPoint"
+                break
+            gammas.append(gamma)
+            if prod:
+                x_avg = _fold_in(avg, x, gamma, k)
+            f_iterate.append(f_k if prod else _finite(objective.value(x), "f(x^k)", k))
+            f_avg.append(math.nan if x_avg is None else
+                         _finite(objective.value(x_avg), "f(x_hat)", k))
+            g_iterate.append(gx)
+            productive.append(prod)
+            evals.append(constraints.p)
+            if use_criterion:
+                weights.append(gamma ** (-m))
+                sq.append(gn * gn / gamma ** (m - 1.0))
+                lhs = _finite(_fold(weights), "the certificate", k)
+                rhs = theta / gamma ** (m + 1.0) + _fold(sq) / (2.0 * prox.sigma)
+                certificate.append((lhs, _finite(rhs, "the certificate", k)))
+                if epsilon * lhs >= rhs:
+                    stop = "EpsilonCriterion"
+                    break
+            x = mirror_step(prox, feasible, x, g, gamma)
+    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
+                               productive, evals, scans, certificate)
+
+
+def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters, theta, x1):
+    """Algorithm 4, one constraint at a time. The scan reads g_1, g_2, ...
+    at x^k and stops at the first g_q > epsilon, a non-productive step
+    along grad g_q; with none, x^k is productive and steps along grad f.
+    The step is gamma_k = sqrt(2 sigma) / (L_k sqrt(k)), L_k the dual norm
+    of that subgradient, and the run stops after the first k with
+
+        eps * sum_{i<=k} (L_i sqrt(i)/sqrt(2 sigma))^m
+            >= theta * (M sqrt(k)/sqrt(2 sigma))^{m+1}
+               + sqrt(2 sigma)^{-(m+1)} * [ sum_I sqrt(i)^{m-1} L_i^{m+1}
+                                            + sum_J sqrt(j)^{m-1} L_j^{m+1} ],
+
+    M the larger of the objective's and the constraints' Lipschitz bounds,
+    I the productive and J the non-productive steps so far."""
+    dual = _DUAL_NORM[prox.norm.value]
+    root = math.sqrt(2.0 * prox.sigma)
+    m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
+    x = np.asarray(x1, dtype=np.float64)
+    avg = WeightedAverager(x.size, m)
+    gammas, lhs_terms, sum_i, sum_j, f_iterate, f_avg = [], [], [], [], [], []
+    g_iterate, productive, evals, scans, certificate = [], [], [], [], []
+    x_avg = None
+    stop = "MaxIters"
+    with _float64_results():
+        for k in range(1, iters + 1):
+            seen, q = [], None
+            for i in range(constraints.p):
+                seen.append(constraints.value_one(i, x))
+                if seen[-1] > epsilon:
+                    q = i
+                    break
+            scans.append(len(seen))
+            prod = q is None
+            g = objective.subgrad(x) if prod else constraints.subgrad_one(q, x)
+            L = _finite(norm_direct(g, dual), "the dual norm", k)
+            if L == 0.0:
+                if not prod:
+                    raise RuntimeError(f"constraint {q} has a zero subgradient")
+                stop = "StationaryPoint"
+                break
+            sk = math.sqrt(k)
+            gamma = math.sqrt(2.0 * prox.sigma) / (L * sk)
+            gammas.append(gamma)
+            if prod:
+                x_avg = _fold_in(avg, x, gamma, k)
+            f_iterate.append(_finite(objective.value(x), "f(x^k)", k))
+            f_avg.append(math.nan if x_avg is None else
+                         _finite(objective.value(x_avg), "f(x_hat)", k))
+            g_iterate.append(max(seen) if prod else math.nan)
+            productive.append(prod)
+            evals.append(len(seen))
+            lhs_terms.append((L * sk / root) ** m)
+            (sum_i if prod else sum_j).append(sk ** (m - 1.0) * L ** (m + 1.0))
+            lhs = _finite(_fold(lhs_terms), "the certificate", k)
+            rhs = theta * (m_big * sk / root) ** (m + 1.0) + (
+                _fold(sum_i) + _fold(sum_j)) / root ** (m + 1.0)
+            certificate.append((lhs, _finite(rhs, "the certificate", k)))
+            if epsilon * lhs >= rhs:
+                stop = "EpsilonCriterion"
+                break
+            x = mirror_step(prox, feasible, x, g, gamma)
+    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
+                               productive, evals, scans, certificate)

@@ -424,6 +424,20 @@ def test_plan_dict_round_trip(tmp_path):
     assert ExperimentPlan.from_dict(doc) == plan
 
 
+def test_a_fractional_plan_budget_is_refused_by_name(tmp_path):
+    with pytest.raises(ValueError, match=r"^iters must be an integer, got 2\.5$"):
+        _small_plan(tmp_path, iters=2.5)
+
+
+def test_a_numpy_plan_budget_writes_its_summary(tmp_path):
+    plan = _small_plan(tmp_path, iters=np.int64(5))
+    assert type(plan.iters) is int
+    summary = run_experiment(plan)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written == json.loads(json.dumps(summary))
+    assert written["plan"]["iters"] == 5
+
+
 def test_the_plan_seed_is_its_instance_seed(tmp_path):
     plan = _small_plan(tmp_path)
     assert plan.to_dict()["seed"] == plan.instance.seed == 3

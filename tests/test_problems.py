@@ -325,6 +325,30 @@ def test_instance_spec_validation():
         InstanceSpec(kind="fts", n=3, distribution="cauchy")
 
 
+def test_a_fractional_dimension_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        InstanceSpec(kind="fts", n=2.5)
+
+
+def test_numpy_integer_fields_are_stored_as_python_ints():
+    spec = InstanceSpec(kind="fts", n=np.int64(3), t=np.int32(2), p=np.int64(1),
+                        seed=np.uint8(7))
+    assert [type(v) for v in (spec.n, spec.t, spec.p, spec.seed)] == [int] * 4
+    assert json.loads(json.dumps(spec.to_dict()))["n"] == 3
+    assert spec == InstanceSpec(kind="fts", n=3, t=2, p=1, seed=7)
+
+
+def test_a_negative_seed_is_refused_by_name():
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        InstanceSpec(kind="fts", n=3, seed=-1)
+
+
+def test_a_document_with_a_fractional_field_is_refused_not_truncated():
+    doc = InstanceSpec(kind="fts", n=3).to_dict()
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        InstanceSpec.from_dict(dict(doc, n=2.5))
+
+
 def test_serialization_round_trip_bit_exact():
     for kind, t in (("best-approx", 1), ("fts", 4), ("covering-ball", 3), ("max-linear", 5)):
         spec = InstanceSpec(

@@ -1,0 +1,234 @@
+"""The solvers against the plain reference loops of ``oracles``: every
+method, objective kind, prox and step rule, bit for bit."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from mdbench.bench import constrained_start, default_start
+from mdbench.geometry import L1, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
+from mdbench.problems import (
+    OBJECTIVE_KINDS,
+    AffineConstraints,
+    DistanceToPoint,
+    InstanceSpec,
+    build_constraints,
+    build_objective,
+)
+from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
+from mdbench.solvers import (
+    RunConfig,
+    constrained_md,
+    constrained_md_multi,
+    mirror_c_descent,
+    mirror_descent,
+)
+
+from oracles import (
+    reference_composite_md,
+    reference_mirror_descent,
+    reference_scan_md,
+    reference_switching_md,
+)
+
+METHODS = ("mirror-descent", "composite", "switching", "scan")
+
+
+def _rule(tag, lipschitz, sigma):
+    params = {"m_lipschitz": lipschitz} if tag == "time-varying" else {}
+    return ScheduleState(schedule(tag, **params), sigma)
+
+
+def _problem(kind, prox_name, n, p, seed):
+    spec = InstanceSpec(kind, n=n, t=3, p=p, seed=seed, distribution="standard-normal")
+    objective = build_objective(spec)
+    if prox_name == "euclidean":
+        prox, feasible, theta = euclidean_setup(), unit_ball(n), 2.0
+    else:
+        # the analytic optimum of best-approx holds on the unit ball only
+        prox, feasible = entropy_setup(), Simplex(n)
+        theta = math.log(n) if n > 1 else 1.0
+        objective.known_fstar = None
+    return objective, build_constraints(spec), prox, feasible, theta
+
+
+def _outcome(run):
+    """The run's result, or the kind of error it raised: ValueError where
+    the arithmetic has no float64 result, RuntimeError (NoProductiveSteps
+    in the library) where no productive step exists."""
+    try:
+        return run()
+    except ValueError:
+        return ValueError
+    except RuntimeError:
+        return RuntimeError
+
+
+def _runs(method, kind, prox_name, n, p, seed, tags, m, iters, epsilon, lam, criterion):
+    """(solver result, reference result) of one drawn case; each side
+    builds its own instance and step-rule states."""
+
+    def solve(reference):
+        objective, constraints, prox, feasible, theta = _problem(kind, prox_name, n, p, seed)
+        if method != "scan":  # the scan has its step rule built in
+            rule_f = _rule(tags[0], objective.lipschitz_bound, prox.sigma)
+        if method in ("mirror-descent", "composite"):
+            x1 = default_start(feasible)
+            if method == "mirror-descent":
+                if reference:
+                    return reference_mirror_descent(
+                        objective, prox, feasible, rule_f, m, iters, theta, x1)
+                config = RunConfig(m=m, iters=iters, theta=theta)
+                return mirror_descent(objective, prox, feasible, rule_f, config, x1)
+            h = L1(lam) if lam > 0.0 else Zero()
+            if reference:
+                return reference_composite_md(
+                    objective, h, prox, feasible, rule_f, m, iters, theta, x1)
+            config = RunConfig(m=m, iters=iters, theta=theta)
+            return mirror_c_descent(objective, h, prox, feasible, rule_f, config, x1)
+        x1 = constrained_start(feasible)
+        config = RunConfig(m=m, iters=iters, epsilon=epsilon, theta=theta)
+        if method == "switching":
+            rule_g = _rule(tags[1], constraints.lipschitz_bound, prox.sigma)
+            if reference:
+                return reference_switching_md(
+                    objective, constraints, prox, feasible, rule_f, rule_g, m, epsilon,
+                    iters, theta, x1, use_criterion=criterion)
+            return constrained_md(objective, constraints, prox, feasible, rule_f, rule_g,
+                                  config, x1, use_criterion=criterion)
+        if reference:
+            return reference_scan_md(
+                objective, constraints, prox, feasible, m, epsilon, iters, theta, x1)
+        return constrained_md_multi(objective, constraints, prox, feasible, config, x1)
+
+    return _outcome(lambda: solve(False)), _outcome(lambda: solve(True))
+
+
+def _column_bytes(column) -> bytes:
+    return np.asarray(column, dtype=np.float64).tobytes()
+
+
+def _assert_same_run(res, ref, method):
+    assert res.x_hat.tobytes() == ref["x_hat"].tobytes()
+    assert repr(res.f_hat) == repr(ref["f_hat"])
+    assert (res.iterations, res.productive_count, res.nonproductive_count,
+            res.stop_reason.value) == (
+        ref["iterations"], ref["productive"], ref["nonproductive"], ref["stop"])
+    for name, column in vars(res.trace).items():
+        assert _column_bytes(column) == _column_bytes(ref["trace"][name]), name
+    if method in ("switching", "scan"):
+        assert res.constraint_evals_total == ref["evals"]
+
+
+def _assert_scan_certificate(res, ref, m, theta, sigma, m_big):
+    """The paper's form of Algorithm 4's rule, summed by the reference,
+    against the realized certificate on the solver's own steps: with
+    gamma_i = sqrt(2 sigma) / (L_i sqrt(i)) each term of the paper's form
+    is a term of sum gamma_i^{-m} and of
+    theta / gamma_bar_k^{m+1} + sum_i 1 / (i gamma_i^{m+1}). The two forms
+    take different roundings (powers of different bases, another order of
+    products), so they agree to 1e-12 relative and not bit for bit."""
+    root = math.sqrt(2.0 * sigma)
+    lhs = rhs_sum = 0.0
+    for k, gamma in enumerate(res.trace.gamma, start=1):
+        lhs += gamma ** (-m)
+        rhs_sum += 1.0 / (k * gamma ** (m + 1.0))
+        rhs = theta / (root / (m_big * math.sqrt(k))) ** (m + 1.0) + rhs_sum
+        ref_lhs, ref_rhs = ref["certificate"][k - 1]
+        assert ref_lhs == pytest.approx(lhs, rel=1e-12, abs=0.0), k
+        assert ref_rhs == pytest.approx(rhs, rel=1e-12, abs=0.0), k
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_solver_matches_its_reference_loop(method, data):
+    kind = data.draw(st.sampled_from(OBJECTIVE_KINDS), label="kind")
+    prox_name = data.draw(st.sampled_from(("euclidean", "entropy")), label="prox")
+    n = data.draw(st.integers(1, 8), label="n")
+    p = data.draw(st.integers(1, 6), label="p")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    tags = data.draw(st.tuples(st.sampled_from(TABLE_TAGS), st.sampled_from(TABLE_TAGS)),
+                     label="tags")
+    # the composite averaging guarantee covers -1 <= m <= 0 only
+    m = data.draw(st.floats(-1.0, 0.0 if method == "composite" else 8.0), label="m")
+    iters = data.draw(st.integers(1, 200), label="iters")
+    epsilon = data.draw(st.floats(0.05, 3.0), label="epsilon")
+    # composite l1 steps exist for the Euclidean prox only
+    lam = data.draw(st.sampled_from((0.0, 0.05, 0.3) if prox_name == "euclidean" else (0.0,)),
+                    label="lam")
+    criterion = data.draw(st.booleans(), label="criterion")
+    res, ref = _runs(method, kind, prox_name, n, p, seed, tags, m, iters, epsilon, lam,
+                     criterion)
+    if isinstance(res, type) or isinstance(ref, type):
+        event(f"both raise {getattr(res, '__name__', res)}")
+        assert res is ref
+        return
+    event(f"{res.stop_reason.value}, {res.nonproductive_count > 0} non-productive steps")
+    _assert_same_run(res, ref, method)
+    if method == "scan":
+        objective, constraints, prox, _, theta = _problem(kind, prox_name, n, p, seed)
+        m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
+        _assert_scan_certificate(res, ref, m, theta, prox.sigma, m_big)
+
+
+# composite runs take m <= 0, whose weights gamma^{-m} do not overflow here
+@pytest.mark.parametrize("method", ("mirror-descent", "switching", "scan"))
+def test_an_overflowing_m_raises_on_both_sides(method):
+    res, ref = _runs(method, "max-linear", "euclidean", 4, 3, 5,
+                     ("constant-step", "constant-step"), 400.0, 50, 0.5, 0.0, True)
+    assert res is ref is ValueError
+
+
+# binding instances (start infeasible, p = 6 standard-normal constraints) on
+# which the stopping rule fires after many non-productive steps, so every
+# term of the certificate is exercised whatever examples the property draws
+@pytest.mark.parametrize("method, kind, seed, tag, m, epsilon", [
+    ("switching", "best-approx", 4, "time-varying", -1.0, 0.2),
+    ("switching", "best-approx", 4, "adaptive-time-varying", 3.0, 0.2),
+    ("switching", "covering-ball", 2, "adaptive-time-varying", -1.0, 0.2),
+    ("scan", "best-approx", 4, None, -1.0, 0.2),
+    ("scan", "best-approx", 3, None, 3.0, 1.0),
+    ("scan", "covering-ball", 3, None, 2.0, 0.5),
+])
+def test_the_constrained_solvers_match_their_reference_loops_when_the_rule_fires(
+        method, kind, seed, tag, m, epsilon):
+    res, ref = _runs(method, kind, "euclidean", 5, 6, seed, (tag, tag), m, 1000, epsilon,
+                     0.0, True)
+    assert res.stop_reason.value == "EpsilonCriterion"
+    assert 0 < res.nonproductive_count < res.iterations
+    _assert_same_run(res, ref, method)
+    if method == "scan":
+        objective, constraints, prox, _, theta = _problem(kind, "euclidean", 5, 6, seed)
+        m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
+        _assert_scan_certificate(res, ref, m, theta, prox.sigma, m_big)
+
+
+@pytest.mark.parametrize("method", ("switching", "scan"))
+def test_a_constrained_run_that_starts_at_its_minimizer_stops_on_both_sides(method):
+    # x1 = a is feasible and f = ||x - a|| has a zero subgradient there: the
+    # run stops before its first iteration counts, after one full scan
+    a = np.array([0.3, 0.4])
+    prox, ball = euclidean_setup(), unit_ball(2)
+    runs = []
+    for reference in (False, True):
+        objective = DistanceToPoint(a, known_fstar=0.0)
+        constraints = AffineConstraints([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])
+        if method == "scan":
+            args = (objective, constraints, prox, ball)
+            runs.append(reference_scan_md(*args, 1.0, 0.1, 50, 2.0, a) if reference else
+                        constrained_md_multi(*args, RunConfig(m=1.0, epsilon=0.1, iters=50), a))
+            continue
+        rules = [_rule("polyak", 1.0, prox.sigma) for _ in range(2)]
+        args = (objective, constraints, prox, ball, *rules)
+        runs.append(reference_switching_md(*args, 1.0, 0.1, 50, 2.0, a) if reference else
+                    constrained_md(*args, RunConfig(m=1.0, epsilon=0.1, iters=50), a))
+    res, ref = runs
+    assert res.stop_reason.value == "StationaryPoint"
+    assert (res.iterations, res.constraint_evals_total) == (0, 3)
+    _assert_same_run(res, ref, method)

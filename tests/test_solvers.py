@@ -139,6 +139,12 @@ def test_run_config_validation():
         RunConfig(m=0.0, iters=0)
 
 
+def test_a_fractional_iteration_budget_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^iters must be an integer, got 2\.5$"):
+        RunConfig(m=0.0, iters=2.5)
+    assert type(RunConfig(m=0.0, iters=np.int64(4)).iters) is int
+
+
 # ---------------------------------------------------------------- mirror descent
 
 

@@ -76,6 +76,7 @@ COMMANDS = (
     "--m -1 --seed 4 --trace-dir tr_scan_m-1 --out scan_m-1.csv",
     "constrained --problem covering-ball --n 5 --t 4 --p 6 --dist standard-normal "
     "--epsilon 0.3 --m 3 --seed 3 --trace-dir tr_scan_m3 --out scan_m3.csv",
+    "run --problem max-linear --n 40 --t 8 --iters 1 --out run_longrun_b1.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

@@ -15,7 +15,11 @@ Conventions shared by all experiments:
   header row, and LF line endings, so the same plan and seed reproduce the
   same bytes;
 * wall-clock time goes to the comparison table and stderr only, never into
-  per-iteration files.
+  per-iteration files;
+* every reference value states f* in [f_min - tolerance, f_min]: it is
+  analytic, a grid search for n <= 3, or the f* bracket that a run
+  computes from its own subgradients (``reference_solution``,
+  ``constrained_reference``).
 """
 from __future__ import annotations
 
@@ -37,14 +41,12 @@ from .problems import (
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
     RunConfig,
-    StopReason,
     _check_m_values,
     _descent,
     bound_corollaries,
     constrained_md,
     constrained_md_multi,
-    iteration_estimate,
-    mirror_descent,
+    mirror_descent,  # noqa: F401  (kept importable here: perfbench traces bench.mirror_descent)
 )
 
 __all__ = [
@@ -77,8 +79,9 @@ _PROX_NAMES = ("euclidean", "entropy")
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A best-known minimal value and how far it can be trusted. Gap
-    reports derived from it are meaningful only beyond ``tolerance``."""
+    """A best-known minimal value and how far it can be trusted:
+    f* lies in [f_min - tolerance, f_min]. Gap reports derived from it are
+    meaningful only beyond ``tolerance``."""
 
     f_min: float
     method: str
@@ -104,7 +107,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "schedules", tuple(self.schedules))
-        object.__setattr__(self, "m_values", tuple(float(v) for v in self.m_values))
+        object.__setattr__(self, "m_values", tuple(self.m_values))
         if not self.schedules:
             raise ValueError("plan needs at least one schedule tag")
         for tag in self.schedules:
@@ -112,7 +115,7 @@ class ExperimentPlan:
                 raise ValueError(f"unknown schedule tag: {tag!r}")
         if not self.m_values:
             raise ValueError("plan needs at least one m value")
-        _check_m_values(self.m_values)
+        object.__setattr__(self, "m_values", _check_m_values(self.m_values))
         object.__setattr__(self, "iters", _count_field(self.iters, "iters", 1))
         if self.prox not in _PROX_NAMES:
             raise ValueError(f"unknown prox name: {self.prox!r}")
@@ -273,14 +276,22 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
 
 def reference_solution(objective, feasible: FeasibleSet,
                        iters_budget: int = 10_000) -> ReferenceSolution:
-    """Best-known minimum of an unconstrained objective over the set.
+    """Best-known minimum of an unconstrained objective over the set, with
+    f* in [f_min - tolerance, f_min].
 
     Distance-to-point objectives on a ball have the exact answer. For
     n <= 3, ``grid_refine_minimize`` aims at 1e-6 but stops after its
     round limit, so the tolerance is the slack it achieved (at least 1e-6,
-    often 1e-4 to 1e-2 at n = 2); n = 3 is slow. Everything else gets a
-    long reference solve (m = 5, time-varying steps, 50x the experiment
-    budget) whose corollary bound is reported as the tolerance.
+    often 1e-4 to 1e-2 at n = 2); n = 3 is slow. Everything else gets one
+    certified run (m = 5, time-varying steps, from ``default_start``) whose
+    own subgradients bracket f*: f_min is the upper end and the tolerance
+    the bracket's width. The run takes at least ``iters_budget`` steps and
+    goes on, checking at twice, four times, ... the budget, only while the
+    bracket is wider than the corollary bound of a run 50 times the budget,
+    and stops at that length, where the bracket is at most the realized
+    bound (which the corollary bounds) plus its rounding allowance. The
+    upper end is a computed value of f, so f* can exceed it by the rounding
+    of one objective evaluation.
     """
     if objective.kind == KIND_BEST_APPROX and isinstance(feasible, Ball):
         d = objective.a - feasible.center
@@ -291,55 +302,50 @@ def reference_solution(objective, feasible: FeasibleSet,
             objective.values, feasible, tol=1e-6, lipschitz=objective.lipschitz_bound
         )
         return ReferenceSolution(f_min, METHOD_GRID, max(achieved, 1e-6))
+    return _certified_reference(objective, feasible, iters_budget)
+
+
+def _certified_reference(objective, feasible: FeasibleSet,
+                         iters_budget: int) -> ReferenceSolution:
+    """The certified run of ``reference_solution``, in any dimension."""
     prox = euclidean_setup()
-    n_long = 50 * iters_budget
+    n_cap = 50 * iters_budget
     theta = theta_for(feasible)
     m_lip = objective.lipschitz_bound
+    tol = bound_corollaries(5.0, n_cap, m_lip, theta, prox.sigma)
     state = _schedule_state(TAG_TIME_VARYING, m_lip, prox.sigma)
-    config = RunConfig(m=5.0, iters=n_long, theta=theta, record_trace=False)
-    res = mirror_descent(objective, prox, feasible, state, config, default_start(feasible))
-    tol = bound_corollaries(5.0, n_long, m_lip, theta, prox.sigma)
-    return ReferenceSolution(res.f_hat, METHOD_LONGRUN, tol)
+    config = RunConfig(m=5.0, iters=n_cap, theta=theta, record_trace=False)
+    ((res,),) = _descent(objective, prox, feasible, (state,), config, default_start(feasible),
+                         (5.0,), bracket=(iters_budget, tol))
+    return ReferenceSolution(res.f_upper, METHOD_LONGRUN, res.f_upper - res.f_lower)
 
 
 def constrained_reference(objective, constraints, feasible: FeasibleSet,
-                          epsilon_ref: float = 6e-3, m: float = 1.0,
-                          theta1: Optional[float] = None) -> ReferenceSolution:
-    """Reference value for a constrained instance from one long certified
-    run at accuracy epsilon_ref.
+                          epsilon_ref: float = 6e-3, m: float = 1.0) -> ReferenceSolution:
+    """Reference value of min f subject to g <= 0 over the set, with f* in
+    [f_min - tolerance, f_min] and a tolerance of at most epsilon_ref.
 
-    The returned point is only epsilon_ref-feasible, so its objective value
-    can undershoot the true constrained minimum; the tolerance widens by a
-    bound on that undershoot derived from the realized violation and the
-    smallest constraint gradient norm.
+    One run of ``constrained_md`` at epsilon_ref with time-varying steps
+    and no epsilon criterion brackets f* from its own subgradients, its
+    constraint cuts included (see ``solvers._Bracket``). It stops at the
+    first power of two k where the bracket is at most epsilon_ref wide;
+    f_min is the upper end, the best f at an iterate or the average with
+    g <= 0, and the tolerance the width. A bracket still wider at
+    ``SAFETY_CAP`` iterations raises RuntimeError.
     """
     prox = euclidean_setup()
-    if theta1 is None:
-        theta1 = theta_for(feasible)
-    m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound)
-    est = iteration_estimate(m_big, theta1, prox.sigma, epsilon_ref, m)
-    cap = min(3 * est + 1000, 10_000_000)
     state_f = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
     state_g = _schedule_state(TAG_TIME_VARYING, constraints.lipschitz_bound, prox.sigma)
-    config = RunConfig(
-        m=m, iters=cap, epsilon=epsilon_ref, theta=theta1, record_trace=False
-    )
-    res = constrained_md(
-        objective, constraints, prox, feasible, state_f, state_g, config,
-        constrained_start(feasible),
-    )
-    if res.stop_reason is not StopReason.EPSILON_CRITERION:
+    config = RunConfig(m=m, epsilon=epsilon_ref, record_trace=False)
+    ((res,),) = _descent(objective, prox, feasible, (state_f,), config,
+                         constrained_start(feasible), (config.m,), constraints=constraints,
+                         state_g=state_g, bracket=(1, epsilon_ref))
+    if not res.f_upper - res.f_lower <= epsilon_ref:
         raise RuntimeError(
-            "constrained reference run did not reach its stopping criterion "
-            f"within {cap} iterations"
+            f"constrained reference bracket [{res.f_lower!r}, {res.f_upper!r}] is still "
+            f"wider than epsilon_ref={epsilon_ref:g} after {res.iterations} iterations"
         )
-    violation = max(0.0, constraints.value(res.x_hat))
-    row_norms = np.sqrt((constraints.alphas * constraints.alphas).sum(axis=1))
-    min_row = float(row_norms.min())
-    tol = epsilon_ref
-    if violation > 0.0 and min_row > 0.0:
-        tol += 2.0 * objective.lipschitz_bound * violation / min_row
-    return ReferenceSolution(res.f_hat, METHOD_LONGRUN, tol)
+    return ReferenceSolution(res.f_upper, METHOD_LONGRUN, res.f_upper - res.f_lower)
 
 
 def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None,

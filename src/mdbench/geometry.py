@@ -101,6 +101,15 @@ class Ball:
         scale = self.radius / np.maximum(r, self.radius)
         return np.where(near[:, None], Y, self.center + d * scale[:, None])
 
+    def min_linear(self, c: np.ndarray) -> float:
+        """min over the ball of <c, x>: <c, center> - radius ||c||_2."""
+        return float(np.dot(c, self.center)) - self.radius * math.sqrt(np.dot(c, c))
+
+    @property
+    def norm_bound(self) -> float:
+        """A bound on ||x||_2 over the ball: ||center||_2 + radius."""
+        return math.sqrt(np.dot(self.center, self.center)) + self.radius
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -137,6 +146,13 @@ class Simplex:
         rho = Y.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
         tau = (css[np.arange(Y.shape[0]), rho] - 1.0) / (rho + 1.0)
         return np.maximum(Y - tau[:, None], 0.0)
+
+    def min_linear(self, c: np.ndarray) -> float:
+        """min over the simplex of <c, x>: the smallest c_i."""
+        return float(c.min())
+
+    # ||x||_1 = 1 and ||x||_2 <= 1 on the simplex
+    norm_bound = 1.0
 
     # both return new arrays, so they serve as the forms for handed-over input
     _project_owned = project

@@ -21,6 +21,7 @@ JSON exactly because float64 survives repr.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -70,6 +71,17 @@ def _count_field(value, name: str, lowest: int) -> int:
     if value < lowest:
         raise ValueError(f"{name} must be " + (f"at least {lowest}" if lowest else "nonnegative"))
     return value
+
+
+def _real_field(value, name: str) -> float:
+    """Field ``name`` as a Python float, or a ValueError naming it. NaN and
+    the infinities pass; the caller checks the field's range."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float64 range") from None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .problems import _real_field
+
 __all__ = [
     "TABLE_TAGS",
     "ScheduleKind",
@@ -102,7 +104,7 @@ class ScheduleKind:
             noun = "constant c" if name == "c" else name
             if value is None:
                 raise ValueError(f"schedule {self.tag!r} needs a positive {noun}")
-            value = float(value)
+            value = _real_field(value, f"schedule {self.tag!r} {noun}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"schedule {self.tag!r} {noun} must be positive and finite")
             object.__setattr__(self, name, value)

@@ -58,7 +58,7 @@ from .geometry import (
     mirror_step,
     mirror_step_rows,
 )
-from .problems import AffineConstraints, _count_field
+from .problems import AffineConstraints, _count_field, _real_field
 from .schedules import (
     TAG_ADAPTIVE_TV,
     ScheduleState,
@@ -123,13 +123,16 @@ class RunConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        _check_m_values((self.m,))
+        (self.m,) = _check_m_values((self.m,))
         if self.iters is None and self.epsilon is None:
             raise ValueError("set at least one of iters and epsilon")
         if self.iters is not None:
             self.iters = _count_field(self.iters, "iters", 1)
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if self.epsilon is not None:
+            self.epsilon = _real_field(self.epsilon, "epsilon")
+            if not 0.0 < self.epsilon < math.inf:
+                raise ValueError("epsilon must be positive and finite")
+        self.theta = _real_field(self.theta, "theta")
         if not 0.0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
 
@@ -163,14 +166,19 @@ class SolveResult:
     stop_reason: StopReason
     trace: Optional[Trace]
     constraint_evals_total: Optional[int] = None
+    # a certified bracket f_lower <= f* <= f_upper, on runs that compute one
+    f_lower: Optional[float] = None
+    f_upper: Optional[float] = None
 
 
-def _check_m_values(m_values) -> None:
+def _check_m_values(m_values) -> tuple:
     """The one check on weighting exponents, shared by RunConfig, the
-    m sweep and the experiment plans."""
+    m sweep and the experiment plans; returns them as Python floats."""
+    m_values = tuple(_real_field(m, "m") for m in m_values)
     for m in m_values:
         if not (math.isfinite(m) and m >= -1.0):
             raise ValueError("every m must be finite and >= -1")
+    return m_values
 
 
 def _finite_f(v, k) -> float:
@@ -253,6 +261,114 @@ class _Trajectory:
         self.sums = None
 
 
+class _Bracket:
+    """A certified bracket f_lower <= f* <= f_upper built from a run's own
+    steps: the accuracy certificate of Nemirovski, Onn & Rothblum 2010.
+
+    With the averager's weights w_k = gamma_k^{-m}, the productive steps I
+    (f_k = f(x_k) and a subgradient e_k of f) and the non-productive steps
+    J (g_j, the value at x_j of the constraint stepped along, and its
+    subgradient h_j), every feasible x and every s >= 0 satisfy
+
+        W_I f(x) >= sum_I w_k (f_k + <e_k, x - x_k>)
+                    + s * sum_J w_j (g_j + <h_j, x - x_j>),
+
+    W_I = sum_I w_k: each f-cut lies below f, and each g-cut is <= 0 at a
+    feasible x. The lower end is the largest over s of the minimum over Q
+    of the right-hand side, divided by W_I; the minimum is the set's
+    ``min_linear`` and the s-search is 1-D and concave (unconstrained runs
+    have no J and no s). Any s gives a valid bound, so the search decides
+    only how tight it is. A rounding allowance of 4 (k + n + 4) 2^-53 times
+    the summed magnitudes w (|f_k| + 2 R ||e_k||_*), R the set's
+    ``norm_bound``, covers the float error of these sums. The upper end is
+    the best f_k over iterates with g(x_k) <= 0 and f at the average when
+    g there is <= 0. A zero subgradient of f at x_k makes f_k a lower end
+    on its own.
+    """
+
+    __slots__ = ("norm_bound", "a", "c", "mag", "w", "a_j", "c_j", "mag_j", "w_j", "best",
+                 "floor")
+
+    def __init__(self, n, norm_bound):
+        self.norm_bound = norm_bound
+        # per class of step: sum of w (value - <subgradient, x>), sum of
+        # w * subgradient, summed magnitudes and sum of w
+        self.a, self.c, self.mag, self.w = 0.0, np.zeros(n), 0.0, 0.0
+        self.a_j, self.c_j, self.mag_j, self.w_j = 0.0, np.zeros(n), 0.0, 0.0
+        self.best = math.inf  # best f_k over iterates with g(x_k) <= 0
+        self.floor = -math.inf  # f_k where the subgradient of f is zero
+
+    def cut(self, prod, w, v, e, x, gn, feasible_point):
+        """Fold in the step at x with value v and subgradient e of dual norm gn."""
+        a = w * (v - float(np.dot(e, x)))
+        mag = w * (abs(v) + 2.0 * self.norm_bound * gn)
+        if prod:
+            self.a += a
+            self.c += w * e
+            self.mag += mag
+            self.w += w
+            if feasible_point and v < self.best:
+                self.best = v
+        else:
+            self.a_j += a
+            self.c_j += w * e
+            self.mag_j += mag
+            self.w_j += w
+
+    def lower(self, feasible, k) -> float:
+        if self.w == 0.0:
+            return self.floor
+        slack = 4.0 * (k + self.c.size + 4) * 2.0**-53
+
+        def bound(s):
+            return (self.a + s * self.a_j + feasible.min_linear(self.c + s * self.c_j)
+                    - slack * (self.mag + s * self.mag_j))
+
+        best = bound(0.0) if self.w_j == 0.0 else _max_concave(bound, self.w / self.w_j)
+        if not math.isfinite(best):
+            raise ValueError(f"the f* bracket leaves the float64 range at iteration {k}")
+        return max(best / self.w, self.floor)
+
+    def ends(self, feasible, k, weighted_sum, total, objective, constraints) -> tuple:
+        """(lower, upper) after k steps, with the average weighted_sum / total."""
+        upper = self.best
+        if total > 0.0:
+            x_hat = weighted_sum / total  # the output point, were the run to end here
+            if constraints is None or constraints.value(x_hat) <= 0.0:
+                upper = min(upper, objective.value(x_hat))
+        return self.lower(feasible, k), upper
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _max_concave(fn, s) -> float:
+    """The largest value of a concave fn over s >= 0 that the search finds:
+    s doubles while fn grows (at most 64 times), then 80 golden-section
+    steps search [0, 2s]."""
+    f_s = fn(s)
+    for _ in range(64):
+        f_2s = fn(2.0 * s)
+        if not f_2s > f_s:
+            break
+        s, f_s = 2.0 * s, f_2s
+    a, b = 0.0, 2.0 * s
+    s1, s2 = b - _GOLDEN * b, _GOLDEN * b
+    f1, f2 = fn(s1), fn(s2)
+    best = max(fn(0.0), f_s, f1, f2)
+    for _ in range(80):
+        if f1 < f2:
+            a, s1, f1 = s1, s2, f2
+            s2 = a + _GOLDEN * (b - a)
+            f2 = fn(s2)
+        else:
+            b, s2, f2 = s2, s1, f1
+            s1 = b - _GOLDEN * (b - a)
+            f1 = fn(s1)
+        best = max(best, f1, f2)
+    return best
+
+
 def _leave(live, X, G, sums):
     """Take the trajectories that stopped out of the batch, keeping their
     last iterate and weighted sums. Returns the new (live, X, G, sums)."""
@@ -266,7 +382,8 @@ def _leave(live, X, G, sums):
 
 
 def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
-             constraints=None, scan=False, state_g=None, use_criterion=False):
+             constraints=None, scan=False, state_g=None, use_criterion=False,
+             bracket=None):
     """The iteration loop behind all four solvers. Runs one trajectory per
     step rule in ``states``, all from x1, as one batch and returns per
     trajectory a tuple of one SolveResult per weighting exponent in ``ms``.
@@ -323,6 +440,14 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     f(x^k) it reads (a value no one reads is not checked), then the calls
     all rows share; the first error in that order is raised. Rows do not
     interact, so it is the error the failing trajectory's own run raises.
+
+    ``bracket = (k0, width)`` makes a one-row run, with no h, no scan and
+    no epsilon criterion, keep the certified bracket of ``_Bracket``; it
+    reads f(x^k) at every productive step. At k = k0 * 2^j, at the last
+    iteration and at a stationary stop it evaluates the bracket; the run
+    stops with EpsilonCriterion at the first such k where the bracket is at
+    most ``width`` wide, and returns it as ``f_lower`` and ``f_upper``.
+    Without it, each iteration pays one test.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -337,6 +462,10 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         raise ValueError(
             "constrained, criterion-stopped and composite runs take one step rule"
         )
+    if bracket is not None and (len(states) != 1 or len(ms) != 1 or h is not None
+                                or scan or use_criterion):
+        raise ValueError("a bracket run takes one step rule, one m, no h, no scan "
+                         "and no epsilon criterion")
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
     theta = config.theta
@@ -346,6 +475,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     n_m = len(ms)
     record = config.record_trace
     runs = [_Trajectory(state, n_m, record, constraints is None, use_criterion) for state in states]
+    cert = None
+    if bracket is not None:
+        next_check, width = bracket
+        cert = _Bracket(x.size, feasible.norm_bound)
+        runs[0].want_f = True  # the bracket reads f(x^k)
+        found = (-math.inf, math.inf)
     live = list(runs)  # row j of the batch arrays belongs to live[j]
     X = np.tile(x, (len(runs), 1))  # the iterates x^k
     sums = np.zeros((len(runs), n_m, x.size))  # weighted sums of productive iterates, per m
@@ -493,6 +628,16 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                         for v, s, t in zip(vals, flat_sums, totals)]
             for j, run in enumerate(live):
                 run.f_avg.extend(vals[j * n_m:(j + 1) * n_m])
+        if cert is not None:
+            # one row, which took a step at x^k
+            cert.cut(prod, gamma ** (-ms[0]), fx if prod else gx, G[0], x, gn,
+                     constraints is None or gx <= 0.0)
+            if k == next_check or k == n_iter:
+                next_check *= 2
+                found = cert.ends(feasible, k, first_sum, run.totals[0], objective, constraints)
+                if found[1] - found[0] <= width:
+                    run.stop = StopReason.EPSILON_CRITERION
+                    break
         if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
             live[0].stop = StopReason.EPSILON_CRITERION
             break
@@ -504,6 +649,13 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             X = composite_mirror_step(prox, feasible, X[0], G[0], live[0].gamma, h)[None]
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
+    if cert is not None and runs[0].stop is StopReason.STATIONARY_POINT:
+        if prod and gn == 0.0:
+            # x^k minimizes f over the whole space
+            cert.floor = _finite_f(fs[0], k)
+            if constraints is None or gx <= 0.0:
+                cert.best = min(cert.best, cert.floor)
+        found = cert.ends(feasible, k, runs[0].sums[0], runs[0].totals[0], objective, constraints)
 
     batch = []
     for run in runs:
@@ -548,6 +700,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     stop_reason=stop,
                     trace=trace_i,
                     constraint_evals_total=None if constraints is None else evals_total,
+                    f_lower=None if cert is None else found[0],
+                    f_upper=None if cert is None else found[1],
                 )
             )
         batch.append(tuple(results))
@@ -571,8 +725,8 @@ def mirror_descent_sweep(objective, prox: ProxSetup, feasible: FeasibleSet,
     bit for bit; ``config.m`` itself is not read."""
     if not m_values:
         raise ValueError("m_values needs at least one m")
-    _check_m_values(m_values)
-    return _descent(objective, prox, feasible, (state,), config, x1, tuple(m_values))[0]
+    ms = _check_m_values(m_values)
+    return _descent(objective, prox, feasible, (state,), config, x1, ms)[0]
 
 
 def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
-from mdbench.geometry import composite_mirror_step, mirror_step
+from mdbench.geometry import Ball, composite_mirror_step, mirror_step
 from mdbench.problems import AffineConstraints
 from mdbench.schedules import StationarySignal, is_nonincreasing_guaranteed
 
@@ -566,3 +567,133 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
             x = mirror_step(prox, feasible, x, g, gamma)
     return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
                                productive, evals, scans, certificate)
+
+
+# -- certified f* brackets ---------------------------------------------------
+#
+# A bracket run's cuts are tuples (productive, g(x_k), w_k, value, subgradient,
+# x_k): the value and subgradient of f on a productive step, of the
+# constraint stepped along otherwise, and w_k = gamma_k^{-m}.
+
+
+def reference_bracket(objective, constraints, prox, feasible, rule_f, rule_g, m, epsilon,
+                      iters, x1, checks):
+    """A plain loop of mirror descent (``constraints`` None) or of Algorithm
+    3 at ``epsilon`` for ``iters`` steps from x1, with no stopping rule,
+    and its f* bracket at each k in ``checks``. The lower end is
+
+        max_{s >= 0} min_{x in Q} ( sum_I w_k (f_k + <e_k, x - x_k>)
+                                    + s * sum_J w_j (g_j + <h_j, x - x_j>) ) / sum_I w_k,
+
+    every sum a math.fsum, the minimum over a ball <c, center> - r ||c||_2
+    and over the simplex min_i c_i, and s found by doubling and
+    ``refine_1d``; it takes no rounding allowance. The upper end is the
+    least f_k over productive iterates with g(x_k) <= 0 and f at the
+    average when g there is <= 0. Returns ({k: (lower, upper, s)}, cuts).
+    A zero subgradient ends the loop early."""
+    dual = _DUAL_NORM[prox.norm.value]
+    x = np.asarray(x1, dtype=np.float64)
+    avg = WeightedAverager(x.size, m)
+    cuts, brackets = [], {}
+    for k in range(1, iters + 1):
+        gx, prod = -math.inf, True
+        if constraints is not None:
+            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            gx = max(values)
+            prod = gx <= epsilon
+        if prod:
+            value, e = objective.value(x), objective.subgrad(x)
+        else:
+            value, e = gx, constraints.subgrad_one(values.index(gx), x)
+        gn = norm_direct(e, dual)
+        if gn == 0.0:
+            break
+        rule = rule_f if prod else rule_g
+        gamma = rule.step_size(k, value if prod else None, gn, objective.known_fstar)
+        cuts.append((prod, gx, gamma ** (-m), value, e, x))
+        if prod:
+            avg.update(x, gamma)
+        if k in checks:
+            lower, s = _best_lower(cuts, feasible)
+            brackets[k] = (lower, _upper(cuts, avg, objective, constraints), s)
+        x = mirror_step(prox, feasible, x, e, gamma)
+    return brackets, cuts
+
+
+def _sums(cuts, productive):
+    """(sum w (value - <e, x>), sum w e, sum w) over one class of cuts."""
+    chosen = [(w, v, e, x) for p, _, w, v, e, x in cuts if p == productive]
+    if not chosen:
+        return 0.0, 0.0, 0.0
+    a = math.fsum([w * v for w, v, _, _ in chosen]
+                  + [-w * ei * xi for w, _, e, x in chosen for ei, xi in zip(e, x)])
+    n = chosen[0][2].size
+    c = np.array([math.fsum(w * e[i] for w, _, e, _ in chosen) for i in range(n)])
+    return a, c, math.fsum(w for w, _, _, _ in chosen)
+
+
+def _min_over(feasible, c) -> float:
+    if isinstance(feasible, Ball):
+        return (math.fsum(c * feasible.center)
+                - feasible.radius * math.sqrt(math.fsum(c * c)))
+    return float(min(c))
+
+
+def _best_lower(cuts, feasible):
+    a_i, c_i, w_i = _sums(cuts, True)
+    a_j, c_j, w_j = _sums(cuts, False)
+    if w_i == 0.0:
+        return -math.inf, 0.0
+
+    def value(s):
+        return a_i + s * a_j + _min_over(feasible, c_i + s * c_j)
+
+    if w_j == 0.0:
+        return value(0.0) / w_i, 0.0
+    hi = w_i / w_j
+    for _ in range(64):
+        if not value(2.0 * hi) > value(hi):
+            break
+        hi *= 2.0
+    s = refine_1d(lambda t: -value(t), 0.0, 2.0 * hi)
+    if value(0.0) >= value(s):
+        s = 0.0
+    return value(s) / w_i, s
+
+
+def _upper(cuts, avg, objective, constraints) -> float:
+    feasible_values = [v for p, gx, _, v, _, _ in cuts if p and gx <= 0.0]
+    best = min(feasible_values, default=math.inf)
+    if avg.weight_total > 0.0:
+        x_hat = avg.average
+        if constraints is None or max(
+                constraints.value_one(i, x_hat) for i in range(constraints.p)) <= 0.0:
+            best = min(best, objective.value(x_hat))
+    return best
+
+
+def _sqrt_up(q: Fraction) -> Fraction:
+    """A rational at least sqrt(q), for q >= 0."""
+    return Fraction(math.isqrt(q.numerator * q.denominator) + 1, q.denominator)
+
+
+def exact_lower(cuts, feasible, s) -> Fraction:
+    """The certificate of ``reference_bracket`` at s, re-evaluated in exact
+    rational arithmetic from the cuts' float data: a value at most the
+    exact certificate, as the ball's ||c||_2 is rounded up."""
+    s = Fraction(s)
+    n = cuts[0][4].size
+    num, w_i, c = Fraction(0), Fraction(0), [Fraction(0)] * n
+    for prod, _, w, value, e, x in cuts:
+        scale = Fraction(w) if prod else s * Fraction(w)
+        e_q = [Fraction(v) for v in e.tolist()]
+        num += scale * (Fraction(value) - sum(ei * Fraction(xi) for ei, xi in zip(e_q, x.tolist())))
+        c = [ci + scale * ei for ci, ei in zip(c, e_q)]
+        if prod:
+            w_i += Fraction(w)
+    if isinstance(feasible, Ball):
+        low = (sum(ci * Fraction(z) for ci, z in zip(c, feasible.center.tolist()))
+               - Fraction(feasible.radius) * _sqrt_up(sum(ci * ci for ci in c)))
+    else:
+        low = min(c)
+    return (num + low) / w_i

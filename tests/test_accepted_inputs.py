@@ -26,7 +26,13 @@ from mdbench.problems import (
     serialize_instance,
 )
 from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
-from mdbench.solvers import NoProductiveSteps, RunConfig, constrained_md, mirror_descent
+from mdbench.solvers import (
+    NoProductiveSteps,
+    RunConfig,
+    constrained_md,
+    mirror_descent,
+    mirror_descent_sweep,
+)
 
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                      suppress_health_check=[HealthCheck.too_slow,
@@ -242,3 +248,48 @@ def test_cli_finishes_finite_or_names_the_cause(tmp_path_factory, capsys, argv):
     texts = [captured.out] + [p.read_text() for p in out.rglob("*") if p.is_file()]
     for text in texts:
         assert not _NON_FINITE.search(text), (argv, text[:200])
+
+
+# a Python int beyond the float64 range, and numpy scalars, in real fields
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("field", ["m", "epsilon", "theta"])
+@pytest.mark.parametrize("value", [_HUGE, -_HUGE, "1", [1.0]],
+                         ids=["huge", "minus-huge", "str", "list"])
+def test_run_config_refuses_a_real_field_it_cannot_convert_by_name(field, value):
+    fields = {"m": 1.0, "iters": 5, "epsilon": 0.5, "theta": 2.0, field: value}
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        RunConfig(**fields)
+
+
+def test_huge_m_values_and_step_rule_parameters_are_refused_by_name(tmp_path):
+    with pytest.raises(ValueError, match=r"\bm\b"):
+        ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), (0.0, _HUGE),
+                       output_dir=str(tmp_path))
+    objective, _, prox, ball = _small_problem()
+    config = RunConfig(m=0.0, iters=5)
+    with pytest.raises(ValueError, match=r"\bm\b"):
+        mirror_descent_sweep(objective, prox, ball, ScheduleState(schedule("nonsum"), 1.0),
+                             config, default_start(ball), (0.0, _HUGE))
+    for tag, name in (("nonsum", "c"), ("adagrad", "theta0"), ("adagrad", "alpha"),
+                      ("time-varying", "m_lipschitz")):
+        with pytest.raises(ValueError, match=rf"{tag}.*\b{name}\b"):
+            schedule(tag, **{name: _HUGE})
+
+
+def test_numpy_real_fields_are_stored_as_python_floats(tmp_path):
+    config = RunConfig(m=np.float64(1), iters=5, epsilon=np.float32(0.5), theta=np.int64(2))
+    assert [type(v) for v in (config.m, config.epsilon, config.theta)] == [float] * 3
+    assert (config.m, config.epsilon, config.theta) == (1.0, 0.5, 2.0)
+    plan = ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",),
+                          np.array([0.0, 2.0]), output_dir=str(tmp_path))
+    assert [type(m) for m in plan.m_values] == [float, float]
+    kind = schedule("nonsum", c=np.float32(0.25))
+    assert type(kind.c) is float and kind.c == 0.25
+    # a numpy m weights like a Python float: the same run, bit for bit
+    objective, _, prox, ball = _small_problem()
+    runs = [mirror_descent(objective, prox, ball, ScheduleState(schedule("nonsum"), 1.0),
+                           RunConfig(m=m, iters=20), default_start(ball))
+            for m in (np.float64(3.0), 3.0)]
+    assert runs[0].x_hat.tobytes() == runs[1].x_hat.tobytes()

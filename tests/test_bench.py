@@ -11,6 +11,7 @@ import pytest
 from mdbench.bench import (
     ExperimentPlan,
     ReferenceSolution,
+    _certified_reference,
     constrained_reference,
     constrained_start,
     default_start,
@@ -28,8 +29,10 @@ from mdbench.bench import (
 from mdbench.bench import bound_corollaries  # re-exported convenience import
 from mdbench.geometry import Ball, Simplex, euclidean_setup, unit_ball
 from mdbench.problems import (
+    AffineConstraints,
     DistanceToPoint,
     InstanceSpec,
+    MaxAffine,
     MeanDistance,
     build_constraints,
     build_objective,
@@ -111,12 +114,58 @@ def test_reference_grid_for_tiny_dimension():
     assert abs(ref.f_min - 1.0) <= ref.tolerance + 1e-9
 
 
+def _contains(ref, value, slack=0.0) -> bool:
+    """Whether f* = value, known to within slack, can lie in the reference's
+    bracket [f_min - tolerance, f_min]."""
+    return ref.f_min - ref.tolerance <= value + slack and value - slack <= ref.f_min
+
+
 def test_reference_long_run_and_its_tolerance():
     obj = build_objective(InstanceSpec("covering-ball", n=6, t=3, seed=8))
     ref = reference_solution(obj, unit_ball(6), iters_budget=100)
     assert ref.method == "LongRun"
-    assert ref.tolerance == bound_corollaries(5.0, 5000, 1.0, 2.0, 1.0)
+    # never looser than the corollary bound of a run 50 times the budget
+    assert 0.0 <= ref.tolerance <= bound_corollaries(5.0, 5000, 1.0, 2.0, 1.0)
     assert math.isfinite(ref.f_min)
+    # f_min is f at a point of the ball, and no point goes below the lower end
+    x = unit_ball(6).project_rows(np.random.default_rng(0).normal(size=(2000, 6)))
+    assert ref.f_min - ref.tolerance <= float(obj.values(x).min())
+
+
+def test_reference_long_run_contains_the_analytic_value():
+    # the mean distance to one point outside the unit ball is the distance
+    # to that point, with f* = ||a|| - 1; its kind takes the certified run
+    a = np.array([0.9, -1.2, 0.4, 0.3, 0.8])
+    ref = reference_solution(MeanDistance([a]), unit_ball(5), iters_budget=200)
+    assert ref.method == "LongRun"
+    assert ref.tolerance <= bound_corollaries(5.0, 10_000, 1.0, 2.0, 1.0)
+    # f_min is a computed value of f, so both sides carry rounding
+    assert _contains(ref, math.sqrt(float(a @ a)) - 1.0, 1e-12)
+
+
+def test_reference_long_run_that_starts_at_a_minimizer_is_exact():
+    # the start x1 is the midpoint of two anchors: the unit vectors to them
+    # cancel exactly, so x1 minimizes f and f* = f(x1) = 1
+    x1 = default_start(unit_ball(4))
+    e1 = np.eye(4)[0]
+    ref = reference_solution(MeanDistance([x1 + e1, x1 - e1]), unit_ball(4), iters_budget=50)
+    assert ref == ReferenceSolution(1.0, "LongRun", 0.0)
+
+
+@pytest.mark.parametrize("spec, budget", [
+    (InstanceSpec("max-linear", n=2, t=6, seed=0), 300),
+    (InstanceSpec("covering-ball", n=3, t=10, seed=42), 200),
+], ids=["max-linear-n2", "covering-ball-n3"])
+def test_reference_long_run_contains_the_grid_value(spec, budget):
+    # below n = 4 the references come from the grid; the certified run
+    # must bracket the grid's value within the grid's tolerance
+    obj = build_objective(spec)
+    ball = unit_ball(spec.n)
+    grid = reference_solution(obj, ball)
+    ref = _certified_reference(obj, ball, budget)
+    assert grid.method == "GridRefine" and ref.method == "LongRun"
+    assert ref.tolerance <= bound_corollaries(5.0, 50 * budget, obj.lipschitz_bound, 2.0, 1.0)
+    assert _contains(ref, grid.f_min, grid.tolerance)
 
 
 def test_grid_refine_minimize_known_minimum():
@@ -176,8 +225,45 @@ def test_constrained_reference_certified_run():
     cons = build_constraints(spec)
     ref = constrained_reference(obj, cons, unit_ball(10), epsilon_ref=0.05)
     assert ref.method == "LongRun"
-    assert ref.tolerance >= 0.05
+    assert 0.0 <= ref.tolerance <= 0.05
     assert math.isfinite(ref.f_min)
+    # a bracket at a finer accuracy overlaps it: both hold f*
+    fine = constrained_reference(obj, cons, unit_ball(10), epsilon_ref=1e-3)
+    assert fine.tolerance <= 1e-3
+    assert _contains(ref, fine.f_min) and _contains(ref, fine.f_min - fine.tolerance)
+
+
+def test_constrained_reference_contains_the_closed_form_minimum():
+    # min <a, x> + b over the unit ball and the halfspace <alpha, x> <= beta
+    # cuts off the ball's minimizer -a/||a||, so the minimum lies on the
+    # hyperplane: b + <a, u> beta' - ||a_perp|| sqrt(1 - beta'^2), with u
+    # the unit normal, beta' = beta / ||alpha|| and a_perp the part of a
+    # orthogonal to u
+    a = np.array([1.0, 1.0, 0.0, 0.0])
+    alpha, beta = np.array([-2.0, 0.0, 0.0, 0.0]), 1.0
+    obj = MaxAffine([a], [0.25])
+    cons = AffineConstraints([alpha], [beta])
+    u = alpha / np.linalg.norm(alpha)
+    b_u = beta / np.linalg.norm(alpha)
+    a_perp = a - (a @ u) * u
+    f_star = 0.25 + (a @ u) * b_u - np.linalg.norm(a_perp) * math.sqrt(1.0 - b_u**2)
+    assert f_star == pytest.approx(0.25 - 0.5 - math.sqrt(0.75))
+    for epsilon_ref in (6e-3, 1e-4):
+        ref = constrained_reference(obj, cons, unit_ball(4), epsilon_ref=epsilon_ref)
+        assert ref.method == "LongRun"
+        assert 0.0 <= ref.tolerance <= epsilon_ref
+        assert _contains(ref, f_star, 1e-12)
+
+
+def test_constrained_reference_names_the_bracket_it_reached(monkeypatch):
+    spec = InstanceSpec(
+        "max-linear", n=10, t=10, p=5, seed=11, distribution="standard-normal"
+    )
+    monkeypatch.setattr("mdbench.solvers.SAFETY_CAP", 100)
+    with pytest.raises(RuntimeError, match=r"bracket \[.*\] is still wider than "
+                                           r"epsilon_ref=1e-06 after 100 iterations"):
+        constrained_reference(build_objective(spec), build_constraints(spec), unit_ball(10),
+                              epsilon_ref=1e-6)
 
 
 # ---------------------------------------------------------------- trace CSV

@@ -3,6 +3,7 @@ method, objective kind, prox and step rule, bit for bit."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from mdbench.bench import constrained_start, default_start
-from mdbench.geometry import L1, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
+from mdbench.geometry import L1, Ball, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
 from mdbench.problems import (
     OBJECTIVE_KINDS,
     AffineConstraints,
@@ -22,6 +23,7 @@ from mdbench.problems import (
 from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
 from mdbench.solvers import (
     RunConfig,
+    _descent,
     constrained_md,
     constrained_md_multi,
     mirror_c_descent,
@@ -29,6 +31,8 @@ from mdbench.solvers import (
 )
 
 from oracles import (
+    exact_lower,
+    reference_bracket,
     reference_composite_md,
     reference_mirror_descent,
     reference_scan_md,
@@ -232,3 +236,143 @@ def test_a_constrained_run_that_starts_at_its_minimizer_stops_on_both_sides(meth
     assert res.stop_reason.value == "StationaryPoint"
     assert (res.iterations, res.constraint_evals_total) == (0, 3)
     _assert_same_run(res, ref, method)
+
+
+# -- certified f* brackets -----------------------------------------------------
+
+# (objective kind, n, t, feasible set, prox, m, epsilon or None, steps);
+# epsilon set means Algorithm 3 with the constraints of _bracket_problem
+BRACKET_CASES = {
+    "fts-ball-m5": ("fts", 6, 4, "ball", "euclidean", 5.0, None, 300),
+    "max-linear-ball-m0": ("max-linear", 5, 6, "ball", "euclidean", 0.0, None, 300),
+    "covering-offcenter-ball-m2": ("covering-ball", 4, 5, "offcenter", "euclidean", 2.0, None,
+                                   200),
+    "covering-simplex-m5": ("covering-ball", 5, 4, "simplex", "euclidean", 5.0, None, 200),
+    "max-linear-simplex-entropy-m1": ("max-linear", 6, 5, "simplex", "entropy", 1.0, None, 200),
+    "switching-ball-m1": ("max-linear", 10, 10, "ball", "euclidean", 1.0, 6e-3, 512),
+    "switching-simplex-m1": ("max-linear", 5, 4, "simplex", "euclidean", 1.0, 1e-2, 256),
+    "switching-best-approx-ball-m3": ("best-approx", 5, 1, "ball", "euclidean", 3.0, 0.05, 256),
+}
+
+
+def _bracket_problem(kind, n, t, where, prox_name, epsilon, seed):
+    objective = build_objective(InstanceSpec(kind, n=n, t=t, seed=seed))
+    objective.known_fstar = None
+    prox = euclidean_setup() if prox_name == "euclidean" else entropy_setup()
+    feasible = {"ball": unit_ball(n), "offcenter": Ball(np.linspace(-0.3, 0.4, n), 1.5),
+                "simplex": Simplex(n)}[where]
+    constraints = None
+    if epsilon is not None:
+        if where == "simplex":
+            # x_i <= 0.1 for the first two coordinates: the barycenter start
+            # of n <= 9 violates them
+            constraints = AffineConstraints(np.eye(n)[:2], [0.1, 0.1])
+        else:
+            constraints = build_constraints(InstanceSpec(
+                kind, n=n, t=t, p=5, seed=seed, distribution="standard-normal"))
+    x1 = default_start(feasible) if constraints is None else constrained_start(feasible)
+    return objective, constraints, prox, feasible, x1
+
+
+def _bracket_runs(kind, n, t, where, prox_name, m, epsilon, steps, *, tag="time-varying",
+                  seed=11, k0=8, width=0.0, checks=None):
+    """(the library's bracket run, the plain loop's {k: bracket}, its cuts,
+    the feasible set); each side builds its own instance and step rules. A
+    zero width is never reached, so the library runs all ``steps``."""
+    sides = []
+    for reference in (False, True):
+        objective, constraints, prox, feasible, x1 = _bracket_problem(
+            kind, n, t, where, prox_name, epsilon, seed)
+        lip_g = constraints.lipschitz_bound if constraints is not None else 1.0
+        rule_f, rule_g = (_rule(tag, lip, prox.sigma) for lip in (objective.lipschitz_bound,
+                                                                 lip_g))
+        if reference:
+            sides.extend(reference_bracket(objective, constraints, prox, feasible, rule_f,
+                                           rule_g, m, epsilon, steps, x1, checks or {steps}))
+            continue
+        config = RunConfig(m=m, iters=steps, epsilon=epsilon, record_trace=False)
+        ((res,),) = _descent(objective, prox, feasible, (rule_f,), config, x1, (m,),
+                             constraints=constraints, state_g=rule_g, bracket=(k0, width))
+        sides.append(res)
+    return (*sides, feasible)
+
+
+def _assert_same_bracket(res, lower, upper):
+    # the upper end is a value the run computed at a point: the same bits
+    assert res.f_upper == upper
+    # the lower end is the plain loop's less the rounding allowance, and the
+    # s-searches of both sides agree to rounding
+    scale = 1.0 + abs(lower)
+    assert lower - 1e-9 * scale <= res.f_lower <= lower + 1e-12 * scale
+    assert res.f_lower <= res.f_upper
+
+
+@pytest.mark.parametrize("case", BRACKET_CASES)
+def test_the_bracket_matches_its_plain_loop(case):
+    steps = BRACKET_CASES[case][-1]
+    res, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case])
+    assert res.iterations == steps and res.stop_reason.value == "MaxIters"
+    if BRACKET_CASES[case][6] is not None:
+        assert 0 < res.nonproductive_count < steps
+    _assert_same_bracket(res, *brackets[steps][:2])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_bracket_matches_its_plain_loop(data):
+    kind = data.draw(st.sampled_from(OBJECTIVE_KINDS), label="kind")
+    where = data.draw(st.sampled_from(("ball", "offcenter", "simplex")), label="set")
+    prox_name = data.draw(st.sampled_from(("euclidean", "entropy") if where == "simplex"
+                                          else ("euclidean",)), label="prox")
+    n = data.draw(st.integers(2, 7), label="n")
+    epsilon = data.draw(st.none() | st.floats(1e-3, 0.5), label="epsilon")
+    tag = data.draw(st.sampled_from(("time-varying", "adaptive-time-varying", "constant-step",
+                                     "adagrad")), label="tag")
+    m = data.draw(st.floats(-1.0, 6.0), label="m")
+    steps = data.draw(st.integers(1, 150), label="steps")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    try:
+        res, brackets, cuts, feasible = _bracket_runs(
+            kind, n, 3, where, prox_name, m, epsilon, steps, tag=tag, seed=seed)
+    except (ValueError, RuntimeError):
+        event("refused")  # no productive step, or weights beyond the float64 range
+        return
+    if steps not in brackets:
+        event("stationary")  # the plain loop ends at a zero subgradient
+        return
+    event(f"{res.nonproductive_count > 0} non-productive steps")
+    lower, upper, s = brackets[steps]
+    _assert_same_bracket(res, lower, upper)
+    if res.productive_count:
+        assert Fraction(res.f_lower) <= exact_lower(cuts, feasible, s)
+
+
+@pytest.mark.parametrize("case", ["fts-ball-m5", "max-linear-ball-m0", "switching-ball-m1",
+                                  "switching-simplex-m1"])
+def test_the_bracket_stops_at_the_first_checkpoint_within_its_width(case):
+    steps = BRACKET_CASES[case][-1]
+    checks = [4 * 2**j for j in range(12) if 4 * 2**j < steps] + [steps]
+    _, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case], checks=set(checks))
+    widths = [brackets[k][1] - brackets[k][0] for k in checks]
+    width = 1.001 * widths[2]
+    expected = next(k for k, w in zip(checks, widths) if w <= width)
+    res, _, _, _ = _bracket_runs(*BRACKET_CASES[case], k0=4, width=width)
+    assert res.iterations == expected
+    assert res.stop_reason.value == "EpsilonCriterion"
+    assert res.f_upper - res.f_lower <= width
+
+
+@pytest.mark.parametrize("case", ["fts-ball-m5", "covering-offcenter-ball-m2",
+                                  "covering-simplex-m5", "switching-ball-m1",
+                                  "switching-simplex-m1"])
+def test_the_rounding_allowance_covers_the_float_error(case):
+    # the certificate re-evaluated in exact arithmetic from the same float
+    # data lies above the library's lower end; on fts at m = 5 the bracket
+    # is about as wide as the rounding of its own sums
+    steps = BRACKET_CASES[case][-1]
+    res, brackets, cuts, feasible = _bracket_runs(*BRACKET_CASES[case])
+    exact = exact_lower(cuts, feasible, brackets[steps][2])
+    assert Fraction(res.f_lower) <= exact <= Fraction(res.f_upper)
+    if case == "fts-ball-m5":
+        assert res.f_upper - res.f_lower < 1e-9

@@ -77,6 +77,8 @@ COMMANDS = (
     "constrained --problem covering-ball --n 5 --t 4 --p 6 --dist standard-normal "
     "--epsilon 0.3 --m 3 --seed 3 --trace-dir tr_scan_m3 --out scan_m3.csv",
     "run --problem max-linear --n 40 --t 8 --iters 1 --out run_longrun_b1.csv",
+    "run --problem covering-ball --n 30 --t 6 --iters 200 --out run_shared.csv",
+    "sweep-m --problem fts --n 20 --t 8 --iters 300 --out sweep_fts_s42.csv",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

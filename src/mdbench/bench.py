@@ -41,6 +41,7 @@ from .problems import (
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
     RunConfig,
+    _Bracket,
     _check_m_values,
     _descent,
     bound_corollaries,
@@ -274,8 +275,15 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
     return best_x, best_v, slack
 
 
-def reference_solution(objective, feasible: FeasibleSet,
-                       iters_budget: int = 10_000) -> ReferenceSolution:
+def _reference_method(objective, feasible: FeasibleSet) -> str:
+    """How ``reference_solution`` finds f* for this objective and set."""
+    if objective.kind == KIND_BEST_APPROX and isinstance(feasible, Ball):
+        return METHOD_ANALYTIC
+    return METHOD_GRID if feasible.n <= 3 else METHOD_LONGRUN
+
+
+def reference_solution(objective, feasible: FeasibleSet, iters_budget: int = 10_000,
+                       bracket: Optional[_Bracket] = None) -> ReferenceSolution:
     """Best-known minimum of an unconstrained objective over the set, with
     f* in [f_min - tolerance, f_min].
 
@@ -283,41 +291,63 @@ def reference_solution(objective, feasible: FeasibleSet,
     n <= 3, ``grid_refine_minimize`` aims at 1e-6 but stops after its
     round limit, so the tolerance is the slack it achieved (at least 1e-6,
     often 1e-4 to 1e-2 at n = 2); n = 3 is slow. Everything else gets one
-    certified run (m = 5, time-varying steps, from ``default_start``) whose
-    own subgradients bracket f*: f_min is the upper end and the tolerance
-    the bracket's width. The run takes at least ``iters_budget`` steps and
-    goes on, checking at twice, four times, ... the budget, only while the
-    bracket is wider than the corollary bound of a run 50 times the budget,
-    and stops at that length, where the bracket is at most the realized
-    bound (which the corollary bounds) plus its rounding allowance. The
-    upper end is a computed value of f, so f* can exceed it by the rounding
-    of one objective evaluation.
+    certified run (m = 5, time-varying steps, Euclidean prox, from
+    ``default_start``) whose own subgradients bracket f*: f_min is the
+    upper end and the tolerance the bracket's width. The run takes at least
+    ``iters_budget`` steps and goes on, checking at twice, four times, ...
+    the budget, only while the bracket is wider than the corollary bound of
+    a run 50 times the budget, and stops at that length, where the bracket
+    is at most the realized bound (which the corollary bounds) plus its
+    rounding allowance. The upper end is a computed value of f, so f* can
+    exceed it by the rounding of one objective evaluation.
+
+    ``bracket`` is one that ``_reference_bracket`` made for this objective,
+    set and budget and that a Euclidean plan's time-varying row carried
+    (``_solve_plan``). The iterates do not depend on m, so that row is this
+    run's first ``iters_budget`` steps: a bracket that closed at the budget
+    is this run's, bit for bit, and is returned without a run.
     """
-    if objective.kind == KIND_BEST_APPROX and isinstance(feasible, Ball):
+    method = _reference_method(objective, feasible)
+    if method == METHOD_ANALYTIC:
         d = objective.a - feasible.center
         f_min = max(0.0, math.sqrt(float(np.dot(d, d))) - feasible.radius)
         return ReferenceSolution(f_min, METHOD_ANALYTIC, 0.0)
-    if feasible.n <= 3:
+    if method == METHOD_GRID:
         _, f_min, achieved = grid_refine_minimize(
             objective.values, feasible, tol=1e-6, lipschitz=objective.lipschitz_bound
         )
         return ReferenceSolution(f_min, METHOD_GRID, max(achieved, 1e-6))
+    if bracket is not None and bracket.closed_at == iters_budget:
+        return _bracket_reference(bracket)
     return _certified_reference(objective, feasible, iters_budget)
+
+
+def _reference_bracket(objective, feasible: FeasibleSet, iters_budget: int,
+                       row: int = 0) -> _Bracket:
+    """The bracket of the certified run of ``reference_solution``, to ride
+    on trajectory ``row`` of a batch: m = 5, first checked at the budget,
+    closed within the corollary bound of a run 50 times the budget."""
+    width = bound_corollaries(5.0, 50 * iters_budget, objective.lipschitz_bound,
+                              theta_for(feasible), euclidean_setup().sigma)
+    return _Bracket(feasible, 5.0, iters_budget, width, row)
+
+
+def _bracket_reference(bracket: _Bracket) -> ReferenceSolution:
+    return ReferenceSolution(bracket.upper, METHOD_LONGRUN, bracket.upper - bracket.lower)
 
 
 def _certified_reference(objective, feasible: FeasibleSet,
                          iters_budget: int) -> ReferenceSolution:
-    """The certified run of ``reference_solution``, in any dimension."""
+    """The certified run of ``reference_solution``, in any dimension. It
+    averages nothing: the bracket keeps the one weighted sum it needs."""
     prox = euclidean_setup()
-    n_cap = 50 * iters_budget
-    theta = theta_for(feasible)
-    m_lip = objective.lipschitz_bound
-    tol = bound_corollaries(5.0, n_cap, m_lip, theta, prox.sigma)
-    state = _schedule_state(TAG_TIME_VARYING, m_lip, prox.sigma)
-    config = RunConfig(m=5.0, iters=n_cap, theta=theta, record_trace=False)
-    ((res,),) = _descent(objective, prox, feasible, (state,), config, default_start(feasible),
-                         (5.0,), bracket=(iters_budget, tol))
-    return ReferenceSolution(res.f_upper, METHOD_LONGRUN, res.f_upper - res.f_lower)
+    bracket = _reference_bracket(objective, feasible, iters_budget)
+    state = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
+    config = RunConfig(m=5.0, iters=50 * iters_budget, theta=theta_for(feasible),
+                       record_trace=False)
+    _descent(objective, prox, feasible, (state,), config, default_start(feasible), (),
+             bracket=bracket)
+    return _bracket_reference(bracket)
 
 
 def constrained_reference(objective, constraints, feasible: FeasibleSet,
@@ -337,15 +367,16 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     state_f = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
     state_g = _schedule_state(TAG_TIME_VARYING, constraints.lipschitz_bound, prox.sigma)
     config = RunConfig(m=m, epsilon=epsilon_ref, record_trace=False)
+    bracket = _Bracket(feasible, config.m, 1, epsilon_ref)
     ((res,),) = _descent(objective, prox, feasible, (state_f,), config,
                          constrained_start(feasible), (config.m,), constraints=constraints,
-                         state_g=state_g, bracket=(1, epsilon_ref))
-    if not res.f_upper - res.f_lower <= epsilon_ref:
+                         state_g=state_g, bracket=bracket)
+    if not bracket.upper - bracket.lower <= epsilon_ref:
         raise RuntimeError(
-            f"constrained reference bracket [{res.f_lower!r}, {res.f_upper!r}] is still "
+            f"constrained reference bracket [{bracket.lower!r}, {bracket.upper!r}] is still "
             f"wider than epsilon_ref={epsilon_ref:g} after {res.iterations} iterations"
         )
-    return ReferenceSolution(res.f_upper, METHOD_LONGRUN, res.f_upper - res.f_lower)
+    return _bracket_reference(bracket)
 
 
 def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None,
@@ -449,8 +480,17 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     """Run every schedule of an unconstrained plan as one batch: one traced
     trajectory per schedule, all advanced together and each averaged once
     per m. Writes nothing; returns the reference and (tag, m, SolveResult)
-    triples in plan order. If schedules fail, the error of the first in
-    plan order is raised."""
+    triples in plan order. The batch raises the first error in its
+    execution order (see ``_descent``).
+
+    The reference is ``reference_solution``'s. When that is the certified
+    run and the plan has a time-varying row on the Euclidean prox, the row
+    is that run's first ``plan.iters`` steps, so it carries the run's
+    bracket, whose errors are raised in the batch's order, and
+    ``reference_solution`` runs after the batch: if the row ran all its
+    steps and the bracket closed at k = plan.iters, that bracket is the
+    reference and nothing runs again. Any other plan (entropy prox, no
+    time-varying row) gets its reference before the batch."""
     if plan.instance.p != 0:
         raise ValueError(
             "plan runs are unconstrained; use the constrained comparison for p > 0"
@@ -458,12 +498,21 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     objective, prox, feasible, x1, theta = _prepare_problem(plan.instance, plan.prox)
     if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
         raise ValueError("Polyak requires known f*")
-    reference = reference_solution(objective, feasible, iters_budget=plan.iters)
+    shared = None
+    if (plan.prox == "euclidean" and TAG_TIME_VARYING in plan.schedules
+            and _reference_method(objective, feasible) == METHOD_LONGRUN):
+        shared = _reference_bracket(objective, feasible, plan.iters,
+                                    plan.schedules.index(TAG_TIME_VARYING))
+    if shared is None:
+        reference = reference_solution(objective, feasible, iters_budget=plan.iters)
     config = RunConfig(m=plan.m_values[0], iters=plan.iters, theta=theta, record_trace=True)
     states = [
         _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
     ]
-    batch = _descent(objective, prox, feasible, states, config, x1, plan.m_values)
+    batch = _descent(objective, prox, feasible, states, config, x1, plan.m_values,
+                     bracket=shared)
+    if shared is not None:
+        reference = reference_solution(objective, feasible, plan.iters, shared)
     runs = []
     for tag, results in zip(plan.schedules, batch):
         runs.extend(zip(repeat(tag), plan.m_values, results))

@@ -188,6 +188,13 @@ def _finite_f(v, k) -> float:
     return v
 
 
+def _weights_error(k, m, gamma) -> ValueError:
+    return ValueError(
+        f"weights gamma**(-m) leave the float64 range at iteration {k} "
+        f"with m={m:g} and gamma={gamma:g}; use a smaller m"
+    )
+
+
 def _average_values(objective, sums, totals) -> list:
     """f at each running average sums[i] / totals[i] of the (R, n) array
     ``sums``, read with one ``values`` call; NaN where an averager is
@@ -227,14 +234,15 @@ def _finish(weighted_sum, weight_total, x, stop, objective, h, completed):
 
 class _Trajectory:
     """One schedule's share of a batched ``_descent``: its step rule, the
-    per-m weight totals and certificate sums, its trace, and how it ended.
-    While it runs, its iterate and weighted sums are one row of the batch
-    arrays; when it leaves, they are kept here."""
+    per-m weight totals and certificate sums, its trace, its f* bracket if
+    it carries one, and how it ended. While it runs, its iterate and
+    weighted sums are one row of the batch arrays; when it leaves, they are
+    kept here."""
 
     __slots__ = (
         "state", "trace", "bound_column", "certify", "want_f", "totals", "lhs", "sq",
         "rhs", "f_avg", "bound", "gamma", "weights", "n_prod", "n_nonprod", "stop", "x",
-        "sums",
+        "sums", "bracket",
     )
 
     def __init__(self, state, n_m, record, unconstrained, use_criterion):
@@ -259,16 +267,18 @@ class _Trajectory:
         self.stop = None  # a StopReason once it stopped early
         self.x = None  # the last iterate and the weighted sums, kept on leaving
         self.sums = None
+        self.bracket = None
 
 
 class _Bracket:
-    """A certified bracket f_lower <= f* <= f_upper built from a run's own
-    steps: the accuracy certificate of Nemirovski, Onn & Rothblum 2010.
+    """A certified bracket f_lower <= f* <= f_upper built from one
+    trajectory's own steps: the accuracy certificate of Nemirovski, Onn &
+    Rothblum 2010.
 
-    With the averager's weights w_k = gamma_k^{-m}, the productive steps I
-    (f_k = f(x_k) and a subgradient e_k of f) and the non-productive steps
-    J (g_j, the value at x_j of the constraint stepped along, and its
-    subgradient h_j), every feasible x and every s >= 0 satisfy
+    With weights w_k = gamma_k^{-m}, the productive steps I (f_k = f(x_k)
+    and a subgradient e_k of f) and the non-productive steps J (g_j, the
+    value at x_j of the constraint stepped along, and its subgradient h_j),
+    every feasible x and every s >= 0 satisfy
 
         W_I f(x) >= sum_I w_k (f_k + <e_k, x - x_k>)
                     + s * sum_J w_j (g_j + <h_j, x - x_j>),
@@ -281,62 +291,114 @@ class _Bracket:
     only how tight it is. A rounding allowance of 4 (k + n + 4) 2^-53 times
     the summed magnitudes w (|f_k| + 2 R ||e_k||_*), R the set's
     ``norm_bound``, covers the float error of these sums. The upper end is
-    the best f_k over iterates with g(x_k) <= 0 and f at the average when
-    g there is <= 0. A zero subgradient of f at x_k makes f_k a lower end
-    on its own.
+    the best f_k over iterates with g(x_k) <= 0 and f at the average
+    sum_I w_k x_k / W_I when g there is <= 0. A zero subgradient of f at
+    x_k makes f_k a lower end on its own.
+
+    The bracket rides on trajectory ``row`` of a ``_descent`` batch. Its
+    exponent m and its weighted sum of iterates are its own, so the m of
+    the run's averages do not matter; with the same m its sums are the
+    same floats, added in the same order, as the averager's. It is
+    evaluated at k = k0 * 2^j, at the run's last iteration and at a
+    stationary stop; ``lower`` and ``upper`` hold the last evaluation, and
+    ``closed_at`` the k of a check (not a stationary stop) that found it at
+    most ``width`` wide, or None; such a check ends the trajectory or
+    falls on its last iteration.
     """
 
-    __slots__ = ("norm_bound", "a", "c", "mag", "w", "a_j", "c_j", "mag_j", "w_j", "best",
-                 "floor")
+    __slots__ = ("feasible", "m", "next_check", "width", "row", "norm_bound", "a", "c",
+                 "mag", "w", "xs", "a_j", "c_j", "mag_j", "w_j", "best", "floor", "lower",
+                 "upper", "closed_at")
 
-    def __init__(self, n, norm_bound):
-        self.norm_bound = norm_bound
+    def __init__(self, feasible, m, k0, width, row=0):
+        self.feasible = feasible
+        self.m = m
+        self.next_check = k0
+        self.width = width
+        self.row = row
+        self.norm_bound = feasible.norm_bound
+        n = feasible.n
         # per class of step: sum of w (value - <subgradient, x>), sum of
-        # w * subgradient, summed magnitudes and sum of w
-        self.a, self.c, self.mag, self.w = 0.0, np.zeros(n), 0.0, 0.0
+        # w * subgradient, summed magnitudes and sum of w; and sum of w x
+        # over productive steps
+        self.a, self.c, self.mag, self.w, self.xs = 0.0, np.zeros(n), 0.0, 0.0, np.zeros(n)
         self.a_j, self.c_j, self.mag_j, self.w_j = 0.0, np.zeros(n), 0.0, 0.0
         self.best = math.inf  # best f_k over iterates with g(x_k) <= 0
         self.floor = -math.inf  # f_k where the subgradient of f is zero
+        self.lower, self.upper = -math.inf, math.inf
+        self.closed_at = None
 
-    def cut(self, prod, w, v, e, x, gn, feasible_point):
-        """Fold in the step at x with value v and subgradient e of dual norm gn."""
+    def cut(self, k, prod, gamma, v, e, x, gn, feasible_point):
+        """Fold in step k, of length gamma, at x with value v and
+        subgradient e of dual norm gn."""
+        try:
+            w = gamma ** (-self.m)
+        except (OverflowError, ZeroDivisionError):
+            w = math.inf
+        if prod:
+            self.w += w
+        else:
+            self.w_j += w
+        # sums reach inf without raising
+        if not (self.w < math.inf and self.w_j < math.inf):
+            raise _weights_error(k, self.m, gamma)
         a = w * (v - float(np.dot(e, x)))
         mag = w * (abs(v) + 2.0 * self.norm_bound * gn)
         if prod:
             self.a += a
             self.c += w * e
             self.mag += mag
-            self.w += w
+            self.xs += w * x
             if feasible_point and v < self.best:
                 self.best = v
         else:
             self.a_j += a
             self.c_j += w * e
             self.mag_j += mag
-            self.w_j += w
 
-    def lower(self, feasible, k) -> float:
+    def check(self, k, last, objective, constraints) -> bool:
+        """Evaluate the bracket when k is a checkpoint or ``last``; True
+        when it was evaluated and is at most ``width`` wide."""
+        if k != self.next_check and not last:
+            return False
+        self.next_check *= 2
+        self._evaluate(k, objective, constraints)
+        if self.upper - self.lower <= self.width:
+            self.closed_at = k
+            return True
+        return False
+
+    def stationary(self, k, v, feasible_point, objective, constraints):
+        """Evaluate the bracket at a stationary stop at k; v is f(x_k) when
+        the subgradient of f is zero there, and None otherwise."""
+        if v is not None:
+            self.floor = _finite_f(v, k)  # x_k minimizes f over the whole space
+            if feasible_point:
+                self.best = min(self.best, self.floor)
+        self._evaluate(k, objective, constraints)
+
+    def _evaluate(self, k, objective, constraints):
+        upper = self.best
+        if self.w > 0.0:
+            x_hat = self.xs / self.w  # the average, were the run to end here
+            if constraints is None or constraints.value(x_hat) <= 0.0:
+                upper = min(upper, objective.value(x_hat))
+        self.lower, self.upper = self._lower(k), upper
+
+    def _lower(self, k) -> float:
         if self.w == 0.0:
             return self.floor
         slack = 4.0 * (k + self.c.size + 4) * 2.0**-53
+        min_linear = self.feasible.min_linear
 
         def bound(s):
-            return (self.a + s * self.a_j + feasible.min_linear(self.c + s * self.c_j)
+            return (self.a + s * self.a_j + min_linear(self.c + s * self.c_j)
                     - slack * (self.mag + s * self.mag_j))
 
         best = bound(0.0) if self.w_j == 0.0 else _max_concave(bound, self.w / self.w_j)
         if not math.isfinite(best):
             raise ValueError(f"the f* bracket leaves the float64 range at iteration {k}")
         return max(best / self.w, self.floor)
-
-    def ends(self, feasible, k, weighted_sum, total, objective, constraints) -> tuple:
-        """(lower, upper) after k steps, with the average weighted_sum / total."""
-        upper = self.best
-        if total > 0.0:
-            x_hat = weighted_sum / total  # the output point, were the run to end here
-            if constraints is None or constraints.value(x_hat) <= 0.0:
-                upper = min(upper, objective.value(x_hat))
-        return self.lower(feasible, k), upper
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -436,18 +498,26 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     first in ``ms``. A constrained run whose criterion fires before any
     productive step raises NoProductiveSteps. Any error ends the batch at
     once. Each iteration runs the oracle pass, then the step phase of every
-    row in ``states`` order, which checks the row's dual norm and then the
-    f(x^k) it reads (a value no one reads is not checked), then the calls
-    all rows share; the first error in that order is raised. Rows do not
-    interact, so it is the error the failing trajectory's own run raises.
+    row in ``states`` order, which checks the row's dual norm, then the
+    f(x^k) it reads (a value no one reads is not checked), then its step,
+    weights and bracket, then the calls all rows share; the first error in
+    that order is raised. Rows do not interact, so it is the error the
+    failing trajectory's own run raises.
 
-    ``bracket = (k0, width)`` makes a one-row run, with no h, no scan and
-    no epsilon criterion, keep the certified bracket of ``_Bracket``; it
-    reads f(x^k) at every productive step. At k = k0 * 2^j, at the last
-    iteration and at a stationary stop it evaluates the bracket; the run
-    stops with EpsilonCriterion at the first such k where the bracket is at
-    most ``width`` wide, and returns it as ``f_lower`` and ``f_upper``.
-    Without it, each iteration pays one test.
+    ``bracket``, a ``_Bracket``, rides on the trajectory
+    ``states[bracket.row]`` of a run with no h, no scan and no epsilon
+    criterion, and follows it when other rows leave the batch; that
+    trajectory reads f(x^k) at every productive step. Every step it takes
+    is folded into the bracket, which is evaluated at k = k0 * 2^j, at the
+    last iteration and at a stationary stop. When an evaluation before the
+    last iteration finds it at most ``width`` wide, the trajectory stops
+    with EpsilonCriterion after that iteration's averages; at the last
+    iteration it ends with MaxIters either way, and the bracket's
+    ``closed_at`` tells whether it closed. The trajectory's results carry
+    the last evaluation as ``f_lower`` and ``f_upper``. ``ms`` may be empty
+    in a bracket run: no trajectory is averaged, each returns an empty
+    tuple, and the bracket holds the result. Without a bracket, each row
+    pays one test per iteration.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -462,10 +532,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         raise ValueError(
             "constrained, criterion-stopped and composite runs take one step rule"
         )
-    if bracket is not None and (len(states) != 1 or len(ms) != 1 or h is not None
-                                or scan or use_criterion):
-        raise ValueError("a bracket run takes one step rule, one m, no h, no scan "
-                         "and no epsilon criterion")
+    if bracket is not None and (h is not None or scan or use_criterion):
+        raise ValueError("a bracket run takes no h, no scan and no epsilon criterion")
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
     theta = config.theta
@@ -475,16 +543,16 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     n_m = len(ms)
     record = config.record_trace
     runs = [_Trajectory(state, n_m, record, constraints is None, use_criterion) for state in states]
-    cert = None
     if bracket is not None:
-        next_check, width = bracket
-        cert = _Bracket(x.size, feasible.norm_bound)
-        runs[0].want_f = True  # the bracket reads f(x^k)
-        found = (-math.inf, math.inf)
+        carrier = runs[bracket.row]
+        carrier.bracket = bracket
+        carrier.want_f = True  # the bracket reads f(x^k)
     live = list(runs)  # row j of the batch arrays belongs to live[j]
     X = np.tile(x, (len(runs), 1))  # the iterates x^k
     sums = np.zeros((len(runs), n_m, x.size))  # weighted sums of productive iterates, per m
-    first_sum = sums[0, 0]  # a view: with one average, x^k is folded into it at once
+    # a (1, n) view of the first row's first average (empty without one):
+    # with one average, x^k is folded into it at once
+    first_sum = sums[0, :1]
     fstar = objective.known_fstar
     # x^k's class and constraint evaluations: only constrained (one-row) runs change them
     prod, q, gx, evals, evals_total = True, None, math.nan, 0, 0
@@ -525,9 +593,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             F, G = objective.value_and_subgrad_rows(X)
             fs, gns = F.tolist(), norm_rows(G, dual)
         leaving = False
-        for run, x, gn, fx in zip(live, X, gns, fs):
+        closing = None  # the trajectory whose bracket closes at this k
+        for run, x, g, gn, fx in zip(live, X, G, gns, fs):
             if not math.isfinite(gn):
                 raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
+            cert = run.bracket
             if gn == 0.0:
                 if not prod:
                     which = f"constraint {q}" if scan else "the constraint maximum"
@@ -537,6 +607,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     )
                 run.stop = StopReason.STATIONARY_POINT
                 leaving = True
+                if cert is not None:
+                    cert.stationary(k, fx, constraints is None or gx <= 0.0, objective,
+                                    constraints)
                 continue
             # a value that no one reads is not checked
             fx = _finite_f(fx, k) if prod and run.want_f else None
@@ -546,6 +619,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             except StationarySignal:
                 run.stop = StopReason.STATIONARY_POINT
                 leaving = True
+                if cert is not None:
+                    cert.stationary(k, None, False, objective, constraints)
                 continue
             except (OverflowError, ZeroDivisionError):
                 gamma = math.nan  # the rule's arithmetic has no float64 result
@@ -583,10 +658,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
                         raise OverflowError
             except (OverflowError, ZeroDivisionError) as exc:
-                raise ValueError(
-                    f"weights gamma**(-m) leave the float64 range at iteration {k} "
-                    f"with m={m:g} and gamma={gamma:g}; use a smaller m"
-                ) from exc
+                raise _weights_error(k, m, gamma) from exc
+            if cert is not None:
+                cert.cut(k, prod, gamma, fx if prod else gx, g, x, gn,
+                         constraints is None or gx <= 0.0)
+                if cert.check(k, k == n_iter, objective, constraints) and k < n_iter:
+                    closing = run
             run.gamma = gamma
             run.weights = weights
             if prod:
@@ -608,8 +685,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             live, X, G, sums = _leave(live, X, G, sums)
             if not live:
                 break
-            first_sum = sums[0, 0]
-        if not one_average:
+            first_sum = sums[0, :1]
+        if n_m and not one_average:
             # several averages mean an unconstrained run: every step is productive
             weights_all = [w for run in live for w in run.weights]
             sums += np.array(weights_all).reshape(len(live), n_m, 1) * X[:, None]
@@ -628,16 +705,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                         for v, s, t in zip(vals, flat_sums, totals)]
             for j, run in enumerate(live):
                 run.f_avg.extend(vals[j * n_m:(j + 1) * n_m])
-        if cert is not None:
-            # one row, which took a step at x^k
-            cert.cut(prod, gamma ** (-ms[0]), fx if prod else gx, G[0], x, gn,
-                     constraints is None or gx <= 0.0)
-            if k == next_check or k == n_iter:
-                next_check *= 2
-                found = cert.ends(feasible, k, first_sum, run.totals[0], objective, constraints)
-                if found[1] - found[0] <= width:
-                    run.stop = StopReason.EPSILON_CRITERION
-                    break
+        if closing is not None:
+            closing.stop = StopReason.EPSILON_CRITERION
+            live, X, G, sums = _leave(live, X, G, sums)
+            if not live:
+                break
+            first_sum = sums[0, :1]
         if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
             live[0].stop = StopReason.EPSILON_CRITERION
             break
@@ -649,13 +722,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             X = composite_mirror_step(prox, feasible, X[0], G[0], live[0].gamma, h)[None]
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
-    if cert is not None and runs[0].stop is StopReason.STATIONARY_POINT:
-        if prod and gn == 0.0:
-            # x^k minimizes f over the whole space
-            cert.floor = _finite_f(fs[0], k)
-            if constraints is None or gx <= 0.0:
-                cert.best = min(cert.best, cert.floor)
-        found = cert.ends(feasible, k, runs[0].sums[0], runs[0].totals[0], objective, constraints)
 
     batch = []
     for run in runs:
@@ -673,6 +739,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     f"productive step: likely no point with {what} lies within "
                     f"Bregman distance theta={theta:g} of x1"
                 )
+        cert = run.bracket
         results = []
         for i in range(n_m):
             x_hat, f_hat = _finish(
@@ -700,8 +767,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     stop_reason=stop,
                     trace=trace_i,
                     constraint_evals_total=None if constraints is None else evals_total,
-                    f_lower=None if cert is None else found[0],
-                    f_upper=None if cert is None else found[1],
+                    f_lower=None if cert is None else cert.lower,
+                    f_upper=None if cert is None else cert.upper,
                 )
             )
         batch.append(tuple(results))

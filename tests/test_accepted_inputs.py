@@ -6,14 +6,20 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mdbench.bench import ExperimentPlan, default_start, run_experiment
+from mdbench.bench import (
+    ExperimentPlan,
+    _prepare_problem,
+    default_start,
+    reference_solution,
+    run_experiment,
+)
 from mdbench.cli import main
 from mdbench.geometry import euclidean_setup, unit_ball
 from mdbench.problems import (
@@ -158,10 +164,31 @@ def test_experiment_plan_accepts_only_what_runs(tmp_path_factory, kind, prox, ta
         assert str(exc)
         event("run refused")
         return
-    event("run finished")
+    carrier = "with" if "time-varying" in plan.schedules else "without"
+    event(f"run finished: {kind}, {prox}, {carrier} a time-varying row")
     text = (out / "summary.json").read_text()
     assert not re.search(r"\b(NaN|Infinity)\b", text)
     assert len(summary["cells"]) == len(plan.schedules) * len(plan.m_values)
+    _assert_reference_is_direct(plan, summary)
+
+
+def _assert_reference_is_direct(plan, summary):
+    # whether the plan's own time-varying row carried the bracket or the
+    # reference ran on its own, it is reference_solution's, bit for bit
+    objective, _, feasible, _, _ = _prepare_problem(plan.instance, plan.prox)
+    assert summary["reference"] == asdict(
+        reference_solution(objective, feasible, iters_budget=plan.iters))
+
+
+# fts n=4 seed 2: the row's bracket closes at a budget of 5 and is still too
+# wide at 1, where the separate run takes over; entropy plans never carry it
+@pytest.mark.parametrize("iters", (1, 5))
+@pytest.mark.parametrize("tags", [("time-varying",), ("adagrad", "time-varying", "nonsum")])
+@pytest.mark.parametrize("prox", ("euclidean", "entropy"))
+def test_a_plan_reference_is_reference_solution_on_every_path(tmp_path, prox, tags, iters):
+    plan = ExperimentPlan(InstanceSpec("fts", n=4, t=3, seed=2), tags, (1.0, 3.0), iters=iters,
+                          output_dir=str(tmp_path), prox=prox)
+    _assert_reference_is_direct(plan, run_experiment(plan))
 
 
 @_PROPERTY

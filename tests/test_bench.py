@@ -4,10 +4,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from mdbench import bench
 from mdbench.bench import (
     ExperimentPlan,
     ReferenceSolution,
@@ -38,7 +40,8 @@ from mdbench.problems import (
     build_objective,
     deserialize_instance,
 )
-from mdbench.schedules import ScheduleState, schedule
+from mdbench.cli import main
+from mdbench.schedules import TABLE_TAGS, ScheduleState, StationarySignal, schedule
 from mdbench.solvers import RunConfig, Trace, mirror_descent
 
 from oracles import grid_refine_pointwise, trace_csv_per_cell
@@ -166,6 +169,123 @@ def test_reference_long_run_contains_the_grid_value(spec, budget):
     assert grid.method == "GridRefine" and ref.method == "LongRun"
     assert ref.tolerance <= bound_corollaries(5.0, 50 * budget, obj.lipschitz_bound, 2.0, 1.0)
     assert _contains(ref, grid.f_min, grid.tolerance)
+
+
+# ------------------------------------ the plan's time-varying row brackets f*
+
+
+def _counted_descents(monkeypatch) -> list:
+    """Count the harness's solver-loop calls; each entry is the bracket the
+    call carried, or None."""
+    calls = []
+    real = bench._descent
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("bracket"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "_descent", counting)
+    return calls
+
+
+def _direct_reference(instance, prox_name, iters) -> dict:
+    objective, _, feasible, _, _ = bench._prepare_problem(instance, prox_name)
+    return asdict(reference_solution(objective, feasible, iters_budget=iters))
+
+
+def _run_cli(tmp_path, capsys, problem, n, t, iters, *flags) -> dict:
+    argv = ["run", "--problem", problem, "--n", str(n), "--t", str(t), "--iters", str(iters),
+            "--out", str(tmp_path / "run.csv"), *flags]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_a_default_run_solves_once(tmp_path, monkeypatch, capsys):
+    calls = _counted_descents(monkeypatch)
+    cell = _run_cli(tmp_path, capsys, "fts", 20, 10, 200)
+    # the plan's one time-varying row carried the bracket, which closed at
+    # the budget: no second solve
+    assert len(calls) == 1 and calls[0] is not None
+    assert cell["stop_reason"] == "MaxIters" and cell["iterations"] == 200
+    assert cell["reference"]["method"] == "LongRun"
+    assert cell["reference"] == _direct_reference(InstanceSpec("fts", n=20, t=10, seed=42),
+                                                  "euclidean", 200)
+
+
+@pytest.mark.parametrize("problem, n, t, iters, flags, shared", [
+    # the bracket is still too wide at k = 1; the separate run closes at k = 2
+    ("max-linear", 40, 8, 1, (), True),
+    ("fts", 20, 10, 200, ("--prox", "entropy"), False),  # the reference steps on the ball
+    ("fts", 20, 10, 200, ("--schedule", "nonsum"), False),  # no time-varying row
+], ids=["budget-1", "entropy", "no-time-varying-row"])
+def test_plans_that_cannot_take_the_reference_from_their_row_solve_twice(
+        tmp_path, monkeypatch, capsys, problem, n, t, iters, flags, shared):
+    calls = _counted_descents(monkeypatch)
+    cell = _run_cli(tmp_path, capsys, problem, n, t, iters, *flags)
+    assert len(calls) == 2
+    # a bracket that did not close is followed by the separate run; a plan
+    # that cannot carry one runs the reference first
+    assert [c is not None for c in calls] == ([True, True] if shared else [True, False])
+    prox_name = "entropy" if "entropy" in flags else "euclidean"
+    assert cell["reference"] == _direct_reference(InstanceSpec(problem, n=n, t=t, seed=42),
+                                                  prox_name, iters)
+
+
+def test_a_time_varying_row_that_stops_at_a_minimizer_leaves_the_reference_to_its_own_run(
+        tmp_path, monkeypatch):
+    # the start is the midpoint of two anchors, so it minimizes f: the row
+    # stops at k = 1 and the reference comes from the separate run
+    x1 = default_start(unit_ball(4))
+    e1 = np.eye(4)[0]
+    monkeypatch.setattr(bench, "build_objective",
+                        lambda spec: MeanDistance([x1 + e1, x1 - e1]))
+    calls = _counted_descents(monkeypatch)
+    cell = run_single_cell(InstanceSpec("fts", n=4, t=2, seed=0), "euclidean", "time-varying",
+                           1.0, 50, str(tmp_path / "tv.csv"))
+    assert len(calls) == 2 and calls[0] is not None
+    assert (cell["stop_reason"], cell["iterations"]) == ("StationaryPoint", 0)
+    assert cell["reference"] == asdict(ReferenceSolution(1.0, "LongRun", 0.0))
+
+
+class _StopsAtSeven(ScheduleState):
+    """A step rule that signals a stationary point at k = 7."""
+
+    def step_size(self, k, *args):
+        if k == 7:
+            raise StationarySignal
+        return super().step_size(k, *args)
+
+
+def test_the_bracket_follows_its_row_when_another_row_leaves(tmp_path, monkeypatch):
+    # compare's rules on fts: time-varying is row 6, and row 0 leaves the
+    # batch at k = 7, after which time-varying is row 5 of the arrays
+    tags = tuple(t for t in TABLE_TAGS if t != "polyak")
+    assert tags.index("time-varying") == 6
+    real = bench._schedule_state
+
+    def states(tag, lipschitz, sigma):
+        if tag == tags[0]:
+            return _StopsAtSeven(schedule(tag), sigma)
+        return real(tag, lipschitz, sigma)
+
+    monkeypatch.setattr(bench, "_schedule_state", states)
+    calls = _counted_descents(monkeypatch)
+    instance = InstanceSpec("fts", n=6, t=5, seed=9)
+    summary = run_experiment(ExperimentPlan(instance, tags, (1.0,), iters=120,
+                                            output_dir=str(tmp_path / "plan")))
+    assert len(calls) == 1 and calls[0].row == 6
+    cells = {c["schedule"]: c for c in summary["cells"]}
+    assert (cells[tags[0]]["stop_reason"], cells[tags[0]]["iterations"]) == ("StationaryPoint", 6)
+    assert cells["time-varying"]["stop_reason"] == "MaxIters"
+    monkeypatch.undo()
+    assert summary["reference"] == _direct_reference(instance, "euclidean", 120)
+    # the row's own file, with the reference in its gap columns, is that of
+    # the single run
+    single = run_single_cell(instance, "euclidean", "time-varying", 1.0, 120,
+                             str(tmp_path / "tv.csv"))
+    assert single["reference"] == summary["reference"]
+    assert (tmp_path / "tv.csv").read_bytes() == (
+        tmp_path / "plan" / "time-varying_m1.csv").read_bytes()
 
 
 def test_grid_refine_minimize_known_minimum():

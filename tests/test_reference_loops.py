@@ -23,6 +23,7 @@ from mdbench.problems import (
 from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
 from mdbench.solvers import (
     RunConfig,
+    _Bracket,
     _descent,
     constrained_md,
     constrained_md_multi,
@@ -274,11 +275,14 @@ def _bracket_problem(kind, n, t, where, prox_name, epsilon, seed):
     return objective, constraints, prox, feasible, x1
 
 
-def _bracket_runs(kind, n, t, where, prox_name, m, epsilon, steps, *, tag="time-varying",
-                  seed=11, k0=8, width=0.0, checks=None):
-    """(the library's bracket run, the plain loop's {k: bracket}, its cuts,
-    the feasible set); each side builds its own instance and step rules. A
-    zero width is never reached, so the library runs all ``steps``."""
+def _bracket_runs(kind, n, t, where, prox_name, m, epsilon, steps, *, ms=None,
+                  tag="time-varying", seed=11, k0=8, width=0.0, checks=None):
+    """(the library's results, one per m of ``ms``, its bracket, the plain
+    loop's {k: bracket}, its cuts, the feasible set); each side builds its
+    own instance and step rules. The bracket's exponent is m; the library
+    run averages with ``ms`` (default (m,)), which the bracket does not
+    read. A zero width is never reached, so the library runs all
+    ``steps``."""
     sides = []
     for reference in (False, True):
         objective, constraints, prox, feasible, x1 = _bracket_problem(
@@ -291,30 +295,34 @@ def _bracket_runs(kind, n, t, where, prox_name, m, epsilon, steps, *, tag="time-
                                            rule_g, m, epsilon, steps, x1, checks or {steps}))
             continue
         config = RunConfig(m=m, iters=steps, epsilon=epsilon, record_trace=False)
-        ((res,),) = _descent(objective, prox, feasible, (rule_f,), config, x1, (m,),
-                             constraints=constraints, state_g=rule_g, bracket=(k0, width))
-        sides.append(res)
+        bracket = _Bracket(feasible, m, k0, width)
+        (results,) = _descent(objective, prox, feasible, (rule_f,), config, x1,
+                              (m,) if ms is None else ms, constraints=constraints,
+                              state_g=rule_g, bracket=bracket)
+        for res in results:
+            assert (res.f_lower, res.f_upper) == (bracket.lower, bracket.upper)
+        sides.extend((results, bracket))
     return (*sides, feasible)
 
 
-def _assert_same_bracket(res, lower, upper):
+def _assert_same_bracket(bracket, lower, upper):
     # the upper end is a value the run computed at a point: the same bits
-    assert res.f_upper == upper
+    assert bracket.upper == upper
     # the lower end is the plain loop's less the rounding allowance, and the
     # s-searches of both sides agree to rounding
     scale = 1.0 + abs(lower)
-    assert lower - 1e-9 * scale <= res.f_lower <= lower + 1e-12 * scale
-    assert res.f_lower <= res.f_upper
+    assert lower - 1e-9 * scale <= bracket.lower <= lower + 1e-12 * scale
+    assert bracket.lower <= bracket.upper
 
 
 @pytest.mark.parametrize("case", BRACKET_CASES)
 def test_the_bracket_matches_its_plain_loop(case):
     steps = BRACKET_CASES[case][-1]
-    res, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case])
+    (res,), bracket, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case])
     assert res.iterations == steps and res.stop_reason.value == "MaxIters"
     if BRACKET_CASES[case][6] is not None:
         assert 0 < res.nonproductive_count < steps
-    _assert_same_bracket(res, *brackets[steps][:2])
+    _assert_same_bracket(bracket, *brackets[steps][:2])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -329,23 +337,30 @@ def test_every_bracket_matches_its_plain_loop(data):
     epsilon = data.draw(st.none() | st.floats(1e-3, 0.5), label="epsilon")
     tag = data.draw(st.sampled_from(("time-varying", "adaptive-time-varying", "constant-step",
                                      "adagrad")), label="tag")
-    m = data.draw(st.floats(-1.0, 6.0), label="m")
+    m = data.draw(st.floats(-1.0, 6.0), label="bracket m")
+    # the run's own averages, drawn apart from the bracket's exponent: none
+    # or several on unconstrained runs, exactly one on constrained ones
+    one = epsilon is not None
+    ms = tuple(data.draw(st.lists(st.floats(-1.0, 6.0), min_size=int(one),
+                                  max_size=1 if one else 3), label="ms"))
     steps = data.draw(st.integers(1, 150), label="steps")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     try:
-        res, brackets, cuts, feasible = _bracket_runs(
-            kind, n, 3, where, prox_name, m, epsilon, steps, tag=tag, seed=seed)
+        results, bracket, brackets, cuts, feasible = _bracket_runs(
+            kind, n, 3, where, prox_name, m, epsilon, steps, ms=ms, tag=tag, seed=seed)
     except (ValueError, RuntimeError):
         event("refused")  # no productive step, or weights beyond the float64 range
         return
     if steps not in brackets:
         event("stationary")  # the plain loop ends at a zero subgradient
         return
-    event(f"{res.nonproductive_count > 0} non-productive steps")
+    event(f"{any(not c[0] for c in cuts)} non-productive steps, {len(ms)} averages")
     lower, upper, s = brackets[steps]
-    _assert_same_bracket(res, lower, upper)
-    if res.productive_count:
-        assert Fraction(res.f_lower) <= exact_lower(cuts, feasible, s)
+    _assert_same_bracket(bracket, lower, upper)
+    for res in results:
+        assert res.iterations == len(cuts) == steps
+    if any(c[0] for c in cuts):
+        assert Fraction(bracket.lower) <= exact_lower(cuts, feasible, s)
 
 
 @pytest.mark.parametrize("case", ["fts-ball-m5", "max-linear-ball-m0", "switching-ball-m1",
@@ -353,14 +368,50 @@ def test_every_bracket_matches_its_plain_loop(data):
 def test_the_bracket_stops_at_the_first_checkpoint_within_its_width(case):
     steps = BRACKET_CASES[case][-1]
     checks = [4 * 2**j for j in range(12) if 4 * 2**j < steps] + [steps]
-    _, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case], checks=set(checks))
+    _, _, brackets, _, _ = _bracket_runs(*BRACKET_CASES[case], checks=set(checks))
     widths = [brackets[k][1] - brackets[k][0] for k in checks]
     width = 1.001 * widths[2]
     expected = next(k for k, w in zip(checks, widths) if w <= width)
-    res, _, _, _ = _bracket_runs(*BRACKET_CASES[case], k0=4, width=width)
+    (res,), _, _, _, _ = _bracket_runs(*BRACKET_CASES[case], k0=4, width=width)
     assert res.iterations == expected
     assert res.stop_reason.value == "EpsilonCriterion"
     assert res.f_upper - res.f_lower <= width
+
+
+def _same_result(a, b):
+    assert a.x_hat.tobytes() == b.x_hat.tobytes()
+    assert repr(a.f_hat) == repr(b.f_hat)
+    assert (a.iterations, a.stop_reason, a.f_lower, a.f_upper) == (
+        b.iterations, b.stop_reason, b.f_lower, b.f_upper)
+    for name, column in vars(a.trace).items():
+        assert _column_bytes(column) == _column_bytes(getattr(b.trace, name)), name
+
+
+@pytest.mark.parametrize("width, stop", [(1e9, "EpsilonCriterion"), (0.0, "MaxIters")])
+def test_a_bracket_in_a_batch_is_that_of_its_own_run(width, stop):
+    # the bracket rides on row 1 of three; with a wide width it closes at
+    # its first checkpoint, k = 4, and only its row leaves the batch
+    tags = ("constant-step", "time-varying", "adagrad")
+    ms = (0.0, 2.0)
+
+    def solve(rows, bracket_row):
+        objective, _, prox, feasible, x1 = _bracket_problem("fts", 6, 4, "ball", "euclidean",
+                                                            None, 11)
+        states = [_rule(tags[i], objective.lipschitz_bound, prox.sigma) for i in rows]
+        bracket = None if bracket_row is None else _Bracket(feasible, 5.0, 4, width,
+                                                            bracket_row)
+        config = RunConfig(m=0.0, iters=40, record_trace=True)
+        batch = _descent(objective, prox, feasible, states, config, x1, ms, bracket=bracket)
+        return batch, bracket
+
+    batch, bracket = solve((0, 1, 2), 1)
+    assert batch[1][0].stop_reason.value == stop
+    assert batch[1][0].iterations == (4 if stop == "EpsilonCriterion" else 40)
+    assert bracket.closed_at == (4 if stop == "EpsilonCriterion" else None)
+    for i in range(3):
+        (own,), _ = solve((i,), 0 if i == 1 else None)
+        for a, b in zip(batch[i], own):
+            _same_result(a, b)
 
 
 @pytest.mark.parametrize("case", ["fts-ball-m5", "covering-offcenter-ball-m2",
@@ -371,8 +422,8 @@ def test_the_rounding_allowance_covers_the_float_error(case):
     # data lies above the library's lower end; on fts at m = 5 the bracket
     # is about as wide as the rounding of its own sums
     steps = BRACKET_CASES[case][-1]
-    res, brackets, cuts, feasible = _bracket_runs(*BRACKET_CASES[case])
+    _, bracket, brackets, cuts, feasible = _bracket_runs(*BRACKET_CASES[case])
     exact = exact_lower(cuts, feasible, brackets[steps][2])
-    assert Fraction(res.f_lower) <= exact <= Fraction(res.f_upper)
+    assert Fraction(bracket.lower) <= exact <= Fraction(bracket.upper)
     if case == "fts-ball-m5":
-        assert res.f_upper - res.f_lower < 1e-9
+        assert bracket.upper - bracket.lower < 1e-9

@@ -14,6 +14,7 @@ usage errors (argparse message on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -67,7 +68,9 @@ def _instance(args) -> InstanceSpec:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves it unchanged and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="mdbench",
         description="Mirror-descent benchmark harness for non-smooth convex problems.",
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50)
     sp.add_argument("--prox", choices=("euclidean", "entropy"), default="euclidean")
     sp.add_argument("--schedule", choices=TABLE_TAGS, default=TAG_TIME_VARYING)
-    sp.add_argument("--m", type=float, nargs="+", default=list(_M_SWEEP_DEFAULT))
+    sp.add_argument("--m", type=float, nargs="+", default=_M_SWEEP_DEFAULT)
     sp.add_argument("--iters", type=int, default=1000)
     sp.add_argument("--out", default="sweep_m.csv", help="output CSV path")
     sp.set_defaults(func=_cmd_sweep)
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="euclidean",
         help="the comparison runs on the unit ball with the Euclidean prox",
     )
-    sp.add_argument("--epsilon", type=float, nargs="+", default=[1e-2])
+    sp.add_argument("--epsilon", type=float, nargs="+", default=(1e-2,))
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--theta1", type=float, default=2.0)
     sp.add_argument(

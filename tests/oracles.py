@@ -162,7 +162,7 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
         axes = [np.linspace(lo[i], hi[i], ppa) for i in range(n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         delta = float(np.max((hi - lo) / (ppa - 1)))
-        slack = lipschitz * delta * math.sqrt(n)
+        slack = lipschitz * delta * math.sqrt(n) / 2
         vals = np.empty(mesh.shape[0])
         for i, row in enumerate(mesh):
             vals[i] = value_fn(feasible.project(row))
@@ -173,9 +173,11 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
         if slack <= tol:
             break
         keep = mesh[vals <= best_v + slack]
-        new_lo = np.maximum(keep.min(axis=0) - delta, lo0)
-        new_hi = np.minimum(keep.max(axis=0) + delta, hi0)
+        new_lo = np.maximum(keep.min(axis=0) - delta / 2, lo0)
+        new_hi = np.minimum(keep.max(axis=0) + delta / 2, hi0)
         if float(np.max(new_hi - new_lo)) > 0.75 * float(np.max(hi - lo)):
+            if ppa == 129:
+                break
             ppa = min(2 * ppa - 1, 129)
         lo, hi = new_lo, new_hi
     return best_x, best_v, slack

@@ -8,6 +8,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mdbench import bench
 from mdbench.bench import (
@@ -158,7 +160,8 @@ def test_reference_long_run_that_starts_at_a_minimizer_is_exact():
 @pytest.mark.parametrize("spec, budget", [
     (InstanceSpec("max-linear", n=2, t=6, seed=0), 300),
     (InstanceSpec("covering-ball", n=3, t=10, seed=42), 200),
-], ids=["max-linear-n2", "covering-ball-n3"])
+    (InstanceSpec("fts", n=3, t=5, seed=2), 200),
+], ids=["max-linear-n2", "covering-ball-n3", "fts-n3"])
 def test_reference_long_run_contains_the_grid_value(spec, budget):
     # below n = 4 the references come from the grid; the certified run
     # must bracket the grid's value within the grid's tolerance
@@ -304,8 +307,10 @@ def test_grid_refine_minimize_known_minimum():
     [
         (InstanceSpec("covering-ball", n=2, t=7, seed=4), Ball(np.array([0.3, -0.2]), 1.5), 12),
         (InstanceSpec("max-linear", n=3, t=10, seed=5), Simplex(3), 2),
+        # stops at its fixed point in round 8, its second at 129 points per axis
+        (InstanceSpec("max-linear", n=2, t=10, seed=362096582), unit_ball(2), 120),
     ],
-    ids=["ball", "simplex"],
+    ids=["ball", "simplex", "fixed-point"],
 )
 def test_grid_refine_matches_pointwise_reference(spec, feasible, rounds):
     # each case has a round of more than one 4096-row block
@@ -317,7 +322,7 @@ def test_grid_refine_matches_pointwise_reference(spec, feasible, rounds):
 
 
 def test_grid_refine_n3_ball_matches_pointwise_reference():
-    # rounds of 9**3, 17**3, 17**3 and 33**3 rows: the last spans nine
+    # rounds of 9**3, 9**3, 17**3 and 33**3 rows: the last spans nine
     # 4096-row blocks
     obj = build_objective(InstanceSpec("fts", n=3, t=5, seed=2))
     feasible = Ball(np.array([0.1, 0.2, -0.1]), 0.8)
@@ -325,6 +330,55 @@ def test_grid_refine_n3_ball_matches_pointwise_reference():
     x, v, slack = grid_refine_minimize(obj.values, feasible, **kw)
     x_ref, v_ref, slack_ref = grid_refine_pointwise(obj.value, feasible, **kw)
     assert (x.tobytes(), v, slack) == (x_ref.tobytes(), v_ref, slack_ref)
+
+
+def test_grid_refine_stops_at_its_fixed_point():
+    # the grid-reference benchmark instance, whose minimum is on the
+    # boundary of the ball: at 129 points per axis the box stops shrinking
+    obj = build_objective(InstanceSpec("max-linear", n=2, t=10, seed=362096582))
+    rows = []
+
+    def counted(X):
+        rows.append(X.shape[0])
+        return obj.values(X)
+
+    _, _, slack = grid_refine_minimize(counted, unit_ball(2), tol=1e-6,
+                                       lipschitz=obj.lipschitz_bound)
+    # running all 120 rounds took 1.92M rows and ended at 5.74e-3
+    assert sum(rows) < 100_000
+    assert slack < 5.74e-3
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       center=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       radius=st.floats(0.25, 1.5), n=st.sampled_from((2, 3)))
+def test_grid_refine_brackets_the_distance_to_a_point(c, center, radius, n):
+    # inside the ball f* = 0; outside it is the distance to the ball
+    c, center = np.array(c[:n]), np.array(center[:n])
+    event("inside" if np.linalg.norm(c - center) <= radius else "outside")
+    ball = Ball(center, radius)
+    x, f_min, tol = grid_refine_minimize(DistanceToPoint(c).values, ball, tol=1e-6)
+    f_star = max(0.0, float(np.linalg.norm(c - center)) - radius)
+    assert ball.contains(x)
+    assert f_min - tol <= f_star + 1e-12 and f_star - 1e-12 <= f_min
+
+
+@pytest.mark.parametrize("feasible", [unit_ball(2), unit_ball(3), Simplex(3)],
+                         ids=["ball-2", "ball-3", "simplex-3"])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("max-linear", "fts", "covering-ball")),
+       t=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
+def test_grid_reference_brackets_the_certified_value(feasible, kind, t, seed):
+    # f* lies in both brackets, so they overlap: a grid lower end above f*
+    # by more than the certified run's width (often under 1e-9) fails
+    event(kind)
+    obj = build_objective(InstanceSpec(kind, n=feasible.n, t=t, seed=seed))
+    grid = reference_solution(obj, feasible)
+    ref = _certified_reference(obj, feasible, 2000)
+    assert grid.method == "GridRefine"
+    assert grid.f_min - grid.tolerance <= ref.f_min
+    assert ref.f_min - ref.tolerance <= grid.f_min
 
 
 def test_grid_refine_rejects_non_finite_values():

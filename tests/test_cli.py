@@ -7,7 +7,7 @@ import math
 import pytest
 
 import mdbench.bench
-from mdbench.cli import main
+from mdbench.cli import build_parser, main
 from mdbench.solvers import RunConfig
 
 
@@ -65,6 +65,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    fresh = build_parser.__wrapped__()
+    # refused after --m had taken one value
+    assert main(["sweep-m", "--m", "2", "x", "--iters", "5"]) == 2
+    assert "invalid float value" in capsys.readouterr().err
+    for argv in (["sweep-m"], ["sweep-m", "--iters", "7"], ["constrained"], ["run"]):
+        assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv)), argv
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--n", "3", "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert (doc["kind"], doc["n"], doc["seed"]) == ("best-approx", 3, 5)
 
 
 def test_post_parse_usage_message(capsys):

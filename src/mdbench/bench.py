@@ -197,6 +197,10 @@ def _prepare_problem(instance: InstanceSpec, prox_name: str):
     return objective, prox, feasible, default_start(feasible), theta
 
 
+# the grid's target slack, which ``reference_solution`` also reports as its
+# least tolerance, and the points per axis of its first round
+GRID_TOL = 1e-6
+GRID_POINTS_PER_AXIS = 9
 # mesh rows built, projected and evaluated per batch; bounds the
 # temporaries of a refinement round (up to 129**n rows) to a few MB
 _GRID_BLOCK_ROWS = 4096
@@ -209,15 +213,15 @@ def _mesh_rows(axes, flat) -> np.ndarray:
     return np.stack([a[j] for a, j in zip(axes, idx)], axis=-1)
 
 
-def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
-                         lipschitz: float = 1.0, points_per_axis: int = 9,
+def grid_refine_minimize(values_fn, feasible: FeasibleSet, lipschitz: float = 1.0,
                          max_rounds: int = 120):
     """Derivative-free minimizer for n <= 3 by nested grid refinement, with
     f* in [f_best - achieved_tolerance, f_best].
 
     Each round evaluates the function at the projections of a ppa**n axis
-    mesh of a box holding the set, keeps the mesh points whose value is
-    within slack = lipschitz * delta * sqrt(n) / 2 of the best so far
+    mesh of a box holding the set (ppa = GRID_POINTS_PER_AXIS at first),
+    keeps the mesh points whose value is within
+    slack = lipschitz * delta * sqrt(n) / 2 of the best so far
     (delta is the round's largest mesh spacing), and shrinks the box to
     their span padded by delta / 2. This is the Lipschitz covering bound
     (Shubert 1972): for a minimizer x* in the box, the nearest mesh point g
@@ -226,8 +230,8 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
     f(P(g)) <= f* + slack <= f_best + slack. So g is kept, the next box
     still holds x*, and f* >= f(P(g)) - slack >= f_best - slack.
 
-    Rounds stop once slack <= tol, after ``max_rounds``, or at the fixed
-    point: the box shrank by less than a quarter with 129 points per axis
+    Rounds stop once slack <= GRID_TOL, after ``max_rounds``, or at the
+    fixed point: the box shrank by less than a quarter with 129 points per axis
     already (below 129 the resolution doubles instead). ``values_fn`` maps
     a (K, n) array of feasible points to K values, such as an objective's
     ``values``; a non-finite value raises ``ValueError`` naming the point.
@@ -245,7 +249,7 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
         lo0 = np.zeros(n)
         hi0 = np.ones(n)
     lo, hi = lo0.copy(), hi0.copy()
-    ppa = max(3, points_per_axis)
+    ppa = GRID_POINTS_PER_AXIS
     best_x = None
     best_v = math.inf
     slack = math.inf
@@ -270,7 +274,7 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, tol: float = 1e-6,
         if vals[i_best] < best_v:
             best_v = float(vals[i_best])
             best_x = feasible.project(_mesh_rows(axes, i_best))
-        if slack <= tol:
+        if slack <= GRID_TOL:
             break
         # the axes increase, so each axis's kept span is read at its extreme
         # kept indices, the same floats as the extremes of the kept rows
@@ -292,15 +296,15 @@ def _reference_method(objective, feasible: FeasibleSet) -> str:
     return METHOD_GRID if feasible.n <= 3 else METHOD_LONGRUN
 
 
-def reference_solution(objective, feasible: FeasibleSet, iters_budget: int = 10_000,
+def reference_solution(objective, feasible: FeasibleSet, iters_budget: int,
                        bracket: Optional[_Bracket] = None) -> ReferenceSolution:
     """Best-known minimum of an unconstrained objective over the set, with
     f* in [f_min - tolerance, f_min].
 
     Distance-to-point objectives on a ball have the exact answer. For
-    n <= 3, ``grid_refine_minimize`` aims at 1e-6 but mostly stops at its
-    fixed point, so the tolerance is the slack it achieved (at least 1e-6,
-    often 1e-4 to 7e-3; 0.5 to 4 s at n = 3). Everything else gets one
+    n <= 3, ``grid_refine_minimize`` aims at GRID_TOL but mostly stops at
+    its fixed point, so the tolerance is the slack it achieved (at least
+    GRID_TOL, often 1e-4 to 7e-3; 0.5 to 4 s at n = 3). Everything else gets one
     certified run (m = 5, time-varying steps, Euclidean prox, from
     ``default_start``) whose own subgradients bracket f*: f_min is the
     upper end and the tolerance the bracket's width. The run takes at least
@@ -324,9 +328,9 @@ def reference_solution(objective, feasible: FeasibleSet, iters_budget: int = 10_
         return ReferenceSolution(f_min, METHOD_ANALYTIC, 0.0)
     if method == METHOD_GRID:
         _, f_min, achieved = grid_refine_minimize(
-            objective.values, feasible, tol=1e-6, lipschitz=objective.lipschitz_bound
+            objective.values, feasible, lipschitz=objective.lipschitz_bound
         )
-        return ReferenceSolution(f_min, METHOD_GRID, max(achieved, 1e-6))
+        return ReferenceSolution(f_min, METHOD_GRID, max(achieved, GRID_TOL))
     if bracket is not None and bracket.closed_at == iters_budget:
         return _bracket_reference(bracket)
     return _certified_reference(objective, feasible, iters_budget)
@@ -361,12 +365,12 @@ def _certified_reference(objective, feasible: FeasibleSet,
 
 
 def constrained_reference(objective, constraints, feasible: FeasibleSet,
-                          epsilon_ref: float = 6e-3, m: float = 1.0) -> ReferenceSolution:
+                          epsilon_ref: float = 6e-3) -> ReferenceSolution:
     """Reference value of min f subject to g <= 0 over the set, with f* in
     [f_min - tolerance, f_min] and a tolerance of at most epsilon_ref.
 
-    One run of ``constrained_md`` at epsilon_ref with time-varying steps
-    and no epsilon criterion brackets f* from its own subgradients, its
+    One run of ``constrained_md`` at epsilon_ref with m = 1, time-varying
+    steps and no epsilon criterion brackets f* from its own subgradients, its
     constraint cuts included (see ``solvers._Bracket``). It stops at the
     first power of two k where the bracket is at most epsilon_ref wide;
     f_min is the upper end, the best f at an iterate or the average with
@@ -376,7 +380,7 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     prox = euclidean_setup()
     state_f = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
     state_g = _schedule_state(TAG_TIME_VARYING, constraints.lipschitz_bound, prox.sigma)
-    config = RunConfig(m=m, epsilon=epsilon_ref, record_trace=False)
+    config = RunConfig(m=1.0, epsilon=epsilon_ref, record_trace=False)
     bracket = _Bracket(feasible, config.m, 1, epsilon_ref)
     ((res,),) = _descent(objective, prox, feasible, (state_f,), config,
                          constrained_start(feasible), (config.m,), constraints=constraints,
@@ -389,36 +393,36 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     return _bracket_reference(bracket)
 
 
-def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None,
-                    include_productive: bool = False,
-                    include_evals: bool = False) -> None:
+def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None) -> None:
     """One row per iteration; empty cells where a value is undefined
     (bound for uncertified schedules, averages before the first productive
-    step, gaps without a reference)."""
+    step, gaps without a reference). The productive and constraint_evals
+    columns follow the bound column's rule: a column is filled when the
+    trace holds one entry per row for it. The bound column is always
+    written; the other two only when filled, on a trace with rows, which
+    constrained runs give and unconstrained runs do not."""
     with open(path, "w", newline="") as fh:
-        fh.write(_trace_csv_text(trace, reference, include_productive, include_evals))
+        fh.write(_trace_csv_text(trace, reference))
 
 
-def _trace_csv_text(trace, reference, include_productive, include_evals) -> str:
+def _trace_csv_text(trace, reference) -> str:
     # one % call per row: %d for integer and boolean cells, %.17g for
     # floats; undefined cells are NaN and their "nan" tokens are dropped,
     # which gives the bytes _fmt writes cell by cell
+    rows = trace.rows()
     header = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound"
     fmt = "%d" + ",%.17g" * 7
     extra = []
-    if include_productive:
-        header += ",productive"
-        fmt += ",%d"
-        extra.append(trace.productive)
-    if include_evals:
-        header += ",constraint_evals"
-        fmt += ",%d"
-        extra.append(trace.constraint_evals)
-    rows = trace.rows()
+    for name in ("productive", "constraint_evals"):
+        column = getattr(trace, name)
+        if rows and len(column) == rows:
+            header += "," + name
+            fmt += ",%d"
+            extra.append(column)
     nan = math.nan
     f_min = reference.f_min if reference is not None else nan
     bounds = trace.bound if len(trace.bound) == rows else repeat(nan)
-    counts = trace.productive if include_productive else repeat(True)
+    counts = trace.productive if len(trace.productive) == rows else repeat(True)
     lines = [header]
     best = math.inf
     for k, gamma, fi, f_avg, bound, count, *more in zip(
@@ -491,16 +495,14 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     trajectory per schedule, all advanced together and each averaged once
     per m. Writes nothing; returns the reference and (tag, m, SolveResult)
     triples in plan order. The batch raises the first error in its
-    execution order (see ``_descent``).
+    execution order (see ``_descent``), before any reference runs.
 
-    The reference is ``reference_solution``'s. When that is the certified
-    run and the plan has a time-varying row on the Euclidean prox, the row
-    is that run's first ``plan.iters`` steps, so it carries the run's
-    bracket, whose errors are raised in the batch's order, and
-    ``reference_solution`` runs after the batch: if the row ran all its
-    steps and the bracket closed at k = plan.iters, that bracket is the
-    reference and nothing runs again. Any other plan (entropy prox, no
-    time-varying row) gets its reference before the batch."""
+    The reference is ``reference_solution``'s, asked for once, after the
+    batch. When that is the certified run and the plan has a time-varying
+    row on the Euclidean prox, the row is that run's first ``plan.iters``
+    steps, so it carries the run's bracket, whose errors are raised in the
+    batch's order: if the row ran all its steps and the bracket closed at
+    k = plan.iters, that bracket is the reference and nothing runs again."""
     if plan.instance.p != 0:
         raise ValueError(
             "plan runs are unconstrained; use the constrained comparison for p > 0"
@@ -513,16 +515,13 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
             and _reference_method(objective, feasible) == METHOD_LONGRUN):
         shared = _reference_bracket(objective, feasible, plan.iters,
                                     plan.schedules.index(TAG_TIME_VARYING))
-    if shared is None:
-        reference = reference_solution(objective, feasible, iters_budget=plan.iters)
     config = RunConfig(m=plan.m_values[0], iters=plan.iters, theta=theta, record_trace=True)
     states = [
         _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
     ]
     batch = _descent(objective, prox, feasible, states, config, x1, plan.m_values,
                      bracket=shared)
-    if shared is not None:
-        reference = reference_solution(objective, feasible, plan.iters, shared)
+    reference = reference_solution(objective, feasible, plan.iters, shared)
     runs = []
     for tag, results in zip(plan.schedules, batch):
         runs.extend(zip(repeat(tag), plan.m_values, results))
@@ -532,7 +531,7 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
 def _write_cell(path: str, tag: str, m: float, result, reference) -> dict:
     """Write one cell's per-iteration CSV and return its summary cell,
     parsed from the same text."""
-    text = _trace_csv_text(result.trace, reference, False, False)
+    text = _trace_csv_text(result.trace, reference)
     with open(path, "w", newline="") as fh:
         fh.write(text)
     cell = {
@@ -590,8 +589,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     return summary
 
 
-def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
-    """Long-format m sweep (columns m, k, gap_avg) for one schedule.
+def sweep_m(plan: ExperimentPlan, out_path: str) -> str:
+    """Long-format m sweep (columns m, k, gap_avg) for one schedule, written
+    to ``out_path``, which is returned.
 
     One trajectory feeds an average for every m, and the rows are written
     from its f_avg columns with the cell CSV's formatting, so a sweep row
@@ -610,9 +610,6 @@ def sweep_m(plan: ExperimentPlan, out_path: Optional[str] = None) -> str:
         fmt = "%.17g" % m + ",%d,%.17g"
         lines.extend(fmt % (k, f_avg - f_min)
                      for k, f_avg in zip(result.trace.k, result.trace.f_avg))
-    if out_path is None:
-        os.makedirs(plan.output_dir, exist_ok=True)
-        out_path = os.path.join(plan.output_dir, "sweep_m.csv")
     with open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines).replace("nan", "") + "\n")
     return out_path
@@ -697,13 +694,7 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
                 }
             )
             if record:
-                write_trace_csv(
-                    os.path.join(trace_dir, _trace_name(name, eps, m)),
-                    res.trace,
-                    None,
-                    include_productive=True,
-                    include_evals=True,
-                )
+                write_trace_csv(os.path.join(trace_dir, _trace_name(name, eps, m)), res.trace)
 
     # f_hat and g_hat are finite (the solvers refuse a non-finite f_hat),
     # so no cell is NaN

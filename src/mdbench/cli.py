@@ -103,14 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="sweep_m.csv", help="output CSV path")
     sp.set_defaults(func=_cmd_sweep)
 
+    # the comparison runs on the unit ball with the Euclidean prox only
     sp = sub.add_parser("constrained", help="compare the constrained solvers")
     _add_instance_flags(sp, problem_default=KIND_MAX_LINEAR, n_default=10, p_default=5)
-    sp.add_argument(
-        "--prox",
-        choices=("euclidean",),
-        default="euclidean",
-        help="the comparison runs on the unit ball with the Euclidean prox",
-    )
     sp.add_argument("--epsilon", type=float, nargs="+", default=(1e-2,))
     sp.add_argument("--m", type=float, default=1.0)
     sp.add_argument("--theta1", type=float, default=2.0)

@@ -197,8 +197,8 @@ def _weights_error(k, m, gamma) -> ValueError:
 
 def _average_values(objective, sums, totals) -> list:
     """f at each running average sums[i] / totals[i] of the (R, n) array
-    ``sums``, read with one ``values`` call; NaN where an averager is
-    still empty."""
+    ``sums``: one average is read with ``value``, several with one
+    ``values`` call; NaN where an averager is still empty."""
     if 0.0 in totals:
         live = [i for i, t in enumerate(totals) if t > 0.0]
         out = [math.nan] * len(totals)
@@ -207,6 +207,8 @@ def _average_values(objective, sums, totals) -> list:
             for i, v in zip(live, sub):
                 out[i] = v
         return out
+    if len(totals) == 1:
+        return [objective.value(sums[0] / totals[0])]
     return objective.values(sums / np.array(totals)[:, None]).tolist()
 
 
@@ -458,7 +460,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     otherwise; a non-productive step takes the constraint's ``subgrad_one``.
     Per row, the step rule, the weights gamma^{-m}, the certificate sums and
     the finite and overflow checks run in Python; the dual norms, the fold
-    of x^k into the weighted sums, f at all averages (one ``values`` call)
+    of x^k into the weighted sums, f at all averages (``_average_values``)
     and the mirror step run once for all rows; with one live row the loop
     calls the 1-D forms ``norm`` and ``mirror_step`` (or
     ``composite_mirror_step``) instead of the row forms. Every row form

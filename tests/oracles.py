@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from mdbench.bench import GRID_POINTS_PER_AXIS, GRID_TOL
 from mdbench.geometry import Ball, composite_mirror_step, mirror_step
 from mdbench.problems import AffineConstraints
 from mdbench.schedules import StationarySignal, is_nonincreasing_guaranteed
@@ -140,9 +141,7 @@ def norm_direct(x, kind: str) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
-                          lipschitz: float = 1.0, points_per_axis: int = 9,
-                          max_rounds: int = 120):
+def grid_refine_pointwise(value_fn, feasible, lipschitz: float = 1.0, max_rounds: int = 120):
     """Nested grid refinement with one projection and one ``value_fn``
     call per mesh point: the reference for the batched
     ``mdbench.bench.grid_refine_minimize``."""
@@ -154,7 +153,7 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
         lo0 = np.zeros(n)
         hi0 = np.ones(n)
     lo, hi = lo0.copy(), hi0.copy()
-    ppa = max(3, points_per_axis)
+    ppa = GRID_POINTS_PER_AXIS
     best_x = None
     best_v = math.inf
     slack = math.inf
@@ -170,7 +169,7 @@ def grid_refine_pointwise(value_fn, feasible, tol: float = 1e-6,
         if vals[i_best] < best_v:
             best_v = float(vals[i_best])
             best_x = feasible.project(mesh[i_best])
-        if slack <= tol:
+        if slack <= GRID_TOL:
             break
         keep = mesh[vals <= best_v + slack]
         new_lo = np.maximum(keep.min(axis=0) - delta / 2, lo0)
@@ -196,25 +195,28 @@ def _fmt_cell(v) -> str:
     return format(f, ".17g")
 
 
-def trace_csv_per_cell(trace, reference=None, include_productive=False,
-                       include_evals=False) -> str:
+def trace_csv_per_cell(trace, reference=None) -> str:
     """Trace CSV text built one ``format`` call per cell, with empty cells
     for None and NaN: the reference for the one-call-per-row formatter of
-    ``mdbench.bench.write_trace_csv``."""
+    ``mdbench.bench.write_trace_csv``. The productive and constraint_evals
+    columns are written when the trace has rows and one entry per row in
+    them; the bound column is always written, filled on the same rule."""
     rows = trace.rows()
     has_bound = len(trace.bound) == rows and rows > 0
+    has_productive = len(trace.productive) == rows and rows > 0
+    has_evals = len(trace.constraint_evals) == rows and rows > 0
     header = ["k", "gamma", "f_iterate", "f_avg", "f_best_so_far", "gap_avg",
               "gap_best", "bound"]
-    if include_productive:
+    if has_productive:
         header.append("productive")
-    if include_evals:
+    if has_evals:
         header.append("constraint_evals")
     f_min = reference.f_min if reference is not None else None
     lines = [",".join(header)]
     best = math.inf
     for i in range(rows):
         fi = trace.f_iterate[i]
-        counts = (not include_productive) or trace.productive[i]
+        counts = (not has_productive) or trace.productive[i]
         if counts and fi < best:
             best = fi
         f_best = best if best < math.inf else None
@@ -230,9 +232,9 @@ def trace_csv_per_cell(trace, reference=None, include_productive=False,
             _fmt_cell(v) for v in (trace.gamma[i], fi, f_avg, f_best, gap_avg, gap_best)
         ]
         cells.append(_fmt_cell(trace.bound[i]) if has_bound else "")
-        if include_productive:
+        if has_productive:
             cells.append(_fmt_cell(bool(trace.productive[i])))
-        if include_evals:
+        if has_evals:
             cells.append(str(int(trace.constraint_evals[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

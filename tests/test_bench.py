@@ -104,7 +104,7 @@ def test_start_points():
 
 def test_reference_analytic_for_distance_objective():
     obj = build_objective(InstanceSpec("best-approx", n=50, seed=42))
-    ref = reference_solution(obj, unit_ball(50))
+    ref = reference_solution(obj, unit_ball(50), 100)
     assert ref.method == "Analytic"
     assert ref.tolerance == 0.0
     assert ref.f_min == pytest.approx(9.0, abs=1e-12)
@@ -113,7 +113,7 @@ def test_reference_analytic_for_distance_objective():
 def test_reference_grid_for_tiny_dimension():
     # mean distance to (1,0) and (-1,0) is exactly 1 on the joining segment
     obj = MeanDistance([[1.0, 0.0], [-1.0, 0.0]])
-    ref = reference_solution(obj, unit_ball(2))
+    ref = reference_solution(obj, unit_ball(2), 100)
     assert ref.method == "GridRefine"
     assert ref.tolerance >= 1e-6
     assert abs(ref.f_min - 1.0) <= ref.tolerance + 1e-9
@@ -167,7 +167,7 @@ def test_reference_long_run_contains_the_grid_value(spec, budget):
     # must bracket the grid's value within the grid's tolerance
     obj = build_objective(spec)
     ball = unit_ball(spec.n)
-    grid = reference_solution(obj, ball)
+    grid = reference_solution(obj, ball, budget)
     ref = _certified_reference(obj, ball, budget)
     assert grid.method == "GridRefine" and ref.method == "LongRun"
     assert ref.tolerance <= bound_corollaries(5.0, 50 * budget, obj.lipschitz_bound, 2.0, 1.0)
@@ -226,12 +226,23 @@ def test_plans_that_cannot_take_the_reference_from_their_row_solve_twice(
     calls = _counted_descents(monkeypatch)
     cell = _run_cli(tmp_path, capsys, problem, n, t, iters, *flags)
     assert len(calls) == 2
-    # a bracket that did not close is followed by the separate run; a plan
-    # that cannot carry one runs the reference first
-    assert [c is not None for c in calls] == ([True, True] if shared else [True, False])
+    # the batch runs first, then the reference: a bracket that did not
+    # close is followed by the separate run, and so is a batch without one
+    assert [c is not None for c in calls] == ([True, True] if shared else [False, True])
     prox_name = "entropy" if "entropy" in flags else "euclidean"
     assert cell["reference"] == _direct_reference(InstanceSpec(problem, n=n, t=t, seed=42),
                                                   prox_name, iters)
+
+
+@pytest.mark.parametrize("n", [2, 6], ids=["grid", "certified"])
+def test_a_failing_batch_reports_its_error_before_any_reference_runs(tmp_path, monkeypatch, n):
+    references = []
+    monkeypatch.setattr(bench, "reference_solution", lambda *a: references.append(a))
+    plan = ExperimentPlan(InstanceSpec("fts", n=n, t=3, seed=1), ("nonsum",), (0.0, 400.0),
+                          iters=20, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=r"iteration 1 with m=400 "):
+        run_experiment(plan)
+    assert references == []
 
 
 def test_a_time_varying_row_that_stops_at_a_minimizer_leaves_the_reference_to_its_own_run(
@@ -294,12 +305,26 @@ def test_the_bracket_follows_its_row_when_another_row_leaves(tmp_path, monkeypat
 def test_grid_refine_minimize_known_minimum():
     c = np.array([0.25, -0.3])
     obj = DistanceToPoint(c)
-    x, v, achieved = grid_refine_minimize(obj.values, unit_ball(2), tol=1e-6)
+    x, v, achieved = grid_refine_minimize(obj.values, unit_ball(2))
     assert achieved <= 1e-6
     assert v <= 1e-6
     np.testing.assert_allclose(x, c, rtol=0.0, atol=5e-6)
     with pytest.raises(ValueError, match="limited to n <= 3"):
         grid_refine_minimize(obj.values, unit_ball(4))
+
+
+def test_grid_first_round_is_a_nine_by_nine_mesh():
+    obj = DistanceToPoint(np.array([0.25, -0.3]))
+    rows = []
+
+    def counted(X):
+        rows.append(X.shape[0])
+        return obj.values(X)
+
+    _, _, slack = grid_refine_minimize(counted, unit_ball(2), max_rounds=1)
+    # one round of a 9 x 9 mesh of [-1, 1]^2: spacing 0.25
+    assert rows == [9 * 9]
+    assert slack == 0.25 * math.sqrt(2) / 2
 
 
 @pytest.mark.parametrize(
@@ -342,8 +367,7 @@ def test_grid_refine_stops_at_its_fixed_point():
         rows.append(X.shape[0])
         return obj.values(X)
 
-    _, _, slack = grid_refine_minimize(counted, unit_ball(2), tol=1e-6,
-                                       lipschitz=obj.lipschitz_bound)
+    _, _, slack = grid_refine_minimize(counted, unit_ball(2), lipschitz=obj.lipschitz_bound)
     # running all 120 rounds took 1.92M rows and ended at 5.74e-3
     assert sum(rows) < 100_000
     assert slack < 5.74e-3
@@ -358,7 +382,7 @@ def test_grid_refine_brackets_the_distance_to_a_point(c, center, radius, n):
     c, center = np.array(c[:n]), np.array(center[:n])
     event("inside" if np.linalg.norm(c - center) <= radius else "outside")
     ball = Ball(center, radius)
-    x, f_min, tol = grid_refine_minimize(DistanceToPoint(c).values, ball, tol=1e-6)
+    x, f_min, tol = grid_refine_minimize(DistanceToPoint(c).values, ball)
     f_star = max(0.0, float(np.linalg.norm(c - center)) - radius)
     assert ball.contains(x)
     assert f_min - tol <= f_star + 1e-12 and f_star - 1e-12 <= f_min
@@ -374,7 +398,7 @@ def test_grid_reference_brackets_the_certified_value(feasible, kind, t, seed):
     # by more than the certified run's width (often under 1e-9) fails
     event(kind)
     obj = build_objective(InstanceSpec(kind, n=feasible.n, t=t, seed=seed))
-    grid = reference_solution(obj, feasible)
+    grid = reference_solution(obj, feasible, 2000)
     ref = _certified_reference(obj, feasible, 2000)
     assert grid.method == "GridRefine"
     assert grid.f_min - grid.tolerance <= ref.f_min
@@ -450,7 +474,7 @@ def _run_small_trace():
         obj, euclidean_setup(), unit_ball(5), state,
         RunConfig(m=0.0, iters=25), default_start(unit_ball(5)),
     )
-    ref = reference_solution(obj, unit_ball(5))
+    ref = reference_solution(obj, unit_ball(5), 25)
     return res, ref
 
 
@@ -481,18 +505,20 @@ def test_trace_csv_layout(tmp_path):
     assert all(g >= -1e-12 for g in gaps)
 
 
-def _odd_trace(with_bound: bool) -> Trace:
+def _odd_trace(with_bound: bool, productive: bool = True, evals: bool = True) -> Trace:
     """Cells of every kind the formatter meets: NaN, +-inf, -0.0, Python
-    and numpy scalars, booleans and the constrained columns."""
+    and numpy scalars, booleans and, when asked for, the constrained
+    columns."""
     return Trace(
         k=[1, np.int64(2), 3, 4, 5, 6],
         gamma=[0.5, np.float64(0.25), 1e-300, math.inf, -0.0, np.float32(0.1)],
         f_iterate=[math.nan, 2.0, np.float64(1.0 / 3.0), -0.0, 7, -1e308],
         f_avg=[math.nan, math.inf, np.float64(2.0 / 3.0), -0.0, -math.inf, 1.5],
         g_iterate=[0.1] * 6,
-        productive=[False, True, np.bool_(True), np.bool_(False), True, True],
+        productive=[False, True, np.bool_(True), np.bool_(False), True, True][
+            : 6 if productive else 0],
         bound=[1.0, math.nan, 2.5, -0.0, np.float64(1e-17), 3][: 6 if with_bound else 0],
-        constraint_evals=[3, np.int64(3), 0, 1, 2, 3],
+        constraint_evals=[3, np.int64(3), 0, 1, 2, 3][: 6 if evals else 0],
     )
 
 
@@ -502,17 +528,39 @@ def _odd_trace(with_bound: bool) -> Trace:
 @pytest.mark.parametrize("f_min", [None, 0.5, -0.0, math.inf])
 def test_trace_csv_rows_match_per_cell_format(tmp_path, productive, evals,
                                               with_bound, f_min):
-    trace = _odd_trace(with_bound)
+    # one trace shape per column combination, with and without each column
+    trace = _odd_trace(with_bound, productive, evals)
     reference = None if f_min is None else ReferenceSolution(f_min, "Analytic", 0.0)
     path = str(tmp_path / "odd.csv")
-    write_trace_csv(path, trace, reference, include_productive=productive,
-                    include_evals=evals)
+    write_trace_csv(path, trace, reference)
     with open(path, newline="") as fh:
         got = fh.read()
-    assert got == trace_csv_per_cell(trace, reference, productive, evals)
-    write_trace_csv(path, Trace(), reference, productive, evals)
+    assert got == trace_csv_per_cell(trace, reference)
+    write_trace_csv(path, Trace(), reference)
     with open(path, newline="") as fh:
-        assert fh.read() == trace_csv_per_cell(Trace(), reference, productive, evals)
+        assert fh.read() == trace_csv_per_cell(Trace(), reference)
+
+
+_BASE_HEADER = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound"
+
+
+@pytest.mark.parametrize("productive", [False, True])
+@pytest.mark.parametrize("evals", [False, True])
+def test_trace_csv_writes_a_column_the_trace_fills(productive, evals):
+    trace = _odd_trace(True, productive, evals)
+    header = bench._trace_csv_text(trace, None).split("\n")[0]
+    want = _BASE_HEADER + ",productive" * productive + ",constraint_evals" * evals
+    assert header == want
+    # a column one entry short is not the trace's, and is not written
+    trace.productive, trace.constraint_evals = [True] * 5, [1] * 5
+    assert bench._trace_csv_text(trace, None).split("\n")[0] == _BASE_HEADER
+
+
+def test_trace_csv_of_an_empty_trace_is_its_base_header():
+    # no rows: nothing fills a column, so only the always-written ones appear
+    assert bench._trace_csv_text(Trace(), None) == _BASE_HEADER + "\n"
+    reference = ReferenceSolution(0.5, "Analytic", 0.0)
+    assert bench._trace_csv_text(Trace(), reference) == _BASE_HEADER + "\n"
 
 
 def test_trace_csv_without_reference_leaves_gaps_empty(tmp_path):
@@ -759,10 +807,12 @@ def test_sweep_overflow_names_the_overflowing_m(tmp_path):
 
 
 def test_sweep_validation(tmp_path):
+    out = str(tmp_path / "sweep.csv")
     with pytest.raises(ValueError, match="at least two m values"):
-        sweep_m(_small_plan(tmp_path, schedules=("nonsum",), m_values=(0.0,)))
+        sweep_m(_small_plan(tmp_path, schedules=("nonsum",), m_values=(0.0,)), out)
     with pytest.raises(ValueError, match="exactly one schedule"):
-        sweep_m(_small_plan(tmp_path))
+        sweep_m(_small_plan(tmp_path), out)
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------- constrained

@@ -172,6 +172,14 @@ def test_constrained_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_constrained_takes_no_prox_flag(tmp_path, capsys):
+    # the comparison has one geometry, so it offers no choice of prox
+    out = tmp_path / "table.csv"
+    assert main(["constrained", "--prox", "euclidean", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --prox euclidean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_cli(tmp_path, capsys):
     out = tmp_path / "inst.json"
     rc = main([

@@ -312,10 +312,15 @@ class _CountingDistance(DistanceToPoint):
         self.subgrad_calls = 0
         self.fused_calls = 0
         self.rows_calls = 0
+        self.values_calls = 0
 
     def value(self, x):
         self.value_calls += 1
         return super().value(x)
+
+    def values(self, X):
+        self.values_calls += 1
+        return super().values(X)
 
     def subgrad(self, x):
         self.subgrad_calls += 1
@@ -364,6 +369,23 @@ def test_a_traced_batch_makes_one_oracle_pass_per_iteration():
     assert obj.subgrad_calls == obj.fused_calls == 0
     # the only value calls are f_hat, once per schedule and m
     assert obj.value_calls == 9 * 2
+
+
+@pytest.mark.parametrize("ms", [(0.0,), (0.0, 2.0)], ids=["one-m", "two-m"])
+def test_a_traced_run_reads_one_average_with_value(ms):
+    # one average per iteration is read with value, several with one values
+    # call; f(x^k) comes from the fused call and f_hat from value per m
+    obj = _CountingDistance([10.0, 0.0])
+    results = mirror_descent_sweep(
+        obj, euclidean_setup(), unit_ball(2), _state("time-varying", m_lipschitz=1.0),
+        RunConfig(m=0.0, iters=30), np.zeros(2), ms,
+    )
+    assert [res.iterations for res in results] == [30] * len(ms)
+    assert obj.fused_calls == 30
+    if len(ms) == 1:
+        assert (obj.values_calls, obj.value_calls) == (0, 30 + 1)
+    else:
+        assert (obj.values_calls, obj.value_calls) == (30, len(ms))
 
 
 def test_polyak_receives_the_objective_value_on_every_step():
@@ -1101,31 +1123,37 @@ class _NanValue(DistanceToPoint):
 
 
 class _NanAverageValue(DistanceToPoint):
-    """DistanceToPoint whose batch form is NaN, so only f at the
-    averages is non-finite."""
+    """DistanceToPoint whose value and batch forms are NaN while the fused
+    oracle is finite, so only f at the averages is non-finite: one average
+    is read with ``value``, several with ``values``."""
+
+    def value(self, x):
+        return math.nan
 
     def values(self, X):
         return np.full(X.shape[0], math.nan)
 
 
 @pytest.mark.parametrize(
-    "cls, tag, trace, match",
+    "cls, tag, trace, ms, match",
     [
-        (_NanValue, "nonsum", True, "objective value is nan at iteration 1$"),
-        (_NanValue, "nonsum", False,
+        (_NanValue, "nonsum", True, (0.0,), "objective value is nan at iteration 1$"),
+        (_NanValue, "nonsum", False, (0.0,),
          "objective value at the output point is nan after iteration 5"),
-        (_NanValue, "polyak", False, "objective value is nan at iteration 1$"),
-        (_NanAverageValue, "nonsum", True,
+        (_NanValue, "polyak", False, (0.0,), "objective value is nan at iteration 1$"),
+        (_NanAverageValue, "nonsum", True, (0.0,),
+         "objective value at the average is nan at iteration 1"),
+        (_NanAverageValue, "nonsum", True, (0.0, 2.0),
          "objective value at the average is nan at iteration 1"),
     ],
-    ids=["trace-on", "trace-off", "polyak", "average"],
+    ids=["trace-on", "trace-off", "polyak", "average", "average-sweep"],
 )
-def test_non_finite_objective_value_raises(cls, tag, trace, match):
+def test_non_finite_objective_value_raises(cls, tag, trace, ms, match):
     obj = cls([10.0, 0.0], known_fstar=9.0)
     with pytest.raises(ValueError, match=match):
-        mirror_descent(
+        mirror_descent_sweep(
             obj, euclidean_setup(), unit_ball(2), _state(tag),
-            RunConfig(m=0.0, iters=5, record_trace=trace), np.zeros(2),
+            RunConfig(m=0.0, iters=5, record_trace=trace), np.zeros(2), ms,
         )
 
 

@@ -28,7 +28,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,19 +91,21 @@ class ReferenceSolution:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A deterministic batch of (schedule, m) solver runs on one instance.
+    """A deterministic batch of (schedule, m) solver runs on one instance;
+    each schedule and each m appears once.
 
     ``prox`` selects the geometry ("euclidean" on the unit ball or
-    "entropy" on the simplex). Plans serialize losslessly to dicts; the
-    dict's "seed" is ``instance.seed``, the one seed a plan runs with, and
-    ``from_dict`` ignores it (and the "epsilon" key of older summaries).
+    "entropy" on the simplex). A plan says what runs, not where it is
+    written: ``run_experiment`` and ``sweep_m`` take the output path. Plans
+    serialize losslessly to dicts; the dict's "seed" is ``instance.seed``,
+    the one seed a plan runs with, and ``from_dict`` ignores it (and the
+    "epsilon" and "output_dir" keys of older summaries).
     """
 
     instance: InstanceSpec
     schedules: tuple = ()
     m_values: tuple = ()
     iters: int = 1000
-    output_dir: str = "."
     prox: str = "euclidean"
 
     def __post_init__(self):
@@ -114,9 +116,11 @@ class ExperimentPlan:
         for tag in self.schedules:
             if tag not in TABLE_TAGS:
                 raise ValueError(f"unknown schedule tag: {tag!r}")
+        _refuse_repeats(self.schedules, "schedule {!r}")
         if not self.m_values:
             raise ValueError("plan needs at least one m value")
         object.__setattr__(self, "m_values", _check_m_values(self.m_values))
+        _refuse_repeats(self.m_values, "m={!r}")
         object.__setattr__(self, "iters", _count_field(self.iters, "iters", 1))
         if self.prox not in _PROX_NAMES:
             raise ValueError(f"unknown prox name: {self.prox!r}")
@@ -127,7 +131,6 @@ class ExperimentPlan:
             "schedules": list(self.schedules),
             "m_values": list(self.m_values),
             "iters": self.iters,
-            "output_dir": self.output_dir,
             "seed": self.instance.seed,
             "prox": self.prox,
         }
@@ -139,9 +142,17 @@ class ExperimentPlan:
             schedules=tuple(doc["schedules"]),
             m_values=tuple(doc["m_values"]),
             iters=doc["iters"],
-            output_dir=doc["output_dir"],
             prox=doc.get("prox", "euclidean"),
         )
+
+
+def _refuse_repeats(values, label: str) -> None:
+    """Refuse a plan that lists an equal value twice, by ``label``."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"the plan lists {label.format(value)} twice")
+        seen.add(value)
 
 
 def theta_for(feasible: FeasibleSet) -> float:
@@ -425,10 +436,10 @@ def _trace_csv_text(trace, reference) -> str:
     counts = trace.productive if len(trace.productive) == rows else repeat(True)
     lines = [header]
     best = math.inf
-    for k, gamma, fi, f_avg, bound, count, *more in zip(
-        trace.k, trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
+    for k, gamma, fi, f_avg, bound, counted, *more in zip(
+        count(1), trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
     ):
-        if count and fi < best:
+        if counted and fi < best:
             best = fi
         f_best = best if best < math.inf else nan
         lines.append(
@@ -560,9 +571,11 @@ def run_single_cell(instance: InstanceSpec, prox_name: str, tag: str, m: float,
     return cell
 
 
-def run_experiment(plan: ExperimentPlan) -> dict:
+def run_experiment(plan: ExperimentPlan, output_dir: str) -> dict:
     """Run every (schedule, m) cell of the plan, write one CSV per cell and
-    a summary JSON into plan.output_dir, and return the summary dict.
+    a summary JSON into ``output_dir``, and return the summary dict. The
+    summary does not name the directory, so a plan writes the same bytes
+    wherever it is written.
 
     Each schedule runs one trajectory that feeds an average for every m of
     the plan, so a cell matches its own ``run_single_cell`` byte for byte.
@@ -573,9 +586,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     files = [f"{tag}_m{_m_token(m)}.csv" for tag in plan.schedules for m in plan.m_values]
     _check_unique(files, "m", plan.m_values * len(plan.schedules))
     reference, runs = _solve_plan(plan)
-    os.makedirs(plan.output_dir, exist_ok=True)
+    os.makedirs(output_dir, exist_ok=True)
     cells = [
-        _write_cell(os.path.join(plan.output_dir, file), tag, m, result, reference)
+        _write_cell(os.path.join(output_dir, file), tag, m, result, reference)
         for file, (tag, m, result) in zip(files, runs)
     ]
     summary = {
@@ -583,7 +596,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "reference": asdict(reference),
         "cells": cells,
     }
-    spath = os.path.join(plan.output_dir, "summary.json")
+    spath = os.path.join(output_dir, "summary.json")
     with open(spath, "w", newline="") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -609,7 +622,7 @@ def sweep_m(plan: ExperimentPlan, out_path: str) -> str:
         # m is finite, so its token never holds "nan"
         fmt = "%.17g" % m + ",%d,%.17g"
         lines.extend(fmt % (k, f_avg - f_min)
-                     for k, f_avg in zip(result.trace.k, result.trace.f_avg))
+                     for k, f_avg in enumerate(result.trace.f_avg, 1))
     with open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines).replace("nan", "") + "\n")
     return out_path

@@ -164,10 +164,9 @@ def _cmd_compare(args) -> int:
         schedules=tuple(tags),
         m_values=(args.m,),
         iters=args.iters,
-        output_dir=args.out,
         prox=args.prox,
     )
-    summary = run_experiment(plan)
+    summary = run_experiment(plan, args.out)
     print(
         f"wrote {len(summary['cells'])} cell files and summary.json to {args.out}",
         file=sys.stderr,
@@ -184,7 +183,6 @@ def _cmd_sweep(args) -> int:
         schedules=(args.schedule,),
         m_values=tuple(args.m),
         iters=args.iters,
-        output_dir=".",
         prox=args.prox,
     )
     path = sweep_m(plan, out_path=args.out)

@@ -6,7 +6,7 @@ subgradient. ``is_nonincreasing_guaranteed`` marks the rules whose step
 sequence is non-increasing for every input stream; only those runs carry
 trajectory bound certificates.
 
-Rules and defaults:
+Rules and their constants:
 
     constant-step            gamma = c                      c = 0.1
     fixed-length             gamma = c / ||g||              c = 0.2
@@ -22,8 +22,9 @@ Rules and defaults:
 
 ``||g||`` is always the dual norm of the subgradient.
 
-One table, ``_RULES``, holds each rule's parameters, defaults and flags;
-a ScheduleKind checks its parameters when it is built.
+One table, ``_RULES``, holds each rule's constants and flags. The one
+parameter a caller gives is M, which ``time-varying`` needs and no other
+rule takes; a ScheduleKind checks it when it is built.
 """
 from __future__ import annotations
 
@@ -54,22 +55,23 @@ TAG_ADAPTIVE_TV = "adaptive-time-varying"
 
 
 class _Rule(NamedTuple):
-    params: dict  # each parameter the rule takes, with its default; None: required
+    c: Optional[float]  # the step's constant (theta0 for adagrad); None: the rule has none
     certified: bool  # steps non-increasing whatever the objective feeds the rule
     reads_norm: bool  # reads the dual norm of the subgradient
     reads_f: bool  # reads f(x^k) and f*
+    alpha: float = 0.0  # adagrad's alpha
 
 
 _RULES = {
-    TAG_CONSTANT: _Rule({"c": 0.1}, True, False, False),
-    TAG_FIXED_LENGTH: _Rule({"c": 0.2}, False, True, False),
-    TAG_NONSUM: _Rule({"c": 0.1}, True, False, False),
-    TAG_SQRSUM: _Rule({"c": 0.5}, True, False, False),
-    TAG_QUAD_GRAD: _Rule({"c": 0.2}, False, True, False),
-    TAG_ADAGRAD: _Rule({"theta0": math.sqrt(2.0), "alpha": 1e-8}, True, True, False),
-    TAG_POLYAK: _Rule({}, False, True, True),
-    TAG_TIME_VARYING: _Rule({"m_lipschitz": None}, True, False, False),
-    TAG_ADAPTIVE_TV: _Rule({}, False, True, False),
+    TAG_CONSTANT: _Rule(0.1, True, False, False),
+    TAG_FIXED_LENGTH: _Rule(0.2, False, True, False),
+    TAG_NONSUM: _Rule(0.1, True, False, False),
+    TAG_SQRSUM: _Rule(0.5, True, False, False),
+    TAG_QUAD_GRAD: _Rule(0.2, False, True, False),
+    TAG_ADAGRAD: _Rule(math.sqrt(2.0), True, True, False, alpha=1e-8),
+    TAG_POLYAK: _Rule(None, False, True, True),
+    TAG_TIME_VARYING: _Rule(None, True, False, False),
+    TAG_ADAPTIVE_TV: _Rule(None, False, True, False),
 }
 
 TABLE_TAGS = tuple(_RULES)
@@ -82,55 +84,32 @@ class StationarySignal(Exception):
 
 @dataclass(frozen=True)
 class ScheduleKind:
-    """A rule and its parameters: the rule's own, positive and finite
-    (stored as floats), and the others unset."""
+    """A rule and, for ``time-varying`` only, ``m_lipschitz``: the Lipschitz
+    constant M of the objective in the chosen norm, positive and finite
+    (stored as a float). Every other constant is the rule's own, from the
+    module's table."""
 
     tag: str
-    c: Optional[float] = None
-    theta0: Optional[float] = None
-    alpha: Optional[float] = None
     m_lipschitz: Optional[float] = None
 
     def __post_init__(self):
-        rule = _RULES.get(self.tag)
-        if rule is None:
+        if self.tag not in _RULES:
             raise ValueError(f"unknown schedule tag: {self.tag!r}")
-        for name in ("c", "theta0", "alpha", "m_lipschitz"):
-            value = getattr(self, name)
-            if name not in rule.params:
-                if value is not None:
-                    raise ValueError(f"schedule {self.tag!r} does not take parameter {name!r}")
-                continue
-            noun = "constant c" if name == "c" else name
-            if value is None:
-                raise ValueError(f"schedule {self.tag!r} needs a positive {noun}")
-            value = _real_field(value, f"schedule {self.tag!r} {noun}")
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"schedule {self.tag!r} {noun} must be positive and finite")
-            object.__setattr__(self, name, value)
+        if self.tag != TAG_TIME_VARYING:
+            if self.m_lipschitz is not None:
+                raise ValueError(f"schedule {self.tag!r} does not take parameter 'm_lipschitz'")
+            return
+        if self.m_lipschitz is None:
+            raise ValueError(f"schedule {self.tag!r} needs a positive m_lipschitz")
+        value = _real_field(self.m_lipschitz, f"schedule {self.tag!r} m_lipschitz")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"schedule {self.tag!r} m_lipschitz must be positive and finite")
+        object.__setattr__(self, "m_lipschitz", value)
 
 
-def schedule(
-    tag: str,
-    *,
-    c: Optional[float] = None,
-    theta0: Optional[float] = None,
-    alpha: Optional[float] = None,
-    m_lipschitz: Optional[float] = None,
-) -> ScheduleKind:
-    """Build a ScheduleKind for ``tag``, filling table defaults.
-
-    ``time-varying`` requires ``m_lipschitz`` (the Lipschitz constant of the
-    objective in the chosen norm).
-    """
-    given = {"c": c, "theta0": theta0, "alpha": alpha, "m_lipschitz": m_lipschitz}
-    if tag in _RULES:
-        for name, default in _RULES[tag].params.items():
-            if given[name] is None:
-                if default is None:
-                    raise ValueError(f"schedule {tag!r} needs {name}")
-                given[name] = default
-    return ScheduleKind(tag, **given)
+def schedule(tag: str, *, m_lipschitz: Optional[float] = None) -> ScheduleKind:
+    """The ScheduleKind of ``tag``; ``time-varying`` requires ``m_lipschitz``."""
+    return ScheduleKind(tag, m_lipschitz)
 
 
 def is_nonincreasing_guaranteed(kind: ScheduleKind) -> bool:
@@ -154,6 +133,8 @@ class ScheduleState:
         self.kind = kind
         self.reads_f = rule.reads_f
         self._reads_norm = rule.reads_norm
+        self._c = rule.c
+        self._alpha = rule.alpha
         self.sigma = float(sigma)
         self.grad_sq_accum = 0.0
         self._k_last = 0
@@ -179,22 +160,22 @@ class ScheduleState:
         self._k_last = k
 
         if tag == TAG_CONSTANT:
-            return self.kind.c
+            return self._c
         if tag == TAG_FIXED_LENGTH:
             if gn == 0.0:
                 raise StationarySignal
-            return self.kind.c / gn
+            return self._c / gn
         if tag == TAG_NONSUM:
-            return self.kind.c / math.sqrt(k)
+            return self._c / math.sqrt(k)
         if tag == TAG_SQRSUM:
-            return self.kind.c / k
+            return self._c / k
         if tag == TAG_QUAD_GRAD:
             if gn == 0.0:
                 raise StationarySignal
-            return self.kind.c / (gn * gn)
+            return self._c / (gn * gn)
         if tag == TAG_ADAGRAD:
             self.grad_sq_accum += gn * gn
-            return self.kind.theta0 / math.sqrt(self.grad_sq_accum + self.kind.alpha)
+            return self._c / math.sqrt(self.grad_sq_accum + self._alpha)
         if tag == TAG_POLYAK:
             if f_val is None or f_star is None:
                 raise ValueError(

@@ -139,21 +139,20 @@ class RunConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration records. Solvers fill the columns that apply to them
-    and leave the others empty; every filled column has one entry per
-    iteration with k strictly increasing."""
+    """Per-iteration records: entry k - 1 of a column belongs to iteration
+    k. Every solver fills gamma, f_iterate and f_avg; the others are filled
+    where they apply and left empty elsewhere (bound for certified rules,
+    productive and constraint_evals for constrained runs)."""
 
-    k: list = field(default_factory=list)
     gamma: list = field(default_factory=list)
     f_iterate: list = field(default_factory=list)
     f_avg: list = field(default_factory=list)
-    g_iterate: list = field(default_factory=list)
     productive: list = field(default_factory=list)
     bound: list = field(default_factory=list)
     constraint_evals: list = field(default_factory=list)
 
     def rows(self) -> int:
-        return len(self.k)
+        return len(self.gamma)
 
 
 @dataclass
@@ -166,9 +165,6 @@ class SolveResult:
     stop_reason: StopReason
     trace: Optional[Trace]
     constraint_evals_total: Optional[int] = None
-    # a certified bracket f_lower <= f* <= f_upper, on runs that compute one
-    f_lower: Optional[float] = None
-    f_upper: Optional[float] = None
 
 
 def _check_m_values(m_values) -> tuple:
@@ -273,7 +269,7 @@ class _Trajectory:
 
 
 class _Bracket:
-    """A certified bracket f_lower <= f* <= f_upper built from one
+    """A certified bracket lower <= f* <= upper built from one
     trajectory's own steps: the accuracy certificate of Nemirovski, Onn &
     Rothblum 2010.
 
@@ -515,11 +511,10 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     last iteration finds it at most ``width`` wide, the trajectory stops
     with EpsilonCriterion after that iteration's averages; at the last
     iteration it ends with MaxIters either way, and the bracket's
-    ``closed_at`` tells whether it closed. The trajectory's results carry
-    the last evaluation as ``f_lower`` and ``f_upper``. ``ms`` may be empty
-    in a bracket run: no trajectory is averaged, each returns an empty
-    tuple, and the bracket holds the result. Without a bracket, each row
-    pays one test per iteration.
+    ``closed_at`` tells whether it closed; the bracket, not the results,
+    holds the ends of its last evaluation. ``ms`` may be empty in a bracket
+    run: no trajectory is averaged and each returns an empty tuple. Without
+    a bracket, each row pays one test per iteration.
     """
     x = as_point(x1)
     if not feasible.contains(x):
@@ -678,7 +673,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 f_k = fx if prod else _finite_f(objective.value(x), k)
                 trace.f_iterate.append(f_k if h is None else f_k + hv)
                 if constraints is not None:
-                    trace.g_iterate.append(gx)
                     trace.productive.append(prod)
                     trace.constraint_evals.append(evals)
                 if run.bound_column:
@@ -741,7 +735,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     f"productive step: likely no point with {what} lies within "
                     f"Bregman distance theta={theta:g} of x1"
                 )
-        cert = run.bracket
         results = []
         for i in range(n_m):
             x_hat, f_hat = _finish(
@@ -754,7 +747,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 last = i == n_m - 1
                 cols = {name: col if last else list(col) for name, col in vars(run.trace).items()}
                 cols.update(
-                    k=list(range(1, completed + 1)),
                     f_avg=run.f_avg if n_m == 1 else run.f_avg[i::n_m],
                     bound=run.bound if n_m == 1 else run.bound[i::n_m],
                 )
@@ -769,8 +761,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                     stop_reason=stop,
                     trace=trace_i,
                     constraint_evals_total=None if constraints is None else evals_total,
-                    f_lower=None if cert is None else cert.lower,
-                    f_upper=None if cert is None else cert.upper,
                 )
             )
         batch.append(tuple(results))

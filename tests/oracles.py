@@ -228,7 +228,7 @@ def trace_csv_per_cell(trace, reference=None) -> str:
                 gap_avg = f_avg - f_min
             if f_best is not None:
                 gap_best = f_best - f_min
-        cells = [str(trace.k[i])] + [
+        cells = [str(i + 1)] + [
             _fmt_cell(v) for v in (trace.gamma[i], fi, f_avg, f_best, gap_avg, gap_best)
         ]
         cells.append(_fmt_cell(trace.bound[i]) if has_bound else "")
@@ -339,11 +339,10 @@ def _fold_in(avg, x, gamma, k) -> np.ndarray:
     return avg.average
 
 
-def _trace(gammas, f_iterate, f_avg, bound=(), g_iterate=(), productive=(), evals=()):
+def _trace(gammas, f_iterate, f_avg, bound=(), productive=(), evals=()):
     return {
-        "k": list(range(1, len(gammas) + 1)), "gamma": gammas, "f_iterate": f_iterate,
-        "f_avg": f_avg, "g_iterate": list(g_iterate), "productive": list(productive),
-        "bound": list(bound), "constraint_evals": list(evals),
+        "gamma": gammas, "f_iterate": f_iterate, "f_avg": f_avg,
+        "productive": list(productive), "bound": list(bound), "constraint_evals": list(evals),
     }
 
 
@@ -431,8 +430,8 @@ def reference_composite_md(objective, h, prox, feasible, rule, m, iters, theta, 
     }
 
 
-def _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
-                        productive, evals, scans, certificate):
+def _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, productive,
+                        evals, scans, certificate):
     """The result dict; ``scans`` counts the constraint evaluations of every
     scan, the one of an iteration that stopped at a stationary point too."""
     n_prod = productive.count(True)
@@ -443,7 +442,7 @@ def _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_ite
         "x_hat": x_hat, "f_hat": objective.value(x_hat), "iterations": len(gammas),
         "productive": n_prod, "nonproductive": len(gammas) - n_prod,
         "stop": stop, "evals": sum(scans), "certificate": certificate,
-        "trace": _trace(gammas, f_iterate, f_avg, (), g_iterate, productive, evals),
+        "trace": _trace(gammas, f_iterate, f_avg, (), productive, evals),
     }
 
 
@@ -463,7 +462,7 @@ def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_
     x = np.asarray(x1, dtype=np.float64)
     avg = WeightedAverager(x.size, m)
     gammas, weights, sq, f_iterate, f_avg = [], [], [], [], []
-    g_iterate, productive, evals, scans, certificate = [], [], [], [], []
+    productive, evals, scans, certificate = [], [], [], []
     x_avg = None
     stop = "MaxIters"
     with _float64_results():
@@ -491,7 +490,6 @@ def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_
             f_iterate.append(f_k if prod else _finite(objective.value(x), "f(x^k)", k))
             f_avg.append(math.nan if x_avg is None else
                          _finite(objective.value(x_avg), "f(x_hat)", k))
-            g_iterate.append(gx)
             productive.append(prod)
             evals.append(constraints.p)
             if use_criterion:
@@ -504,8 +502,8 @@ def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_
                     stop = "EpsilonCriterion"
                     break
             x = mirror_step(prox, feasible, x, g, gamma)
-    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
-                               productive, evals, scans, certificate)
+    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, productive,
+                               evals, scans, certificate)
 
 
 def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters, theta, x1):
@@ -528,7 +526,7 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
     x = np.asarray(x1, dtype=np.float64)
     avg = WeightedAverager(x.size, m)
     gammas, lhs_terms, sum_i, sum_j, f_iterate, f_avg = [], [], [], [], [], []
-    g_iterate, productive, evals, scans, certificate = [], [], [], [], []
+    productive, evals, scans, certificate = [], [], [], []
     x_avg = None
     stop = "MaxIters"
     with _float64_results():
@@ -556,7 +554,6 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
             f_iterate.append(_finite(objective.value(x), "f(x^k)", k))
             f_avg.append(math.nan if x_avg is None else
                          _finite(objective.value(x_avg), "f(x_hat)", k))
-            g_iterate.append(max(seen) if prod else math.nan)
             productive.append(prod)
             evals.append(len(seen))
             lhs_terms.append((L * sk / root) ** m)
@@ -569,8 +566,8 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
                 stop = "EpsilonCriterion"
                 break
             x = mirror_step(prox, feasible, x, g, gamma)
-    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, g_iterate,
-                               productive, evals, scans, certificate)
+    return _constrained_result(objective, x, avg, stop, gammas, f_iterate, f_avg, productive,
+                               evals, scans, certificate)
 
 
 # -- certified f* brackets ---------------------------------------------------

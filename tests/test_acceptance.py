@@ -237,14 +237,13 @@ def test_criterion_11_determinism(tmp_path):
         schedules=("time-varying", "adagrad"),
         m_values=(0.0, 1.0),
         iters=300,
-        output_dir=str(tmp_path),
     )
-    run_experiment(ExperimentPlan(**plan_args))
+    run_experiment(ExperimentPlan(**plan_args), str(tmp_path))
     first = {
         p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")
     }
     assert len(first) == 5  # four cells and the summary
-    run_experiment(ExperimentPlan(**plan_args))
+    run_experiment(ExperimentPlan(**plan_args), str(tmp_path))
     second = {
         p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")
     }

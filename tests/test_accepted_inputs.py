@@ -155,7 +155,7 @@ def test_experiment_plan_accepts_only_what_runs(tmp_path_factory, kind, prox, da
     out = tmp_path_factory.mktemp("plan")
     try:
         plan = ExperimentPlan(InstanceSpec(kind, n=4, t=3, seed=2), tuple(tags), m_values,
-                              iters=fields["iters"], output_dir=str(out), prox=prox)
+                              iters=fields["iters"], prox=prox)
     except ValueError as exc:
         assert _names(exc, ("schedule", "m", "iters")), str(exc)
         event("refused")
@@ -165,7 +165,7 @@ def test_experiment_plan_accepts_only_what_runs(tmp_path_factory, kind, prox, da
     if plan.iters > _ITERS_CAP:
         return
     try:
-        summary = run_experiment(plan)
+        summary = run_experiment(plan, str(out))
     except ValueError as exc:
         assert str(exc)
         event("run refused")
@@ -193,19 +193,16 @@ def _assert_reference_is_direct(plan, summary):
 @pytest.mark.parametrize("prox", ("euclidean", "entropy"))
 def test_a_plan_reference_is_reference_solution_on_every_path(tmp_path, prox, tags, iters):
     plan = ExperimentPlan(InstanceSpec("fts", n=4, t=3, seed=2), tags, (1.0, 3.0), iters=iters,
-                          output_dir=str(tmp_path), prox=prox)
-    _assert_reference_is_direct(plan, run_experiment(plan))
+                          prox=prox)
+    _assert_reference_is_direct(plan, run_experiment(plan, str(tmp_path)))
 
 
 @_PROPERTY
 @given(st.sampled_from(TABLE_TAGS), st.data())
 def test_step_rules_accept_only_what_runs(tag, data):
-    # each parameter the rule takes gets a positive value, the others none
-    names = ("c", "theta0", "alpha", "m_lipschitz")
-    takes = ("m_lipschitz",) if tag == "time-varying" else [
-        name for name in names if getattr(schedule(tag), name) is not None]
+    # time-varying gets a positive m_lipschitz, the other rules none
     params = _fields(data, {
-        name: st.floats(1e-3, 10.0) if name in takes else st.none() for name in names
+        "m_lipschitz": st.floats(1e-3, 10.0) if tag == "time-varying" else st.none()
     })
     try:
         kind = schedule(tag, **params)
@@ -296,30 +293,26 @@ def test_run_config_refuses_a_real_field_it_cannot_convert_by_name(field, value)
         RunConfig(**fields)
 
 
-def test_huge_m_values_and_step_rule_parameters_are_refused_by_name(tmp_path):
+def test_huge_m_values_and_step_rule_parameters_are_refused_by_name():
     with pytest.raises(ValueError, match=r"\bm\b"):
-        ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), (0.0, _HUGE),
-                       output_dir=str(tmp_path))
+        ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), (0.0, _HUGE))
     objective, _, prox, ball = _small_problem()
     config = RunConfig(m=0.0, iters=5)
     with pytest.raises(ValueError, match=r"\bm\b"):
         mirror_descent_sweep(objective, prox, ball, ScheduleState(schedule("nonsum"), 1.0),
                              config, default_start(ball), (0.0, _HUGE))
-    for tag, name in (("nonsum", "c"), ("adagrad", "theta0"), ("adagrad", "alpha"),
-                      ("time-varying", "m_lipschitz")):
-        with pytest.raises(ValueError, match=rf"{tag}.*\b{name}\b"):
-            schedule(tag, **{name: _HUGE})
+    with pytest.raises(ValueError, match=r"time-varying.*\bm_lipschitz\b"):
+        schedule("time-varying", m_lipschitz=_HUGE)
 
 
-def test_numpy_real_fields_are_stored_as_python_floats(tmp_path):
+def test_numpy_real_fields_are_stored_as_python_floats():
     config = RunConfig(m=np.float64(1), iters=5, epsilon=np.float32(0.5), theta=np.int64(2))
     assert [type(v) for v in (config.m, config.epsilon, config.theta)] == [float] * 3
     assert (config.m, config.epsilon, config.theta) == (1.0, 0.5, 2.0)
-    plan = ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",),
-                          np.array([0.0, 2.0]), output_dir=str(tmp_path))
+    plan = ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), np.array([0.0, 2.0]))
     assert [type(m) for m in plan.m_values] == [float, float]
-    kind = schedule("nonsum", c=np.float32(0.25))
-    assert type(kind.c) is float and kind.c == 0.25
+    kind = schedule("time-varying", m_lipschitz=np.float32(0.25))
+    assert type(kind.m_lipschitz) is float and kind.m_lipschitz == 0.25
     # a numpy m weights like a Python float: the same run, bit for bit
     objective, _, prox, ball = _small_problem()
     runs = [mirror_descent(objective, prox, ball, ScheduleState(schedule("nonsum"), 1.0),

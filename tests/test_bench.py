@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -51,13 +52,12 @@ from oracles import grid_refine_pointwise, trace_csv_per_cell
 BA5 = InstanceSpec("best-approx", n=5, seed=3)
 
 
-def _small_plan(tmp, **kw) -> ExperimentPlan:
+def _small_plan(**kw) -> ExperimentPlan:
     args = dict(
         instance=BA5,
         schedules=("nonsum", "time-varying"),
         m_values=(0.0, 1.0),
         iters=40,
-        output_dir=str(tmp),
     )
     args.update(kw)
     return ExperimentPlan(**args)
@@ -239,9 +239,9 @@ def test_a_failing_batch_reports_its_error_before_any_reference_runs(tmp_path, m
     references = []
     monkeypatch.setattr(bench, "reference_solution", lambda *a: references.append(a))
     plan = ExperimentPlan(InstanceSpec("fts", n=n, t=3, seed=1), ("nonsum",), (0.0, 400.0),
-                          iters=20, output_dir=str(tmp_path / "out"))
+                          iters=20)
     with pytest.raises(ValueError, match=r"iteration 1 with m=400 "):
-        run_experiment(plan)
+        run_experiment(plan, str(tmp_path / "out"))
     assert references == []
 
 
@@ -285,8 +285,8 @@ def test_the_bracket_follows_its_row_when_another_row_leaves(tmp_path, monkeypat
     monkeypatch.setattr(bench, "_schedule_state", states)
     calls = _counted_descents(monkeypatch)
     instance = InstanceSpec("fts", n=6, t=5, seed=9)
-    summary = run_experiment(ExperimentPlan(instance, tags, (1.0,), iters=120,
-                                            output_dir=str(tmp_path / "plan")))
+    summary = run_experiment(ExperimentPlan(instance, tags, (1.0,), iters=120),
+                             str(tmp_path / "plan"))
     assert len(calls) == 1 and calls[0].row == 6
     cells = {c["schedule"]: c for c in summary["cells"]}
     assert (cells[tags[0]]["stop_reason"], cells[tags[0]]["iterations"]) == ("StationaryPoint", 6)
@@ -510,11 +510,9 @@ def _odd_trace(with_bound: bool, productive: bool = True, evals: bool = True) ->
     and numpy scalars, booleans and, when asked for, the constrained
     columns."""
     return Trace(
-        k=[1, np.int64(2), 3, 4, 5, 6],
         gamma=[0.5, np.float64(0.25), 1e-300, math.inf, -0.0, np.float32(0.1)],
         f_iterate=[math.nan, 2.0, np.float64(1.0 / 3.0), -0.0, 7, -1e308],
         f_avg=[math.nan, math.inf, np.float64(2.0 / 3.0), -0.0, -math.inf, 1.5],
-        g_iterate=[0.1] * 6,
         productive=[False, True, np.bool_(True), np.bool_(False), True, True][
             : 6 if productive else 0],
         bound=[1.0, math.nan, 2.5, -0.0, np.float64(1e-17), 3][: 6 if with_bound else 0],
@@ -596,8 +594,7 @@ def test_summarize_handles_header_only_file(tmp_path):
 
 
 def test_run_experiment_files_and_summary(tmp_path):
-    plan = _small_plan(tmp_path)
-    summary = run_experiment(plan)
+    summary = run_experiment(_small_plan(), str(tmp_path))
     assert [c["schedule"] for c in summary["cells"]] == [
         "nonsum", "nonsum", "time-varying", "time-varying",
     ]
@@ -623,14 +620,31 @@ def test_run_experiment_files_and_summary(tmp_path):
 
 def test_run_experiment_deterministic_across_directories(tmp_path):
     da, db = tmp_path / "a", tmp_path / "b"
-    run_experiment(_small_plan(da))
-    run_experiment(_small_plan(db))
+    run_experiment(_small_plan(), str(da))
+    run_experiment(_small_plan(), str(db))
     for name in ("nonsum_m0.csv", "time-varying_m1.csv"):
         assert (da / name).read_bytes() == (db / name).read_bytes()
 
 
+def test_one_plan_writes_the_same_summary_in_any_directory(tmp_path):
+    plan = _small_plan(iters=10)
+    summaries = [run_experiment(plan, str(tmp_path / d)) for d in ("a", "b/c")]
+    assert summaries[0] == summaries[1]
+    assert (tmp_path / "a" / "summary.json").read_bytes() == (
+        tmp_path / "b" / "c" / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("schedules, m_values, named", [
+    (("nonsum", "adagrad", "nonsum"), (0.0, 1.0), "schedule 'nonsum'"),
+    (("nonsum",), (1.0, 0.5, 1.0), "m=1.0"),
+], ids=["schedule", "m"])
+def test_a_plan_refuses_a_repeated_schedule_or_m_by_name(schedules, m_values, named):
+    with pytest.raises(ValueError, match=rf"^the plan lists {re.escape(named)} twice$"):
+        _small_plan(schedules=schedules, m_values=m_values)
+
+
 def test_single_cell_matches_experiment_cell(tmp_path):
-    summary = run_experiment(_small_plan(tmp_path / "plan"))
+    summary = run_experiment(_small_plan(), str(tmp_path / "plan"))
     single = run_single_cell(
         BA5, "euclidean", "nonsum", 0.0, 40, str(tmp_path / "nonsum_m0.csv")
     )
@@ -644,10 +658,9 @@ def test_single_cell_matches_experiment_cell(tmp_path):
 
 def test_every_plan_cell_matches_its_single_cell_bytes(tmp_path):
     plan = _small_plan(
-        tmp_path / "plan", schedules=("adagrad", "polyak", "time-varying"),
-        m_values=(-1.0, 0.5, 3.0), iters=60,
+        schedules=("adagrad", "polyak", "time-varying"), m_values=(-1.0, 0.5, 3.0), iters=60,
     )
-    summary = run_experiment(plan)
+    summary = run_experiment(plan, str(tmp_path / "plan"))
     assert len(summary["cells"]) == 9
     for planned in summary["cells"]:
         path = tmp_path / planned["file"]
@@ -665,10 +678,9 @@ def test_entropy_prox_experiment(tmp_path):
         schedules=("nonsum",),
         m_values=(0.0,),
         iters=30,
-        output_dir=str(tmp_path),
         prox="entropy",
     )
-    summary = run_experiment(plan)
+    summary = run_experiment(plan, str(tmp_path))
     cell = summary["cells"][0]
     assert cell["final_k"] == 30
     assert math.isfinite(cell["final_f_avg"])
@@ -676,30 +688,21 @@ def test_entropy_prox_experiment(tmp_path):
 
 
 def test_polyak_without_known_fstar_is_rejected(tmp_path):
-    plan = _small_plan(
-        tmp_path,
-        instance=InstanceSpec("fts", n=4, t=3, seed=1),
-        schedules=("polyak",),
-    )
+    plan = _small_plan(instance=InstanceSpec("fts", n=4, t=3, seed=1), schedules=("polyak",))
     with pytest.raises(ValueError, match="Polyak requires known f\\*"):
-        run_experiment(plan)
+        run_experiment(plan, str(tmp_path))
     # the analytic value holds on the unit ball only: entropy clears it
-    entropy_plan = _small_plan(
-        tmp_path, schedules=("polyak",), prox="entropy"
-    )
+    entropy_plan = _small_plan(schedules=("polyak",), prox="entropy")
     with pytest.raises(ValueError, match="Polyak requires known f\\*"):
-        run_experiment(entropy_plan)
+        run_experiment(entropy_plan, str(tmp_path))
 
 
 def test_plans_reject_constrained_instances(tmp_path):
     plan = _small_plan(
-        tmp_path,
-        instance=InstanceSpec(
-            "max-linear", n=6, t=4, p=3, seed=5, distribution="standard-normal"
-        ),
+        instance=InstanceSpec("max-linear", n=6, t=4, p=3, seed=5, distribution="standard-normal"),
     )
     with pytest.raises(ValueError, match="use the constrained comparison"):
-        run_experiment(plan)
+        run_experiment(plan, str(tmp_path))
     cell_path = tmp_path / "cell.csv"
     with pytest.raises(ValueError, match="use the constrained comparison"):
         run_single_cell(
@@ -726,44 +729,45 @@ def test_plan_validation():
         )
 
 
-def test_plan_dict_round_trip(tmp_path):
-    plan = _small_plan(tmp_path)
+def test_plan_dict_round_trip():
+    plan = _small_plan()
     doc = json.loads(json.dumps(plan.to_dict()))
     assert ExperimentPlan.from_dict(doc) == plan
 
 
-def test_a_fractional_plan_budget_is_refused_by_name(tmp_path):
+def test_a_fractional_plan_budget_is_refused_by_name():
     with pytest.raises(ValueError, match=r"^iters must be an integer, got 2\.5$"):
-        _small_plan(tmp_path, iters=2.5)
+        _small_plan(iters=2.5)
 
 
 def test_a_numpy_plan_budget_writes_its_summary(tmp_path):
-    plan = _small_plan(tmp_path, iters=np.int64(5))
+    plan = _small_plan(iters=np.int64(5))
     assert type(plan.iters) is int
-    summary = run_experiment(plan)
+    summary = run_experiment(plan, str(tmp_path))
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written == json.loads(json.dumps(summary))
     assert written["plan"]["iters"] == 5
 
 
-def test_the_plan_seed_is_its_instance_seed(tmp_path):
-    plan = _small_plan(tmp_path)
+def test_the_plan_seed_is_its_instance_seed():
+    plan = _small_plan()
     assert plan.to_dict()["seed"] == plan.instance.seed == 3
-    # summaries written before the seed and epsilon fields went still load
-    old = dict(plan.to_dict(), seed=5, epsilon=None)
+    # summaries written before the seed, epsilon and output_dir fields went
+    # still load
+    old = dict(plan.to_dict(), seed=5, epsilon=None, output_dir="elsewhere")
     assert ExperimentPlan.from_dict(old) == plan
 
 
 def test_cells_that_would_share_a_file_are_refused_before_any_run(tmp_path):
     out = tmp_path / "cells"
-    close = _small_plan(out, schedules=("nonsum",), m_values=(1.0000001, 1.0000002))
+    close = _small_plan(schedules=("nonsum",), m_values=(1.0000001, 1.0000002))
     with pytest.raises(
         ValueError, match=r"m=1\.0000001 and m=1\.0000002 would both write nonsum_m1\.csv"
     ):
-        run_experiment(close)
-    repeated = _small_plan(out, schedules=("nonsum", "time-varying", "nonsum"))
-    with pytest.raises(ValueError, match=r"m=0\.0 and m=0\.0 would both write nonsum_m0\.csv"):
-        run_experiment(repeated)
+        run_experiment(close, str(out))
+    # a repeated schedule is named where the plan is made
+    with pytest.raises(ValueError, match=r"^the plan lists schedule 'nonsum' twice$"):
+        _small_plan(schedules=("nonsum", "time-varying", "nonsum"))
     assert not out.exists()
     # the sweep writes m with 17 digits, so the same m values stay apart
     path = sweep_m(close, out_path=str(tmp_path / "sweep.csv"))
@@ -775,10 +779,10 @@ def test_cells_that_would_share_a_file_are_refused_before_any_run(tmp_path):
 
 
 def test_sweep_matches_experiment_bytes(tmp_path):
-    plan = _small_plan(tmp_path / "cells", schedules=("time-varying",), iters=30)
-    summary = run_experiment(plan)
+    plan = _small_plan(schedules=("time-varying",), iters=30)
+    summary = run_experiment(plan, str(tmp_path / "cells"))
     sweep_path = sweep_m(
-        _small_plan(tmp_path, schedules=("time-varying",), iters=30),
+        _small_plan(schedules=("time-varying",), iters=30),
         out_path=str(tmp_path / "sweep.csv"),
     )
     lines = open(sweep_path, newline="").read().strip("\n").split("\n")
@@ -797,7 +801,7 @@ def test_sweep_matches_experiment_bytes(tmp_path):
 
 
 def test_sweep_overflow_names_the_overflowing_m(tmp_path):
-    plan = _small_plan(tmp_path, schedules=("nonsum",), m_values=(0.0, 400.0))
+    plan = _small_plan(schedules=("nonsum",), m_values=(0.0, 400.0))
     with pytest.raises(
         ValueError,
         match=r"leave the float64 range at iteration 1 with m=400 and gamma=0\.1;",
@@ -809,9 +813,9 @@ def test_sweep_overflow_names_the_overflowing_m(tmp_path):
 def test_sweep_validation(tmp_path):
     out = str(tmp_path / "sweep.csv")
     with pytest.raises(ValueError, match="at least two m values"):
-        sweep_m(_small_plan(tmp_path, schedules=("nonsum",), m_values=(0.0,)), out)
+        sweep_m(_small_plan(schedules=("nonsum",), m_values=(0.0,)), out)
     with pytest.raises(ValueError, match="exactly one schedule"):
-        sweep_m(_small_plan(tmp_path), out)
+        sweep_m(_small_plan(), out)
     assert not os.path.exists(out)
 
 

@@ -157,6 +157,15 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 15
 
 
+def test_sweep_cli_refuses_a_repeated_m_by_name(tmp_path, capsys):
+    # 1 and 1.0 are one m: its rows would be written twice
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-m", "--n", "4", "--m", "1", "0", "1.0", "--iters", "5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the plan lists m=1.0 twice\n"
+    assert not out.exists()
+
+
 def test_constrained_cli(tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc = main([

@@ -299,8 +299,6 @@ def _bracket_runs(kind, n, t, where, prox_name, m, epsilon, steps, *, ms=None,
         (results,) = _descent(objective, prox, feasible, (rule_f,), config, x1,
                               (m,) if ms is None else ms, constraints=constraints,
                               state_g=rule_g, bracket=bracket)
-        for res in results:
-            assert (res.f_lower, res.f_upper) == (bracket.lower, bracket.upper)
         sides.extend((results, bracket))
     return (*sides, feasible)
 
@@ -372,17 +370,16 @@ def test_the_bracket_stops_at_the_first_checkpoint_within_its_width(case):
     widths = [brackets[k][1] - brackets[k][0] for k in checks]
     width = 1.001 * widths[2]
     expected = next(k for k, w in zip(checks, widths) if w <= width)
-    (res,), _, _, _, _ = _bracket_runs(*BRACKET_CASES[case], k0=4, width=width)
+    (res,), bracket, _, _, _ = _bracket_runs(*BRACKET_CASES[case], k0=4, width=width)
     assert res.iterations == expected
     assert res.stop_reason.value == "EpsilonCriterion"
-    assert res.f_upper - res.f_lower <= width
+    assert bracket.upper - bracket.lower <= width
 
 
 def _same_result(a, b):
     assert a.x_hat.tobytes() == b.x_hat.tobytes()
     assert repr(a.f_hat) == repr(b.f_hat)
-    assert (a.iterations, a.stop_reason, a.f_lower, a.f_upper) == (
-        b.iterations, b.stop_reason, b.f_lower, b.f_upper)
+    assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason)
     for name, column in vars(a.trace).items():
         assert _column_bytes(column) == _column_bytes(getattr(b.trace, name)), name
 
@@ -409,9 +406,12 @@ def test_a_bracket_in_a_batch_is_that_of_its_own_run(width, stop):
     assert batch[1][0].iterations == (4 if stop == "EpsilonCriterion" else 40)
     assert bracket.closed_at == (4 if stop == "EpsilonCriterion" else None)
     for i in range(3):
-        (own,), _ = solve((i,), 0 if i == 1 else None)
+        (own,), own_bracket = solve((i,), 0 if i == 1 else None)
         for a, b in zip(batch[i], own):
             _same_result(a, b)
+        if i == 1:
+            assert (bracket.lower, bracket.upper, bracket.closed_at) == (
+                own_bracket.lower, own_bracket.upper, own_bracket.closed_at)
 
 
 @pytest.mark.parametrize("case", ["fts-ball-m5", "covering-offcenter-ball-m2",

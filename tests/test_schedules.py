@@ -31,7 +31,7 @@ def test_table_tags_exact_spellings():
 
 
 def test_nonsum_example():
-    state = ScheduleState(schedule("nonsum", c=0.1), sigma=1.0)
+    state = ScheduleState(schedule("nonsum"), sigma=1.0)
     state.step_size(1)
     state.step_size(2)
     state.step_size(3)
@@ -48,16 +48,6 @@ def test_adagrad_example():
     state = ScheduleState(schedule("adagrad"), sigma=1.0)
     got = state.step_size(1, grad_dual_norm=1.0)
     assert got == pytest.approx(math.sqrt(2.0) / math.sqrt(1.0 + 1e-8), abs=1e-15)
-
-
-def test_defaults():
-    assert schedule("constant-step").c == 0.1
-    assert schedule("fixed-length").c == 0.2
-    assert schedule("nonsum").c == 0.1
-    assert schedule("sqrsum-nonsum").c == 0.5
-    assert schedule("quad-grad").c == 0.2
-    kind = schedule("adagrad")
-    assert kind.theta0 == math.sqrt(2.0) and kind.alpha == 1e-8
 
 
 def test_certification_flags():
@@ -173,25 +163,13 @@ def test_counter_must_increase():
 
 def test_unused_parameters_rejected():
     with pytest.raises(ValueError, match="does not take parameter"):
-        schedule("nonsum", theta0=1.0)
-    with pytest.raises(ValueError, match="does not take parameter"):
-        schedule("polyak", c=0.1)
-    with pytest.raises(ValueError, match="does not take parameter"):
-        schedule("adagrad", c=0.2)
-    with pytest.raises(ValueError, match="does not take parameter"):
         schedule("adaptive-time-varying", m_lipschitz=1.0)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError, match="unknown schedule tag"):
         schedule("bogus")
-    with pytest.raises(ValueError, match="must be positive"):
-        schedule("nonsum", c=0.0)
-    with pytest.raises(ValueError, match="theta0 must be positive"):
-        schedule("adagrad", theta0=-1.0)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        schedule("adagrad", alpha=0.0)
-    with pytest.raises(ValueError, match="needs m_lipschitz"):
+    with pytest.raises(ValueError, match="needs a positive m_lipschitz"):
         schedule("time-varying")
     with pytest.raises(ValueError, match="m_lipschitz must be positive"):
         schedule("time-varying", m_lipschitz=0.0)
@@ -200,11 +178,7 @@ def test_parameter_validation():
 def test_state_validation():
     with pytest.raises(ValueError, match="sigma must be positive"):
         ScheduleState(schedule("nonsum"), sigma=0.0)
-    # hand-built kinds skip the factory checks; the state re-validates
-    with pytest.raises(ValueError, match="needs a positive constant"):
-        ScheduleState(ScheduleKind("nonsum"), sigma=1.0)
-    with pytest.raises(ValueError, match="needs a positive theta0"):
-        ScheduleState(ScheduleKind("adagrad", alpha=1e-8), sigma=1.0)
+    # a hand-built kind checks itself as the factory's does
     with pytest.raises(ValueError, match="positive m_lipschitz"):
         ScheduleState(ScheduleKind("time-varying"), sigma=1.0)
     with pytest.raises(ValueError, match="unknown schedule tag"):
@@ -212,26 +186,15 @@ def test_state_validation():
 
 
 def test_hand_built_kinds_reject_parameters_their_rule_does_not_take():
-    with pytest.raises(ValueError, match="does not take parameter 'theta0'"):
-        ScheduleKind("nonsum", c=0.1, theta0=1.0)
-    with pytest.raises(ValueError, match="does not take parameter 'c'"):
-        ScheduleKind("polyak", c=0.1)
-    with pytest.raises(ValueError, match="does not take parameter 'm_lipschitz'"):
-        ScheduleKind("adaptive-time-varying", m_lipschitz=1.0)
+    for tag in ("nonsum", "adaptive-time-varying"):
+        with pytest.raises(ValueError, match="does not take parameter 'm_lipschitz'"):
+            ScheduleKind(tag, m_lipschitz=1.0)
 
 
-_OWN_PARAMS = {"nonsum": ("c",), "adagrad": ("theta0", "alpha"), "time-varying": ("m_lipschitz",)}
-
-
-@pytest.mark.parametrize(
-    "tag, name", [("nonsum", "c"), ("adagrad", "theta0"), ("adagrad", "alpha"),
-                  ("time-varying", "m_lipschitz")]
-)
+@pytest.mark.parametrize("tag, name", [("time-varying", "m_lipschitz")])
 def test_infinite_parameters_are_rejected(tag, name):
     # an infinite m_lipschitz used to give gamma = 0 at k = 1
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         schedule(tag, **{name: math.inf})
-    params = dict.fromkeys(_OWN_PARAMS[tag], 1.0)
-    params[name] = math.inf
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-        ScheduleKind(tag, **params)
+        ScheduleKind(tag, **{name: math.inf})

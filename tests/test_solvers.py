@@ -234,7 +234,7 @@ def test_trace_columns_and_final_average():
         np.zeros(5),
     )
     tr = res.trace
-    assert tr.k == list(range(1, 81))
+    assert tr.rows() == 80
     assert all(g > 0.0 for g in tr.gamma)
     assert tr.gamma == sorted(tr.gamma, reverse=True)
     # the last recorded average is the returned point
@@ -631,17 +631,13 @@ def test_switching_bookkeeping_fixed_budget():
     assert res.productive_count + res.nonproductive_count == 300
     assert res.productive_count > 0 and res.nonproductive_count > 0
     tr = res.trace
-    assert tr.k == list(range(1, 301))
+    assert tr.rows() == 300
     assert tr.constraint_evals == [5] * 300
     assert res.constraint_evals_total == 1500
     # averaged objective appears once the first productive step lands
     first = tr.productive.index(True)
     assert all(math.isnan(v) for v in tr.f_avg[:first])
     assert all(math.isfinite(v) for v in tr.f_avg[first:])
-    # every recorded g value is the true aggregate at that iterate
-    assert all(
-        (g <= 1e-2) == p for g, p in zip(tr.g_iterate, tr.productive)
-    )
 
 
 def test_stopping_criterion_fires_on_easy_instance():
@@ -1063,13 +1059,14 @@ def test_shared_averages_match_weighted_averager():
 
 
 def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
-    # gamma = 2 throughout: 2**-1100 underflows to 0, so the m = 1100
-    # averager stays empty while the m = 0 one fills
-    obj = DistanceToPoint([10.0, 0.0])
+    # fixed-length steps 0.2 / ||g|| = 2 on f = 0.1 x_1 throughout: 2**-1100
+    # underflows to 0, so the m = 1100 averager stays empty while the m = 0
+    # one fills
+    obj = MaxAffine([[0.1, 0.0]], [0.0])
 
     def run(m_values):
         return mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state("fixed-length", c=2.0),
+            obj, euclidean_setup(), unit_ball(2), _state("fixed-length"),
             RunConfig(m=0.0, iters=5), np.zeros(2), m_values,
         )
 

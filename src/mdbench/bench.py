@@ -14,6 +14,9 @@ Conventions shared by all experiments:
 * CSV files use '.' decimals, 17 significant digits, comma delimiters, a
   header row, and LF line endings, so the same plan and seed reproduce the
   same bytes;
+* per-iteration files have one writer, ``_write_csv``: undefined (NaN)
+  cells are empty, rows go out in blocks of ``_CSV_BLOCK_ROWS`` lines, and
+  a cell's summary numbers are those of the last row it formatted;
 * wall-clock time goes to the comparison table and stderr only, never into
   per-iteration files;
 * every reference value states f* in [f_min - tolerance, f_min]: it is
@@ -28,7 +31,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,7 +66,6 @@ __all__ = [
     "reference_solution",
     "constrained_reference",
     "write_trace_csv",
-    "summarize_cell_csv",
     "run_single_cell",
     "run_experiment",
     "sweep_m",
@@ -147,7 +149,7 @@ class ExperimentPlan:
 
 
 def _refuse_repeats(values, label: str) -> None:
-    """Refuse a plan that lists an equal value twice, by ``label``."""
+    """Refuse an equal value listed twice, by ``label``."""
     seen = set()
     for value in values:
         if value in seen:
@@ -257,7 +259,8 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, lipschitz: float = 1.
         lo0 = feasible.center - feasible.radius
         hi0 = feasible.center + feasible.radius
     else:
-        lo0 = np.zeros(n)
+        # the simplex lies in [0, 1]^n; Simplex(1) is the one point {1}
+        lo0 = np.full(n, 1.0 if n == 1 else 0.0)
         hi0 = np.ones(n)
     lo, hi = lo0.copy(), hi0.copy()
     ppa = GRID_POINTS_PER_AXIS
@@ -404,37 +407,71 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     return _bracket_reference(bracket)
 
 
-def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None) -> None:
+# the columns written with %d; every other cell is written with %.17g
+_INT_COLUMNS = frozenset({"k", "productive", "constraint_evals"})
+# rows formatted and written per write: a block ends at a line boundary,
+# so the bytes do not depend on it, and no file's whole text is held
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
+    """Write a header of ``columns`` and one LF-ended line per tuple of
+    ``rows`` to ``path``, and return the last tuple (() with none). One
+    ``%`` call per row: %d for ``_INT_COLUMNS``, else %.17g, which gives
+    back every float64 exactly; NaN cells are left empty."""
+    fmt = ",".join("%d" if c in _INT_COLUMNS else "%.17g" for c in columns)
+    rows = iter(rows)
+    last = ()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        # each row is formatted as it comes and only the last one is kept:
+        # a block of row tuples would weigh more than its lines
+        while lines := [fmt % (last := row) for row in islice(rows, _CSV_BLOCK_ROWS)]:
+            # a number's text holds "nan" only as the whole token of a NaN
+            fh.write(("\n".join(lines) + "\n").replace("nan", ""))
+    return last
+
+
+def _number(v) -> Optional[float]:
+    """A cell's value as its text reads back: None for an empty cell."""
+    return None if v is None or v != v else float(v)
+
+
+def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None) -> dict:
     """One row per iteration; empty cells where a value is undefined
     (bound for uncertified schedules, averages before the first productive
     step, gaps without a reference). The productive and constraint_evals
     columns follow the bound column's rule: a column is filled when the
     trace holds one entry per row for it. The bound column is always
     written; the other two only when filled, on a trace with rows, which
-    constrained runs give and unconstrained runs do not."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_trace_csv_text(trace, reference))
+    constrained runs give and unconstrained runs do not.
 
-
-def _trace_csv_text(trace, reference) -> str:
-    # one % call per row: %d for integer and boolean cells, %.17g for
-    # floats; undefined cells are NaN and their "nan" tokens are dropped,
-    # which gives the bytes _fmt writes cell by cell
+    Returns the last row's final_k, final_f_avg, final_gap_avg,
+    final_f_best, final_gap_best and final_bound as its text reads back:
+    None for an empty cell, and for every key when the trace has no rows."""
     rows = trace.rows()
-    header = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound"
-    fmt = "%d" + ",%.17g" * 7
+    columns = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound".split(",")
     extra = []
     for name in ("productive", "constraint_evals"):
         column = getattr(trace, name)
         if rows and len(column) == rows:
-            header += "," + name
-            fmt += ",%d"
+            columns.append(name)
             extra.append(column)
+    f_min = reference.f_min if reference is not None else math.nan
+    last = _write_csv(path, columns, _trace_rows(trace, f_min, extra)) or (None,) * 8
+    k, _, _, f_avg, f_best, gap_avg, gap_best, bound = last[:8]
+    return {"final_k": k, "final_f_avg": _number(f_avg), "final_gap_avg": _number(gap_avg),
+            "final_f_best": _number(f_best), "final_gap_best": _number(gap_best),
+            "final_bound": _number(bound)}
+
+
+def _trace_rows(trace, f_min: float, extra: list):
+    """The cells of each trace row in header order, then the ``extra``
+    columns; undefined cells are NaN."""
+    rows = trace.rows()
     nan = math.nan
-    f_min = reference.f_min if reference is not None else nan
     bounds = trace.bound if len(trace.bound) == rows else repeat(nan)
     counts = trace.productive if len(trace.productive) == rows else repeat(True)
-    lines = [header]
     best = math.inf
     for k, gamma, fi, f_avg, bound, counted, *more in zip(
         count(1), trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
@@ -442,39 +479,7 @@ def _trace_csv_text(trace, reference) -> str:
         if counted and fi < best:
             best = fi
         f_best = best if best < math.inf else nan
-        lines.append(
-            fmt % (k, gamma, fi, f_avg, f_best, f_avg - f_min, f_best - f_min, bound, *more)
-        )
-    return "\n".join(lines).replace("nan", "") + "\n"
-
-
-def _parse_cell(s: str) -> Optional[float]:
-    return None if s == "" else float(s)
-
-
-def summarize_cell_csv(path: str) -> dict:
-    """Final-row numbers of one per-iteration CSV, parsed back from the
-    written text so they match the summary JSON bit for bit."""
-    with open(path, "r", newline="") as fh:
-        return _summarize_csv_text(fh.read())
-
-
-def _summarize_csv_text(content: str) -> dict:
-    lines = content.strip("\n").split("\n")
-    header = lines[0].split(",")
-    if len(lines) < 2:
-        return {"final_k": None, "final_f_avg": None, "final_gap_avg": None,
-                "final_f_best": None, "final_gap_best": None, "final_bound": None}
-    last = lines[-1].split(",")
-    row = dict(zip(header, last))
-    return {
-        "final_k": int(row["k"]),
-        "final_f_avg": _parse_cell(row["f_avg"]),
-        "final_gap_avg": _parse_cell(row["gap_avg"]),
-        "final_f_best": _parse_cell(row["f_best_so_far"]),
-        "final_gap_best": _parse_cell(row["gap_best"]),
-        "final_bound": _parse_cell(row["bound"]),
-    }
+        yield (k, gamma, fi, f_avg, f_best, f_avg - f_min, f_best - f_min, bound, *more)
 
 
 def _schedule_state(tag: str, lipschitz: float, sigma: float) -> ScheduleState:
@@ -540,11 +545,8 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
 
 
 def _write_cell(path: str, tag: str, m: float, result, reference) -> dict:
-    """Write one cell's per-iteration CSV and return its summary cell,
-    parsed from the same text."""
-    text = _trace_csv_text(result.trace, reference)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write one cell's per-iteration CSV and return its summary cell, whose
+    final_* numbers are those of the last row written."""
     cell = {
         "schedule": tag,
         "m": m,
@@ -552,7 +554,7 @@ def _write_cell(path: str, tag: str, m: float, result, reference) -> dict:
         "iterations": result.iterations,
         "stop_reason": result.stop_reason.value,
     }
-    cell.update(_summarize_csv_text(text))
+    cell.update(write_trace_csv(path, result.trace, reference))
     return cell
 
 
@@ -617,14 +619,9 @@ def sweep_m(plan: ExperimentPlan, out_path: str) -> str:
     reference, runs = _solve_plan(plan)
 
     f_min = reference.f_min
-    lines = ["m,k,gap_avg"]
-    for _, m, result in runs:
-        # m is finite, so its token never holds "nan"
-        fmt = "%.17g" % m + ",%d,%.17g"
-        lines.extend(fmt % (k, f_avg - f_min)
-                     for k, f_avg in enumerate(result.trace.f_avg, 1))
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines).replace("nan", "") + "\n")
+    _write_csv(out_path, ("m", "k", "gap_avg"),
+               ((m, k, f_avg - f_min) for _, m, result in runs
+                for k, f_avg in enumerate(result.trace.f_avg, 1)))
     return out_path
 
 
@@ -653,8 +650,9 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     one-constraint-at-a-time solver always uses its built-in adaptive rule.
     wall_seconds is machine-dependent by nature; every other column is
     deterministic. With trace_dir set, per-iteration CSVs are written too.
-    Every epsilon is checked before the first solve: an invalid one, or two
-    whose trace file names coincide, raise ValueError before any run.
+    Every epsilon is checked before the first solve: an invalid or repeated
+    one, or two whose trace file names coincide, raise ValueError before
+    any run.
     """
     if instance.p < 1:
         raise ValueError("constrained comparison needs p >= 1")
@@ -667,6 +665,7 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
         RunConfig(m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record)
         for eps in epsilons
     ]
+    _refuse_repeats([config.epsilon for config in configs], "epsilon={!r}")
     objective = build_objective(instance)
     constraints = build_constraints(instance)
     prox = euclidean_setup()

@@ -150,7 +150,7 @@ def grid_refine_pointwise(value_fn, feasible, lipschitz: float = 1.0, max_rounds
         lo0 = feasible.center - feasible.radius
         hi0 = feasible.center + feasible.radius
     else:
-        lo0 = np.zeros(n)
+        lo0 = np.full(n, 1.0 if n == 1 else 0.0)
         hi0 = np.ones(n)
     lo, hi = lo0.copy(), hi0.copy()
     ppa = GRID_POINTS_PER_AXIS
@@ -238,6 +238,31 @@ def trace_csv_per_cell(trace, reference=None) -> str:
             cells.append(str(int(trace.constraint_evals[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _read_cell(s: str):
+    return None if s == "" else float(s)
+
+
+def trace_csv_summary(path) -> dict:
+    """The final_* numbers of a written trace CSV, parsed back from its last
+    line: the reference for the summary ``mdbench.bench.write_trace_csv``
+    returns from the rows it formats. Every value is None for a file with
+    no row."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().strip("\n").split("\n")
+    if len(lines) < 2:
+        return dict.fromkeys(("final_k", "final_f_avg", "final_gap_avg", "final_f_best",
+                              "final_gap_best", "final_bound"))
+    row = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    return {
+        "final_k": int(row["k"]),
+        "final_f_avg": _read_cell(row["f_avg"]),
+        "final_gap_avg": _read_cell(row["gap_avg"]),
+        "final_f_best": _read_cell(row["f_best_so_far"]),
+        "final_gap_best": _read_cell(row["gap_best"]),
+        "final_bound": _read_cell(row["bound"]),
+    }
 
 
 class SequentialConstraints(AffineConstraints):

@@ -25,7 +25,6 @@ from mdbench.bench import (
     run_constrained_comparison,
     run_experiment,
     run_single_cell,
-    summarize_cell_csv,
     sweep_m,
     theta_for,
     write_instance_json,
@@ -47,7 +46,7 @@ from mdbench.cli import main
 from mdbench.schedules import TABLE_TAGS, ScheduleState, StationarySignal, schedule
 from mdbench.solvers import RunConfig, Trace, mirror_descent
 
-from oracles import grid_refine_pointwise, trace_csv_per_cell
+from oracles import grid_refine_pointwise, trace_csv_per_cell, trace_csv_summary
 
 BA5 = InstanceSpec("best-approx", n=5, seed=3)
 
@@ -313,6 +312,15 @@ def test_grid_refine_minimize_known_minimum():
         grid_refine_minimize(obj.values, unit_ball(4))
 
 
+def test_the_one_point_simplex_is_exact():
+    # Simplex(1) is {1}: the grid's box is that point, so f* is its value
+    obj = build_objective(InstanceSpec("max-linear", n=1, seed=0))
+    ref = reference_solution(obj, Simplex(1), 5)
+    assert ref.method == "GridRefine"
+    assert ref.tolerance <= bench.GRID_TOL
+    assert ref.f_min == obj.value(np.ones(1))
+
+
 def test_grid_first_round_is_a_nine_by_nine_mesh():
     obj = DistanceToPoint(np.array([0.25, -0.3]))
     rows = []
@@ -334,11 +342,13 @@ def test_grid_first_round_is_a_nine_by_nine_mesh():
         (InstanceSpec("max-linear", n=3, t=10, seed=5), Simplex(3), 2),
         # stops at its fixed point in round 8, its second at 129 points per axis
         (InstanceSpec("max-linear", n=2, t=10, seed=362096582), unit_ball(2), 120),
+        (InstanceSpec("max-linear", n=1, seed=0), Simplex(1), 120),
     ],
-    ids=["ball", "simplex", "fixed-point"],
+    ids=["ball", "simplex", "fixed-point", "one-point"],
 )
 def test_grid_refine_matches_pointwise_reference(spec, feasible, rounds):
-    # each case has a round of more than one 4096-row block
+    # each case but the one-point simplex has a round of more than one
+    # 4096-row block
     obj = build_objective(spec)
     kw = dict(lipschitz=obj.lipschitz_bound, max_rounds=rounds)
     x, v, slack = grid_refine_minimize(obj.values, feasible, **kw)
@@ -530,35 +540,79 @@ def test_trace_csv_rows_match_per_cell_format(tmp_path, productive, evals,
     trace = _odd_trace(with_bound, productive, evals)
     reference = None if f_min is None else ReferenceSolution(f_min, "Analytic", 0.0)
     path = str(tmp_path / "odd.csv")
-    write_trace_csv(path, trace, reference)
+    summary = write_trace_csv(path, trace, reference)
     with open(path, newline="") as fh:
         got = fh.read()
     assert got == trace_csv_per_cell(trace, reference)
-    write_trace_csv(path, Trace(), reference)
+    _assert_summary_reads_back(summary, path)
+    summary = write_trace_csv(path, Trace(), reference)
     with open(path, newline="") as fh:
         assert fh.read() == trace_csv_per_cell(Trace(), reference)
+    _assert_summary_reads_back(summary, path)
+    assert set(summary.values()) == {None}
+
+
+def _assert_summary_reads_back(summary: dict, path: str) -> None:
+    """The summary write_trace_csv returns is the file's last row read back:
+    Python numbers, equal to the oracle's parse down to the sign of zero
+    and the JSON bytes of summary.json."""
+    assert {type(v) for v in summary.values()} <= {int, float, type(None)}
+    parsed = trace_csv_summary(path)
+    assert summary == parsed
+    assert json.dumps(summary, sort_keys=True) == json.dumps(parsed, sort_keys=True)
+
+
+@pytest.mark.parametrize("blocks", [1, 2], ids=["one-block", "two-blocks-and-a-row"])
+def test_trace_csv_blocks_neither_drop_nor_double_a_line(tmp_path, blocks):
+    # exactly one block, and two blocks plus one row
+    rows = blocks * bench._CSV_BLOCK_ROWS + (blocks - 1)
+    rng = np.random.default_rng(blocks)
+    f_avg = rng.normal(size=rows)
+    f_avg[:3] = math.nan
+    trace = Trace(
+        gamma=list(rng.random(rows)),
+        f_iterate=list(rng.normal(size=rows)),
+        f_avg=list(f_avg),
+        productive=list(rng.random(rows) < 0.7),
+        bound=list(rng.random(rows)),
+        constraint_evals=list(rng.integers(0, 9, size=rows)),
+    )
+    reference = ReferenceSolution(-0.25, "Analytic", 0.0)
+    path = str(tmp_path / "blocks.csv")
+    summary = write_trace_csv(path, trace, reference)
+    with open(path, newline="") as fh:
+        assert fh.read() == trace_csv_per_cell(trace, reference)
+    assert summary["final_k"] == rows
+    _assert_summary_reads_back(summary, path)
 
 
 _BASE_HEADER = "k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound"
 
 
+def _written(path, trace, reference=None) -> str:
+    write_trace_csv(str(path), trace, reference)
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("productive", [False, True])
 @pytest.mark.parametrize("evals", [False, True])
-def test_trace_csv_writes_a_column_the_trace_fills(productive, evals):
+def test_trace_csv_writes_a_column_the_trace_fills(tmp_path, productive, evals):
+    path = tmp_path / "cols.csv"
     trace = _odd_trace(True, productive, evals)
-    header = bench._trace_csv_text(trace, None).split("\n")[0]
     want = _BASE_HEADER + ",productive" * productive + ",constraint_evals" * evals
-    assert header == want
+    assert _written(path, trace).split("\n")[0] == want
     # a column one entry short is not the trace's, and is not written
     trace.productive, trace.constraint_evals = [True] * 5, [1] * 5
-    assert bench._trace_csv_text(trace, None).split("\n")[0] == _BASE_HEADER
+    assert _written(path, trace).split("\n")[0] == _BASE_HEADER
 
 
-def test_trace_csv_of_an_empty_trace_is_its_base_header():
+def test_trace_csv_of_an_empty_trace_is_its_base_header(tmp_path):
     # no rows: nothing fills a column, so only the always-written ones appear
-    assert bench._trace_csv_text(Trace(), None) == _BASE_HEADER + "\n"
+    path = tmp_path / "empty.csv"
+    assert _written(path, Trace()) == _BASE_HEADER + "\n"
     reference = ReferenceSolution(0.5, "Analytic", 0.0)
-    assert bench._trace_csv_text(Trace(), reference) == _BASE_HEADER + "\n"
+    assert _written(path, Trace(), reference) == _BASE_HEADER + "\n"
 
 
 def test_trace_csv_without_reference_leaves_gaps_empty(tmp_path):
@@ -570,24 +624,16 @@ def test_trace_csv_without_reference_leaves_gaps_empty(tmp_path):
     assert cells[5] == "" and cells[6] == ""
 
 
-def test_summarize_cell_csv_round_trip(tmp_path):
+def test_single_cell_summary_is_its_files_last_row(tmp_path):
     path = str(tmp_path / "one.csv")
     cell = run_single_cell(BA5, "euclidean", "nonsum", 0.0, 40, path)
-    again = summarize_cell_csv(path)
+    again = trace_csv_summary(path)
     for key, val in again.items():
         assert cell[key] == val
     assert cell["final_k"] == 40
     assert cell["stop_reason"] == "MaxIters"
     assert cell["file"] == "one.csv"
     assert cell["reference"]["method"] == "Analytic"
-
-
-def test_summarize_handles_header_only_file(tmp_path):
-    path = str(tmp_path / "empty.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("k,gamma,f_iterate,f_avg,f_best_so_far,gap_avg,gap_best,bound\n")
-    got = summarize_cell_csv(path)
-    assert got["final_k"] is None and got["final_f_avg"] is None
 
 
 # ---------------------------------------------------------------- experiments
@@ -604,7 +650,7 @@ def test_run_experiment_files_and_summary(tmp_path):
         assert fpath.exists()
         assert cell["iterations"] == 40
         assert cell["stop_reason"] == "MaxIters"
-        assert summarize_cell_csv(str(fpath)) == {
+        assert trace_csv_summary(str(fpath)) == {
             k: cell[k] for k in (
                 "final_k", "final_f_avg", "final_gap_avg",
                 "final_f_best", "final_gap_best", "final_bound",
@@ -778,16 +824,18 @@ def test_cells_that_would_share_a_file_are_refused_before_any_run(tmp_path):
 # ---------------------------------------------------------------- m sweep
 
 
-def test_sweep_matches_experiment_bytes(tmp_path):
-    plan = _small_plan(schedules=("time-varying",), iters=30)
+# the second sweep's 2 x 2049 rows cross a block boundary
+@pytest.mark.parametrize("iters", [30, bench._CSV_BLOCK_ROWS // 2 + 1])
+def test_sweep_matches_experiment_bytes(tmp_path, iters):
+    plan = _small_plan(schedules=("time-varying",), iters=iters)
     summary = run_experiment(plan, str(tmp_path / "cells"))
     sweep_path = sweep_m(
-        _small_plan(schedules=("time-varying",), iters=30),
+        _small_plan(schedules=("time-varying",), iters=iters),
         out_path=str(tmp_path / "sweep.csv"),
     )
     lines = open(sweep_path, newline="").read().strip("\n").split("\n")
     assert lines[0] == "m,k,gap_avg"
-    assert len(lines) == 1 + 2 * 30
+    assert len(lines) == 1 + 2 * iters
     by_m = {"0": [], "1": []}
     for row in lines[1:]:
         m_tok, k, gap = row.split(",")
@@ -890,6 +938,13 @@ def test_constrained_comparison_validation(tmp_path, monkeypatch):
     for epsilons in ([0.0], [0.25, 0.0]):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             run_constrained_comparison(spec, epsilons, m=1.0, out_path=out)
+    # a repeated epsilon would be solved and written twice, traced or not
+    tdir = str(tmp_path / "traces")
+    for trace_dir in (None, tdir):
+        with pytest.raises(ValueError, match=r"^the plan lists epsilon=0\.5 twice$"):
+            run_constrained_comparison(spec, [0.5, 0.25, np.float64(0.5)], m=1.0,
+                                       out_path=out, trace_dir=trace_dir)
+    assert not os.path.exists(out) and not os.path.exists(tdir)
 
 
 def test_instance_json_round_trip(tmp_path):

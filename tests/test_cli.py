@@ -181,6 +181,16 @@ def test_constrained_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_constrained_cli_refuses_a_repeated_epsilon_by_name(tmp_path, capsys):
+    # 0.5 and 0.50 are one epsilon: it would be solved and written twice
+    out, tdir = tmp_path / "table.csv", tmp_path / "traces"
+    rc = main(["constrained", "--epsilon", "0.5", "0.25", "0.50", "--n", "10", "--t", "5",
+               "--p", "5", "--trace-dir", str(tdir), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the plan lists epsilon=0.5 twice\n"
+    assert not out.exists() and not tdir.exists()
+
+
 def test_constrained_takes_no_prox_flag(tmp_path, capsys):
     # the comparison has one geometry, so it offers no choice of prox
     out = tmp_path / "table.csv"

@@ -79,6 +79,8 @@ COMMANDS = (
     "run --problem max-linear --n 40 --t 8 --iters 1 --out run_longrun_b1.csv",
     "run --problem covering-ball --n 30 --t 6 --iters 200 --out run_shared.csv",
     "sweep-m --problem fts --n 20 --t 8 --iters 300 --out sweep_fts_s42.csv",
+    "gen --n 2 --seed 5 --out gen_ba2_s5.json",
+    "gen --problem max-linear --n 6 --t 4 --p 3 --dist standard-normal --out gen_ml6.json",
 )
 
 _TABLE_HEADER = "algorithm,epsilon,m,iterations,productive,nonproductive,constraint_evals,"

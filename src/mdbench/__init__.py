@@ -39,21 +39,23 @@ from .schedules import (
     schedule,
 )
 from .solvers import (
-    ConstrainedBoundDiagnostic,
     NoProductiveSteps,
     RunConfig,
     SolveResult,
     StopReason,
     Trace,
+    constrained_md,
+    constrained_md_multi,
+    mirror_c_descent,
+    mirror_descent,
+)
+from .bounds import (
+    ConstrainedBoundDiagnostic,
     bound_composite,
     bound_corollaries,
     bound_main,
     constrained_bound_diagnostic,
-    constrained_md,
-    constrained_md_multi,
     iteration_estimate,
-    mirror_c_descent,
-    mirror_descent,
     productive_inequality_sides,
 )
 from .bench import (

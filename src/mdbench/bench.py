@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import bound_corollaries
 from .geometry import Ball, FeasibleSet, Simplex, euclidean_setup, entropy_setup, unit_ball
 from .problems import (
     InstanceSpec, KIND_BEST_APPROX, _count_field, build_constraints, build_objective,
@@ -47,7 +48,6 @@ from .solvers import (
     _Bracket,
     _check_m_values,
     _descent,
-    bound_corollaries,
     constrained_md,
     constrained_md_multi,
     mirror_descent,  # noqa: F401  (kept importable here: perfbench traces bench.mirror_descent)
@@ -93,8 +93,8 @@ class ReferenceSolution:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A deterministic batch of (schedule, m) solver runs on one instance;
-    each schedule and each m appears once.
+    """A deterministic batch of (schedule, m) solver runs on one
+    unconstrained instance (p = 0); each schedule and each m appears once.
 
     ``prox`` selects the geometry ("euclidean" on the unit ball or
     "entropy" on the simplex). A plan says what runs, not where it is
@@ -111,6 +111,10 @@ class ExperimentPlan:
     prox: str = "euclidean"
 
     def __post_init__(self):
+        if self.instance.p != 0:
+            raise ValueError(
+                "plan runs are unconstrained; use the constrained comparison for p > 0"
+            )
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "m_values", tuple(self.m_values))
         if not self.schedules:
@@ -519,10 +523,6 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     steps, so it carries the run's bracket, whose errors are raised in the
     batch's order: if the row ran all its steps and the bracket closed at
     k = plan.iters, that bracket is the reference and nothing runs again."""
-    if plan.instance.p != 0:
-        raise ValueError(
-            "plan runs are unconstrained; use the constrained comparison for p > 0"
-        )
     objective, prox, feasible, x1, theta = _prepare_problem(plan.instance, plan.prox)
     if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
         raise ValueError("Polyak requires known f*")

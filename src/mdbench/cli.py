@@ -43,29 +43,27 @@ from .solvers import NoProductiveSteps
 _M_SWEEP_DEFAULT = (-1.0, 0.0, 1.0, 2.0, 5.0)
 
 
-def _add_instance_flags(sp, *, problem_default: str, n_default: int, p_default: int = 0):
+def _add_instance_flags(sp, *, problem_default: str, n_default: int,
+                        p_default: Optional[int] = None):
+    """The instance flags; --p and --dist only where ``p_default`` is set,
+    since the other subcommands run unconstrained instances."""
     sp.add_argument("--problem", choices=OBJECTIVE_KINDS, default=problem_default)
     sp.add_argument("--n", type=int, default=n_default, help="dimension")
     sp.add_argument("--t", type=int, default=10, help="number of objective terms")
-    sp.add_argument("--p", type=int, default=p_default, help="number of affine constraints")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument(
-        "--dist",
-        choices=(DIST_UNIFORM, DIST_NORMAL),
-        default=DIST_UNIFORM,
-        help="distribution of the constraint data",
-    )
+    if p_default is not None:
+        sp.add_argument("--p", type=int, default=p_default, help="number of affine constraints")
+        sp.add_argument(
+            "--dist",
+            choices=(DIST_UNIFORM, DIST_NORMAL),
+            default=DIST_UNIFORM,
+            help="distribution of the constraint data",
+        )
 
 
 def _instance(args) -> InstanceSpec:
-    return InstanceSpec(
-        kind=args.problem,
-        n=args.n,
-        t=args.t,
-        p=args.p,
-        seed=args.seed,
-        distribution=args.dist,
-    )
+    constraints = {"p": args.p, "distribution": args.dist} if "p" in args else {}
+    return InstanceSpec(kind=args.problem, n=args.n, t=args.t, seed=args.seed, **constraints)
 
 
 @functools.cache
@@ -121,19 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_constrained)
 
     sp = sub.add_parser("gen", help="realize an instance as JSON")
-    _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50)
+    _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50, p_default=0)
     sp.add_argument("--out", default="instance.json", help="output JSON path")
     sp.set_defaults(func=_cmd_gen)
 
     return parser
-
-
-def _reject_constraints(parser_name: str, args) -> None:
-    if args.p != 0:
-        raise _Usage(
-            f"{parser_name} is an unconstrained experiment; --p must be 0 "
-            "(use the constrained subcommand)"
-        )
 
 
 class _Usage(Exception):
@@ -141,7 +131,6 @@ class _Usage(Exception):
 
 
 def _cmd_run(args) -> int:
-    _reject_constraints("run", args)
     cell = run_single_cell(
         _instance(args), args.prox, args.schedule, args.m, args.iters, args.out
     )
@@ -150,7 +139,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _reject_constraints("compare", args)
     instance = _instance(args)
     tags = list(TABLE_TAGS)
     if not _has_known_fstar(instance, args.prox):
@@ -175,7 +163,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _reject_constraints("sweep-m", args)
     if len(args.m) < 2:
         raise _Usage("sweep-m needs at least two --m values")
     plan = ExperimentPlan(

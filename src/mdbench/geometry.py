@@ -72,11 +72,10 @@ class Ball:
         return math.sqrt(np.dot(d, d)) <= self.radius + tol
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return self._project_owned(np.array(x, dtype=np.float64))
-
-    def _project_owned(self, y: np.ndarray) -> np.ndarray:
-        """``project`` of a float64 array the caller hands over: returned
-        as it is when it lies in the ball, so no copy is made."""
+        """The nearest point of the ball to ``x``: ``x`` itself when it is a
+        float64 array inside the ball, else a new array; ``x`` is never
+        written to."""
+        y = np.asarray(x, dtype=np.float64)
         d = y - self.center
         r = math.sqrt(np.dot(d, d))
         if r <= self.radius:
@@ -84,12 +83,9 @@ class Ball:
         return self.center + d * (self.radius / r)
 
     def project_rows(self, X: np.ndarray) -> np.ndarray:
-        """``project`` applied to each row of a (K, n) array, bit for bit."""
-        return self._project_rows_owned(np.array(X, dtype=np.float64))
-
-    def _project_rows_owned(self, Y: np.ndarray) -> np.ndarray:
-        """``project_rows`` of a float64 array the caller hands over, which
-        is returned as it is when every row lies in the ball."""
+        """``project`` applied to each row of a (K, n) array, bit for bit:
+        ``X`` itself when it is float64 and every row lies in the ball."""
+        Y = np.asarray(X, dtype=np.float64)
         d = Y - self.center
         # vecdot rounds like np.dot; (d * d).sum(axis=1) does not
         r = np.sqrt(np.vecdot(d, d))
@@ -153,10 +149,6 @@ class Simplex:
 
     # ||x||_1 = 1 and ||x||_2 <= 1 on the simplex
     norm_bound = 1.0
-
-    # both return new arrays, so they serve as the forms for handed-over input
-    _project_owned = project
-    _project_rows_owned = project_rows
 
 
 FeasibleSet = Union[Ball, Simplex]
@@ -230,7 +222,7 @@ def mirror_step_rows(
             raise ValueError("step size gamma must be positive")
     steps = np.array(gammas)[:, None]
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
-        return feasible._project_rows_owned(X - steps * G)
+        return feasible.project_rows(X - steps * G)
     if setup.psi_kind == NEG_ENTROPY:
         if not isinstance(feasible, Simplex):
             raise ValueError("entropy prox supports only the simplex")
@@ -252,7 +244,7 @@ def mirror_step(
     if not gamma > 0.0:
         raise ValueError("step size gamma must be positive")
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
-        return feasible._project_owned(x - gamma * g)
+        return feasible.project(x - gamma * g)
     if setup.psi_kind == NEG_ENTROPY:
         if not isinstance(feasible, Simplex):
             raise ValueError("entropy prox supports only the simplex")

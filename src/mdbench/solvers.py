@@ -1,6 +1,5 @@
 """Four mirror-descent solvers sharing one iteration loop with m-weighted
-averaging and its stopping criteria. The theoretical bound evaluators they
-are tested against live in ``bounds`` and are re-exported here.
+averaging and its stopping criteria.
 
 Every solver returns the weighted average
 
@@ -28,8 +27,9 @@ the realized steps, gives the bound column and both constrained stopping
 rules (see ``constrained_md_multi``).
 
 Solvers run any schedule, including the adaptive ones with no monotonicity
-guarantee. The bound evaluators, by contrast, verify the non-increasing
-hypothesis of the averaging theorem and refuse sequences that break it.
+guarantee. The bound evaluators of ``bounds``, by contrast, verify the
+non-increasing hypothesis of the averaging theorem and refuse sequences
+that break it.
 """
 from __future__ import annotations
 
@@ -41,15 +41,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (  # re-exported: the bound evaluators live in bounds.py
-    ConstrainedBoundDiagnostic,
-    bound_composite,
-    bound_corollaries,
-    bound_main,
-    constrained_bound_diagnostic,
-    iteration_estimate,
-    productive_inequality_sides,
-)
 from .geometry import (
     FeasibleSet,
     ProxSetup,
@@ -80,13 +71,6 @@ __all__ = [
     "mirror_c_descent",
     "constrained_md",
     "constrained_md_multi",
-    "bound_main",
-    "bound_corollaries",
-    "bound_composite",
-    "iteration_estimate",
-    "ConstrainedBoundDiagnostic",
-    "constrained_bound_diagnostic",
-    "productive_inequality_sides",
 ]
 
 # hard ceiling on criterion-driven runs so a desk-scale experiment cannot

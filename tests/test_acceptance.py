@@ -18,6 +18,7 @@ from mdbench.bench import (
     run_experiment,
     theta_for,
 )
+from mdbench.bounds import bound_composite, bound_corollaries, iteration_estimate
 from mdbench.geometry import (
     L1,
     Ball,
@@ -34,10 +35,7 @@ from mdbench.schedules import TAG_TIME_VARYING, ScheduleState, schedule
 from mdbench.solvers import (
     RunConfig,
     StopReason,
-    bound_composite,
-    bound_corollaries,
     constrained_md,
-    iteration_estimate,
     mirror_c_descent,
     mirror_descent,
 )

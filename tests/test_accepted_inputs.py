@@ -233,9 +233,9 @@ _FLAG_VALUES = {
     "--theta1": ("2", "0", "inf", "nan", "1e-300", "1e300"),
 }
 _FLAGS = {
-    "run": ("--problem", "--n", "--t", "--p", "--seed", "--prox", "--m", "--schedule"),
-    "compare": ("--problem", "--n", "--t", "--p", "--seed", "--prox", "--m"),
-    "sweep-m": ("--problem", "--n", "--t", "--p", "--seed", "--prox", "--m", "--schedule"),
+    "run": ("--problem", "--n", "--t", "--seed", "--prox", "--m", "--schedule"),
+    "compare": ("--problem", "--n", "--t", "--seed", "--prox", "--m"),
+    "sweep-m": ("--problem", "--n", "--t", "--seed", "--prox", "--m", "--schedule"),
     "constrained": ("--problem", "--n", "--t", "--p", "--seed", "--dist", "--m",
                     "--epsilon", "--theta1"),
     "gen": ("--problem", "--n", "--t", "--p", "--seed", "--dist"),

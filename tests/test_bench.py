@@ -30,7 +30,7 @@ from mdbench.bench import (
     write_instance_json,
     write_trace_csv,
 )
-from mdbench.bench import bound_corollaries  # re-exported convenience import
+from mdbench.bounds import bound_corollaries
 from mdbench.geometry import Ball, Simplex, euclidean_setup, unit_ball
 from mdbench.problems import (
     AffineConstraints,
@@ -107,6 +107,14 @@ def test_reference_analytic_for_distance_objective():
     assert ref.method == "Analytic"
     assert ref.tolerance == 0.0
     assert ref.f_min == pytest.approx(9.0, abs=1e-12)
+
+
+def test_best_approx_known_fstar_is_the_analytic_reference():
+    # Polyak steps and the gap columns use one f*, to the last bit
+    for seed in range(200):
+        for n in (2, 5, 50):
+            obj = build_objective(InstanceSpec("best-approx", n=n, seed=seed))
+            assert reference_solution(obj, unit_ball(n), 1).f_min == obj.known_fstar, (seed, n)
 
 
 def test_reference_grid_for_tiny_dimension():
@@ -744,18 +752,17 @@ def test_polyak_without_known_fstar_is_rejected(tmp_path):
 
 
 def test_plans_reject_constrained_instances(tmp_path):
-    plan = _small_plan(
-        instance=InstanceSpec("max-linear", n=6, t=4, p=3, seed=5, distribution="standard-normal"),
-    )
+    # refused when the plan is built, before any run or file
     with pytest.raises(ValueError, match="use the constrained comparison"):
-        run_experiment(plan, str(tmp_path))
+        _small_plan(instance=InstanceSpec("max-linear", n=6, t=4, p=3, seed=5,
+                                          distribution="standard-normal"))
     cell_path = tmp_path / "cell.csv"
     with pytest.raises(ValueError, match="use the constrained comparison"):
         run_single_cell(
             InstanceSpec("best-approx", n=5, p=3, seed=3), "euclidean", "nonsum",
             0.0, 10, str(cell_path),
         )
-    assert not cell_path.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_plan_validation():

@@ -84,10 +84,20 @@ def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
 
 
 def test_post_parse_usage_message(capsys):
-    assert main(["run", "--p", "3"]) == 2
+    assert main(["sweep-m", "--m", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
-    assert "unconstrained experiment" in err
+    assert "at least two --m values" in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep-m"])
+def test_unconstrained_subcommands_take_no_constraint_flags(command, capsys):
+    # --p is refused whatever its value, 0 included; argparse names the cause
+    for argv in ([command, "--p", "0"], [command, "--dist", "standard-normal"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mdbench"), argv
+        assert argv[1] in err.splitlines()[-1], argv
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

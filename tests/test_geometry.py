@@ -43,6 +43,25 @@ def test_ball_projection_examples():
     np.testing.assert_array_equal(b.project(np.array([0.1, 0.2])), [0.1, 0.2])
 
 
+@pytest.mark.parametrize("rows", [False, True])
+def test_ball_projection_returns_its_input_inside_and_never_writes_to_it(rows):
+    ball = Ball(np.array([0.5, -0.5, 0.0]), 1.5)
+    project = ball.project_rows if rows else ball.project
+    inside = np.array([[0.6, -0.4, 0.2], [0.5, -0.5, 1.5]])
+    outside = np.array([[0.6, -0.4, 0.2], [3.0, 1.0, -2.0]])
+    if not rows:
+        inside, outside = inside[1], outside[1]
+    assert project(inside) is inside
+    before = outside.copy()
+    got = project(outside)
+    assert got is not outside and not np.shares_memory(got, outside)
+    assert outside.tobytes() == before.tobytes()
+    assert np.all(np.linalg.norm(np.atleast_2d(got) - ball.center, axis=1) <= 1.5 + 1e-15)
+    # a list is read as a float64 array, with the same bytes
+    for x in (inside, outside):
+        assert project(x.tolist()).tobytes() == project(x.copy()).tobytes()
+
+
 def test_ball_validation_and_membership():
     with pytest.raises(ValueError, match="radius"):
         Ball(np.zeros(2), 0.0)

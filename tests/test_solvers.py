@@ -11,6 +11,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mdbench.bench import default_start
+from mdbench.bounds import (
+    bound_composite,
+    bound_corollaries,
+    bound_main,
+    constrained_bound_diagnostic,
+    iteration_estimate,
+    productive_inequality_sides,
+)
 from mdbench.geometry import L1, Ball, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
 from mdbench.problems import (
     OBJECTIVE_KINDS,
@@ -28,17 +36,11 @@ from mdbench.solvers import (
     RunConfig,
     SolveResult,
     StopReason,
-    bound_composite,
-    bound_corollaries,
-    bound_main,
-    constrained_bound_diagnostic,
     constrained_md,
     constrained_md_multi,
-    iteration_estimate,
     mirror_c_descent,
     mirror_descent,
     mirror_descent_sweep,
-    productive_inequality_sides,
 )
 
 from oracles import SequentialConstraints, WeightedAverager, weighted_average

@@ -1,33 +1,43 @@
 """Byte gate: run a fixed list of ``mdbench`` commands in a fresh directory
 and print the sha256 of every file they leave there.
 
-Each command runs as ``python -m mdbench.cli ...`` with the directory as its
-working directory. Its stdout, followed by a line ``exit <code>``, goes to
-``stdout_<i>.txt`` and its stderr to ``stderr_<i>.txt``; the command list
-itself goes to ``commands.txt``. Wall-clock time is the only field that may
-differ between two runs of the same code, so it is masked before hashing:
-the ``wall_seconds`` column of every constrained comparison table and the
-seconds field of the ``constrained`` stderr lines.
+Each command runs in this process through ``mdbench.cli.main``, with the
+directory as the working directory and ``COLUMNS=80``, so argparse wraps
+its messages the same way on every terminal. Its stdout, followed by a line
+``exit <code>``, goes to ``stdout_<i>.txt`` and its stderr to
+``stderr_<i>.txt``; the command list itself goes to ``commands.txt``.
+Wall-clock time is the only field that may differ between two runs of the
+same code, so it is masked before hashing: the ``wall_seconds`` column of
+every constrained comparison table and the seconds field of the
+``constrained`` stderr lines.
 
 Usage:
 
-    python3 scripts/byte_gate.py OUT_DIR [--src SRC_DIR]
+    python3 scripts/byte_gate.py OUT_DIR
 
-OUT_DIR must not exist yet. SRC_DIR is the directory that holds the
-``mdbench`` package (default: the ``src`` directory of this checkout). To
-check that a change keeps the output bytes, run the script on the parent
-checkout and on the change, each into its own new directory, and diff the
-two listings.
+OUT_DIR must not exist yet. The ``mdbench`` package comes from the ``src``
+directory of this checkout. The first line printed names the numpy and BLAS
+versions; the listing follows. ``scripts/byte_gate.expected`` holds the
+listing of the committed code, and ``tests/test_byte_gate.py`` compares a
+fresh run with it. A change that moves output bytes regenerates that file
+with this script, so its diff shows which outputs moved.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import re
-import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+# mdbench first, so that numpy loads with the BLAS thread count it sets
+from mdbench.cli import main as mdbench_main  # noqa: E402
+import numpy as np  # noqa: E402
 
 COMMANDS = (
     "compare --seed 42 --m -1 --iters 600 --out cmp_s42_m-1",
@@ -88,6 +98,12 @@ _WALL_COLUMN = 7
 _STDERR_WALL = re.compile(r"\d+\.\d{3} s, stop=")
 
 
+def versions_line() -> str:
+    """The numpy and BLAS versions, which the listing's bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
 def _mask_table(path: Path) -> None:
     lines = path.read_text().split("\n")
     if not lines[0].startswith(_TABLE_HEADER):
@@ -100,21 +116,31 @@ def _mask_table(path: Path) -> None:
     path.write_text("\n".join(lines))
 
 
-def run_gate(out_dir: Path, src_dir: Path) -> list:
+def run_gate(out_dir: Path) -> list:
     """Run every command in ``out_dir`` and return (sha256, relative path)
-    pairs for every file left there, sorted by path."""
+    pairs for every file left there, sorted by path. The working directory
+    and ``COLUMNS`` are restored afterwards."""
+    out_dir = out_dir.resolve()
     out_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src_dir))
     (out_dir / "commands.txt").write_text("\n".join(COMMANDS) + "\n")
-    for i, command in enumerate(COMMANDS, start=1):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mdbench.cli", *command.split()],
-            cwd=out_dir, env=env, capture_output=True, text=True,
-        )
-        (out_dir / f"stdout_{i}.txt").write_text(proc.stdout + f"exit {proc.returncode}\n")
-        (out_dir / f"stderr_{i}.txt").write_text(
-            _STDERR_WALL.sub("masked s, stop=", proc.stderr)
-        )
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    os.chdir(out_dir)
+    try:
+        for i, command in enumerate(COMMANDS, start=1):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = mdbench_main(command.split())
+            (out_dir / f"stdout_{i}.txt").write_text(stdout.getvalue() + f"exit {code}\n")
+            (out_dir / f"stderr_{i}.txt").write_text(
+                _STDERR_WALL.sub("masked s, stop=", stderr.getvalue())
+            )
+    finally:
+        os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     files = sorted(p for p in out_dir.rglob("*") if p.is_file())
     for path in files:
         if path.suffix == ".csv":
@@ -125,18 +151,19 @@ def run_gate(out_dir: Path, src_dir: Path) -> list:
     ]
 
 
+def listing(out_dir: Path) -> list:
+    """The lines this script prints: the versions line, then one
+    ``<sha256>  <path>`` line per file."""
+    return [versions_line()] + [f"{digest}  {rel}" for digest, rel in run_gate(out_dir)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", type=Path, help="new directory for the outputs")
-    parser.add_argument(
-        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
-        help="directory holding the mdbench package",
-    )
     args = parser.parse_args(argv)
     if args.out_dir.exists():
         parser.error(f"{args.out_dir} already exists; the gate needs a fresh directory")
-    for digest, rel in run_gate(args.out_dir, args.src.resolve()):
-        print(f"{digest}  {rel}")
+    print("\n".join(listing(args.out_dir)))
     return 0
 
 

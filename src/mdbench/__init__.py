@@ -3,6 +3,13 @@ m-parameterized weighted averaging, nine step-size rules, constrained
 variants with productive-step switching, and a deterministic benchmark
 harness."""
 
+import os
+
+# one BLAS thread unless the caller chose: at large n, numpy's reductions
+# round differently with more threads. This acts only before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .space import NormKind, as_point, dual_norm_kind, inner, norm
 from .geometry import (
     Ball,

@@ -14,9 +14,9 @@ Conventions shared by all experiments:
 * CSV files use '.' decimals, 17 significant digits, comma delimiters, a
   header row, and LF line endings, so the same plan and seed reproduce the
   same bytes;
-* per-iteration files have one writer, ``_write_csv``: undefined (NaN)
-  cells are empty, rows go out in blocks of ``_CSV_BLOCK_ROWS`` lines, and
-  a cell's summary numbers are those of the last row it formatted;
+* CSV files have one writer, ``_write_csv``: undefined (NaN) cells are
+  empty, rows go out in blocks of ``_CSV_BLOCK_ROWS`` lines, and a cell's
+  summary numbers are those of the last row it formatted;
 * wall-clock time goes to the comparison table and stderr only, never into
   per-iteration files;
 * every reference value states f* in [f_min - tolerance, f_min]: it is
@@ -31,6 +31,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import count, islice, repeat
 from typing import Optional, Sequence
 
@@ -411,8 +412,9 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     return _bracket_reference(bracket)
 
 
-# the columns written with %d; every other cell is written with %.17g
-_INT_COLUMNS = frozenset({"k", "productive", "constraint_evals"})
+# the columns written with %d or %s; every other cell is written with %.17g
+_COLUMN_FORMATS = {"algorithm": "%s", "stop_reason": "%s", "k": "%d", "iterations": "%d",
+                   "productive": "%d", "nonproductive": "%d", "constraint_evals": "%d"}
 # rows formatted and written per write: a block ends at a line boundary,
 # so the bytes do not depend on it, and no file's whole text is held
 _CSV_BLOCK_ROWS = 4096
@@ -421,9 +423,9 @@ _CSV_BLOCK_ROWS = 4096
 def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
     """Write a header of ``columns`` and one LF-ended line per tuple of
     ``rows`` to ``path``, and return the last tuple (() with none). One
-    ``%`` call per row: %d for ``_INT_COLUMNS``, else %.17g, which gives
+    ``%`` call per row, with ``_COLUMN_FORMATS`` or else %.17g, which gives
     back every float64 exactly; NaN cells are left empty."""
-    fmt = ",".join("%d" if c in _INT_COLUMNS else "%.17g" for c in columns)
+    fmt = ",".join(_COLUMN_FORMATS.get(c, "%.17g") for c in columns)
     rows = iter(rows)
     last = ()
     with open(path, "w", newline="") as fh:
@@ -431,7 +433,7 @@ def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
         # each row is formatted as it comes and only the last one is kept:
         # a block of row tuples would weigh more than its lines
         while lines := [fmt % (last := row) for row in islice(rows, _CSV_BLOCK_ROWS)]:
-            # a number's text holds "nan" only as the whole token of a NaN
+            # "nan" is only ever the whole text of a NaN; no %s cell holds it
             fh.write(("\n".join(lines) + "\n").replace("nan", ""))
     return last
 
@@ -629,27 +631,28 @@ def _trace_name(algorithm: str, eps: float, m: float) -> str:
     return f"{algorithm}_eps{_m_token(eps)}_m{_m_token(m)}.csv"
 
 
-_COMPARISON_HEADER = (
-    "algorithm,epsilon,m,iterations,productive,nonproductive,"
-    "constraint_evals,wall_seconds,f_hat,g_hat,stop_reason"
+_COMPARISON_COLUMNS = (
+    "algorithm", "epsilon", "m", "iterations", "productive", "nonproductive",
+    "constraint_evals", "wall_seconds", "f_hat", "g_hat", "stop_reason",
 )
 
 
 def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float],
-                               m: float, out_path: str, theta1: float = 2.0,
+                               m: float, out_path: str,
                                schedule_mode: str = TAG_ADAPTIVE_TV,
                                iters_cap: Optional[int] = None,
                                trace_dir: Optional[str] = None) -> list:
     """Head-to-head of the two constrained solvers on one instance, one row
     per (epsilon, algorithm), on the unit ball with Euclidean prox from
-    x1 = 0.
+    x1 = 0, with theta from the ball (``theta_for``).
 
     schedule_mode picks the two-phase steps of the first solver:
     "time-varying" uses the certified Lipschitz-based pair, and
     "adaptive-time-varying" divides by the realized subgradient norm. The
     one-constraint-at-a-time solver always uses its built-in adaptive rule.
     wall_seconds is machine-dependent by nature; every other column is
-    deterministic. With trace_dir set, per-iteration CSVs are written too.
+    deterministic. With trace_dir set, each solve's per-iteration CSV is
+    written right after it, so one trace at a time is held.
     Every epsilon is checked before the first solve: an invalid or repeated
     one, or two whose trace file names coincide, raise ValueError before
     any run.
@@ -661,15 +664,16 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
             "schedule_mode must be 'time-varying' or 'adaptive-time-varying'"
         )
     record = trace_dir is not None
+    feasible = unit_ball(instance.n)
     configs = [
-        RunConfig(m=m, iters=iters_cap, epsilon=float(eps), theta=theta1, record_trace=record)
+        RunConfig(m=m, iters=iters_cap, epsilon=float(eps), theta=theta_for(feasible),
+                  record_trace=record)
         for eps in epsilons
     ]
     _refuse_repeats([config.epsilon for config in configs], "epsilon={!r}")
     objective = build_objective(instance)
     constraints = build_constraints(instance)
     prox = euclidean_setup()
-    feasible = unit_ball(instance.n)
     x1 = constrained_start(feasible)
     if record:
         # the two solvers' files of one epsilon differ only in the prefix
@@ -680,16 +684,16 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     for eps, config in zip(epsilons, configs):
         state_f = _schedule_state(schedule_mode, objective.lipschitz_bound, prox.sigma)
         state_g = _schedule_state(schedule_mode, constraints.lipschitz_bound, prox.sigma)
-        t0 = time.perf_counter()
-        res3 = constrained_md(
-            objective, constraints, prox, feasible, state_f, state_g, config, x1
+        solves = (
+            ("alg3", partial(constrained_md, objective, constraints, prox, feasible,
+                             state_f, state_g, config, x1)),
+            ("alg4", partial(constrained_md_multi, objective, constraints, prox, feasible,
+                             config, x1)),
         )
-        wall3 = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        res4 = constrained_md_multi(objective, constraints, prox, feasible, config, x1)
-        wall4 = time.perf_counter() - t0
-
-        for name, res, wall in (("alg3", res3, wall3), ("alg4", res4, wall4)):
+        for name, solve in solves:
+            t0 = time.perf_counter()
+            res = solve()
+            wall = time.perf_counter() - t0
             rows.append(
                 {
                     "algorithm": name,
@@ -707,15 +711,13 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
             )
             if record:
                 write_trace_csv(os.path.join(trace_dir, _trace_name(name, eps, m)), res.trace)
+            # rebinding res would keep this trace alive through the next solve
+            del res
 
     # f_hat and g_hat are finite (the solvers refuse a non-finite f_hat),
     # so no cell is NaN
-    fmt = "%s,%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%s"
-    columns = _COMPARISON_HEADER.split(",")
-    lines = [_COMPARISON_HEADER]
-    lines.extend(fmt % tuple(r[c] for c in columns) for r in rows)
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out_path, _COMPARISON_COLUMNS,
+               (tuple(r[c] for c in _COMPARISON_COLUMNS) for r in rows))
     return rows
 
 

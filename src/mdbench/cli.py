@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sp, problem_default=KIND_MAX_LINEAR, n_default=10, p_default=5)
     sp.add_argument("--epsilon", type=float, nargs="+", default=(1e-2,))
     sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--theta1", type=float, default=2.0)
     sp.add_argument(
         "--schedule",
         choices=(TAG_TIME_VARYING, TAG_ADAPTIVE_TV),
@@ -185,7 +184,6 @@ def _cmd_constrained(args) -> int:
         args.epsilon,
         args.m,
         args.out,
-        theta1=args.theta1,
         schedule_mode=args.schedule,
         iters_cap=args.iters,
         trace_dir=args.trace_dir,
@@ -218,8 +216,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NoProductiveSteps, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, NoProductiveSteps, RuntimeError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; its name is the cause
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -158,28 +158,36 @@ def unit_ball(n: int) -> Ball:
     return Ball(np.zeros(n), 1.0)
 
 
+# the norm each prox-function is strongly convex against, with sigma = 1
+_PROX_NORMS = {EUCLIDEAN_HALF_SQ: NormKind.L2, NEG_ENTROPY: NormKind.L1}
+
+
 @dataclass(frozen=True)
 class ProxSetup:
-    """A distance-generating function together with the norm it is
-    1-strongly convex against.
-
-    sigma is the strong-convexity modulus: V(x, y) >= sigma/2 * ||x - y||^2
-    in ``norm`` for all admissible x, y.
-    """
+    """A distance-generating function psi, which fixes the norm it is
+    strongly convex against and its modulus sigma:
+    V(x, y) >= sigma/2 * ||x - y||^2 in ``norm`` for all admissible x, y."""
 
     psi_kind: str
-    sigma: float
-    norm: NormKind
+    sigma = 1.0
+
+    def __post_init__(self):
+        if self.psi_kind not in _PROX_NORMS:
+            raise ValueError(f"unknown prox kind: {self.psi_kind!r}")
+
+    @property
+    def norm(self) -> NormKind:
+        return _PROX_NORMS[self.psi_kind]
 
 
 def euclidean_setup() -> ProxSetup:
     """psi(x) = ||x||_2^2 / 2, strongly convex with sigma = 1 in l2."""
-    return ProxSetup(EUCLIDEAN_HALF_SQ, 1.0, NormKind.L2)
+    return ProxSetup(EUCLIDEAN_HALF_SQ)
 
 
 def entropy_setup() -> ProxSetup:
     """psi(x) = sum x_i ln x_i on the simplex; sigma = 1 in l1 by Pinsker."""
-    return ProxSetup(NEG_ENTROPY, 1.0, NormKind.L1)
+    return ProxSetup(NEG_ENTROPY)
 
 
 def _check_entropy_domain(x: np.ndarray, label: str) -> None:
@@ -192,20 +200,16 @@ def bregman(setup: ProxSetup, x: np.ndarray, y: np.ndarray) -> float:
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
         d = x - y
         return 0.5 * float(np.dot(d, d))
-    if setup.psi_kind == NEG_ENTROPY:
-        _check_entropy_domain(x, "first argument")
-        _check_entropy_domain(y, "second argument")
-        return float(np.sum(x * (np.log(x) - np.log(y))) - x.sum() + y.sum())
-    raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
+    _check_entropy_domain(x, "first argument")
+    _check_entropy_domain(y, "second argument")
+    return float(np.sum(x * (np.log(x) - np.log(y))) - x.sum() + y.sum())
 
 
 def grad_psi(setup: ProxSetup, x: np.ndarray) -> np.ndarray:
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
         return np.array(x, dtype=np.float64)
-    if setup.psi_kind == NEG_ENTROPY:
-        _check_entropy_domain(x, "argument")
-        return 1.0 + np.log(x)
-    raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
+    _check_entropy_domain(x, "argument")
+    return 1.0 + np.log(x)
 
 
 def mirror_step_rows(
@@ -223,15 +227,13 @@ def mirror_step_rows(
     steps = np.array(gammas)[:, None]
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
         return feasible.project_rows(X - steps * G)
-    if setup.psi_kind == NEG_ENTROPY:
-        if not isinstance(feasible, Simplex):
-            raise ValueError("entropy prox supports only the simplex")
-        Z = np.log(np.maximum(X, _LOG_FLOOR)) - steps * G
-        Z -= Z.max(axis=1, keepdims=True)
-        W = np.exp(Z)
-        # a sum over the last axis adds each row like the 1-D sum
-        return W / W.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
+    if not isinstance(feasible, Simplex):
+        raise ValueError("entropy prox supports only the simplex")
+    Z = np.log(np.maximum(X, _LOG_FLOOR)) - steps * G
+    Z -= Z.max(axis=1, keepdims=True)
+    W = np.exp(Z)
+    # a sum over the last axis adds each row like the 1-D sum
+    return W / W.sum(axis=1, keepdims=True)
 
 
 def mirror_step(
@@ -245,14 +247,12 @@ def mirror_step(
         raise ValueError("step size gamma must be positive")
     if setup.psi_kind == EUCLIDEAN_HALF_SQ:
         return feasible.project(x - gamma * g)
-    if setup.psi_kind == NEG_ENTROPY:
-        if not isinstance(feasible, Simplex):
-            raise ValueError("entropy prox supports only the simplex")
-        z = np.log(np.maximum(x, _LOG_FLOOR)) - gamma * g
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
-    raise ValueError(f"unknown prox kind: {setup.psi_kind!r}")
+    if not isinstance(feasible, Simplex):
+        raise ValueError("entropy prox supports only the simplex")
+    z = np.log(np.maximum(x, _LOG_FLOOR)) - gamma * g
+    z -= z.max()
+    w = np.exp(z)
+    return w / w.sum()
 
 
 class Zero:

@@ -133,8 +133,17 @@ def _constraint_rng(spec: InstanceSpec) -> np.random.Generator:
     return np.random.default_rng([int(spec.seed), 1])
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt((rows * rows).sum(axis=1))
+def _affine_rows(rows, offsets, noun: str) -> tuple:
+    """``rows`` and ``offsets`` as float64 arrays, with the largest row norm
+    as the Lipschitz bound; a ValueError names the ``noun`` rows when they
+    are not a nonempty 2-D array, or the offsets when they miss a row."""
+    aa = np.asarray(rows, dtype=np.float64)
+    bb = np.asarray(offsets, dtype=np.float64)
+    if aa.ndim != 2 or aa.size == 0:
+        raise ValueError(f"{noun} rows must form a nonempty 2-D array")
+    if bb.shape != (aa.shape[0],):
+        raise ValueError("offsets must match the number of rows")
+    return aa, bb, float(np.sqrt((aa * aa).sum(axis=1)).max())
 
 
 def _unit_rows(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -192,10 +201,9 @@ class DistanceToPoint:
         return r, _unit_rows(d, r)
 
 
-class MeanDistance:
-    """f(x) = mean_j ||x - a_j||_2 over anchor points a_j."""
-
-    kind = KIND_FTS
+class _AnchorPoints:
+    """The data of an objective built from distances to anchor points a_j,
+    the rows of ``points``; each distance is 1-Lipschitz."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -204,6 +212,12 @@ class MeanDistance:
         self.points = pts
         self.lipschitz_bound = 1.0
         self.known_fstar = None
+
+
+class MeanDistance(_AnchorPoints):
+    """f(x) = mean_j ||x - a_j||_2 over anchor points a_j."""
+
+    kind = KIND_FTS
 
     def value(self, x: np.ndarray) -> float:
         d = self.points - x
@@ -242,18 +256,10 @@ class MeanDistance:
         return out
 
 
-class MaxDistance:
+class MaxDistance(_AnchorPoints):
     """f(x) = max_j ||x - a_j||_2, the radius of the covering ball at x."""
 
     kind = KIND_COVERING_BALL
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.size == 0:
-            raise ValueError("anchor points must form a nonempty 2-D array")
-        self.points = pts
-        self.lipschitz_bound = 1.0
-        self.known_fstar = None
 
     def value(self, x: np.ndarray) -> float:
         d = self.points - x
@@ -292,15 +298,7 @@ class MaxAffine:
     kind = KIND_MAX_LINEAR
 
     def __init__(self, a, b):
-        aa = np.asarray(a, dtype=np.float64)
-        bb = np.asarray(b, dtype=np.float64)
-        if aa.ndim != 2 or aa.size == 0:
-            raise ValueError("coefficient rows must form a nonempty 2-D array")
-        if bb.shape != (aa.shape[0],):
-            raise ValueError("offsets must match the number of rows")
-        self.a = aa
-        self.b = bb
-        self.lipschitz_bound = float(_row_norms(aa).max())
+        self.a, self.b, self.lipschitz_bound = _affine_rows(a, b, "coefficient")
         self.known_fstar = None
 
     def value(self, x: np.ndarray) -> float:
@@ -334,16 +332,8 @@ class AffineConstraints:
     """
 
     def __init__(self, alphas, betas):
-        aa = np.asarray(alphas, dtype=np.float64)
-        bb = np.asarray(betas, dtype=np.float64)
-        if aa.ndim != 2 or aa.size == 0:
-            raise ValueError("constraint rows must form a nonempty 2-D array")
-        if bb.shape != (aa.shape[0],):
-            raise ValueError("offsets must match the number of rows")
-        self.alphas = aa
-        self.betas = bb
-        self.p = aa.shape[0]
-        self.lipschitz_bound = float(_row_norms(aa).max())
+        self.alphas, self.betas, self.lipschitz_bound = _affine_rows(alphas, betas, "constraint")
+        self.p = self.alphas.shape[0]
 
     def row_values(self, x: np.ndarray) -> np.ndarray:
         """The p constraint values at x. Row i equals ``value_one(i, x)``
@@ -412,17 +402,21 @@ def build_constraints(spec: InstanceSpec) -> Optional[AffineConstraints]:
     return AffineConstraints(alphas, betas)
 
 
+# each objective class by its kind, with the constructor arguments that its
+# JSON body stores, each under the name of the attribute that holds it
+_OBJECTIVE_FIELDS = {cls.kind: (cls, fields) for cls, fields in (
+    (DistanceToPoint, ("a", "known_fstar")), (MeanDistance, ("points",)),
+    (MaxDistance, ("points",)), (MaxAffine, ("a", "b")))}
+
+
 def serialize_instance(spec: InstanceSpec) -> dict:
     """Realize the instance and return a JSON-ready document holding both
     the generating spec and the drawn arrays."""
     obj = build_objective(spec)
     doc = spec.to_dict()
-    if spec.kind == KIND_BEST_APPROX:
-        doc["objective"] = {"a": obj.a.tolist(), "known_fstar": obj.known_fstar}
-    elif spec.kind in (KIND_FTS, KIND_COVERING_BALL):
-        doc["objective"] = {"points": obj.points.tolist()}
-    else:
-        doc["objective"] = {"a": obj.a.tolist(), "b": obj.b.tolist()}
+    _, fields = _OBJECTIVE_FIELDS[spec.kind]
+    # tolist gives Python floats and lists, and keeps None as None
+    doc["objective"] = {name: np.asarray(getattr(obj, name)).tolist() for name in fields}
     cons = build_constraints(spec)
     if cons is None:
         doc["constraints"] = None
@@ -439,14 +433,9 @@ def deserialize_instance(doc: dict):
     document, using the stored arrays rather than redrawing them."""
     spec = InstanceSpec.from_dict(doc)
     body = doc["objective"]
-    if spec.kind == KIND_BEST_APPROX:
-        obj = DistanceToPoint(body["a"], known_fstar=body.get("known_fstar"))
-    elif spec.kind == KIND_FTS:
-        obj = MeanDistance(body["points"])
-    elif spec.kind == KIND_COVERING_BALL:
-        obj = MaxDistance(body["points"])
-    else:
-        obj = MaxAffine(body["a"], body["b"])
+    cls, fields = _OBJECTIVE_FIELDS[spec.kind]
+    # a body without known_fstar leaves the constructor's default
+    obj = cls(**{name: body[name] for name in fields if name in body})
     cons_doc = doc.get("constraints")
     cons = None
     if cons_doc is not None:

@@ -230,14 +230,13 @@ _FLAG_VALUES = {
     "--m": ("0", "1", "5", "-1", "-2", "nan", "inf", "1e308", "400"),
     "--schedule": TABLE_TAGS,
     "--epsilon": ("0.5", "2", "0", "-1", "inf", "nan", "1e-300"),
-    "--theta1": ("2", "0", "inf", "nan", "1e-300", "1e300"),
 }
 _FLAGS = {
     "run": ("--problem", "--n", "--t", "--seed", "--prox", "--m", "--schedule"),
     "compare": ("--problem", "--n", "--t", "--seed", "--prox", "--m"),
     "sweep-m": ("--problem", "--n", "--t", "--seed", "--prox", "--m", "--schedule"),
     "constrained": ("--problem", "--n", "--t", "--p", "--seed", "--dist", "--m",
-                    "--epsilon", "--theta1"),
+                    "--epsilon"),
     "gen": ("--problem", "--n", "--t", "--p", "--seed", "--dist"),
 }
 _ITER_VALUES = ("1", "5", str(_ITERS_CAP), "0", "-3", "2.5")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -924,6 +925,32 @@ def test_constrained_traces_that_would_share_a_file_are_refused(tmp_path):
             trace_dir=str(tdir),
         )
     assert not tdir.exists() and not (tmp_path / "t.csv").exists()
+
+
+def test_constrained_comparison_holds_one_trace_at_a_time(tmp_path, monkeypatch):
+    # when alg4's solve starts, alg3's trace is on disk and nothing holds it
+    tdir = tmp_path / "traces"
+    alg3, alg4 = bench.constrained_md, bench.constrained_md_multi
+    traces, seen = [], []
+
+    def solve3(*args, **kwargs):
+        res = alg3(*args, **kwargs)
+        traces.append(weakref.ref(res.trace))
+        return res
+
+    def solve4(*args, **kwargs):
+        seen.append((sorted(p.name for p in tdir.iterdir()), traces[-1]() is None))
+        return alg4(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "constrained_md", solve3)
+    monkeypatch.setattr(bench, "constrained_md_multi", solve4)
+    spec = InstanceSpec("max-linear", n=4, t=2, p=3, seed=42)
+    run_constrained_comparison(spec, [0.5, 0.25], m=1.0, out_path=str(tmp_path / "t.csv"),
+                               trace_dir=str(tdir))
+    assert seen == [
+        (["alg3_eps0.5_m1.csv"], True),
+        (["alg3_eps0.25_m1.csv", "alg3_eps0.5_m1.csv", "alg4_eps0.5_m1.csv"], True),
+    ]
 
 
 def test_constrained_comparison_validation(tmp_path, monkeypatch):

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,11 +250,44 @@ def test_compare_builds_its_instance_once(tmp_path, capsys, monkeypatch):
 def test_an_infinite_theta_is_rejected_by_name(tmp_path, capsys):
     with pytest.raises(ValueError, match="theta must be positive and finite"):
         RunConfig(m=1.0, epsilon=0.25, theta=math.inf)
+    # the comparison takes theta from its ball, so no flag sets it
     out = tmp_path / "table.csv"
     rc = main(["constrained", "--theta1", "inf", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: theta must be positive and finite\n"
+    assert rc == 2
+    assert "unrecognized arguments: --theta1 inf" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()],
+                         ids=["numpy-message", "bare"])
+def test_memory_error_is_an_error_line_not_a_traceback(tmp_path, capsys, monkeypatch, error):
+    # raised, not provoked: whether numpy refuses a huge array up front
+    # depends on the kernel's overcommit setting
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("mdbench.cli.run_single_cell", refuse)
+    assert main(["run", "--n", "1000000000000", "--out", str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {str(error) or 'MemoryError'}\n"
+
+
+def test_output_bytes_at_an_unset_thread_count_are_those_of_one_thread(tmp_path):
+    # at n = 20000, numpy's BLAS dot products round differently with two or
+    # more threads; importing mdbench pins one thread unless the caller chose
+    src = Path(mdbench.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    outputs = []
+    for name, threads in (("unset.csv", {}), ("one.csv", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run(
+            [sys.executable, "-m", "mdbench.cli", "run", "--problem", "max-linear",
+             "--n", "20000", "--t", "10", "--iters", "14", "--schedule", "time-varying",
+             "--m", "0", "--out", name],
+            cwd=tmp_path, env={**env, **threads}, check=True, capture_output=True,
+        )
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_an_infinite_epsilon_is_rejected_by_name(tmp_path, capsys):

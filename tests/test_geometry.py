@@ -9,6 +9,7 @@ import pytest
 from mdbench.geometry import (
     L1,
     Ball,
+    ProxSetup,
     Simplex,
     Zero,
     bregman,
@@ -233,6 +234,14 @@ def test_mirror_step_entropy_example():
         simplex2_argmin([0.5, 0.5], [math.log(2.0), 0.0], 1.0),
         atol=1e-5,
     )
+
+
+def test_the_prox_fixes_its_norm_and_modulus():
+    assert (EUC.norm, EUC.sigma) == (NormKind.L2, 1.0)
+    assert (ENT.norm, ENT.sigma) == (NormKind.L1, 1.0)
+    assert ProxSetup("neg-entropy") == ENT
+    with pytest.raises(ValueError, match="unknown prox kind: 'bogus'"):
+        ProxSetup("bogus")
 
 
 def test_mirror_step_errors():

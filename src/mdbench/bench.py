@@ -7,10 +7,10 @@ Conventions shared by all experiments:
   onto the feasible set, which on the unit ball is the point itself and on
   the simplex is the barycenter;
 * constrained runs start at x1 = 0 on the ball;
-* theta bounds the Bregman distance from x1 to any minimizer: half the
-  squared feasible-set diameter for the squared-Euclidean prox (2 r^2 for
-  a ball of radius r, 1 for the simplex; ``theta_for``), and ln n for the
-  entropy prox from the barycenter of the simplex;
+* theta, the bound on the Bregman distance from x1 to any minimizer, is
+  the one the prox states for its set (``ProxSetup.theta``), which every
+  run takes by leaving ``RunConfig.theta`` unset: 2 on the unit ball for
+  the Euclidean prox, and ln n on the simplex for the entropy prox;
 * CSV files use '.' decimals, 17 significant digits, comma delimiters, a
   header row, and LF line endings, so the same plan and seed reproduce the
   same bytes;
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import bound_corollaries
-from .geometry import Ball, FeasibleSet, Simplex, euclidean_setup, entropy_setup, unit_ball
+from .geometry import Ball, FeasibleSet, ProxSetup, Simplex, euclidean_setup, unit_ball
 from .problems import (
     InstanceSpec, KIND_BEST_APPROX, _count_field, build_constraints, build_objective,
     serialize_instance,
@@ -60,7 +60,6 @@ __all__ = [
     "METHOD_LONGRUN",
     "ReferenceSolution",
     "ExperimentPlan",
-    "theta_for",
     "default_start",
     "constrained_start",
     "grid_refine_minimize",
@@ -77,8 +76,6 @@ __all__ = [
 METHOD_ANALYTIC = "Analytic"
 METHOD_GRID = "GridRefine"
 METHOD_LONGRUN = "LongRun"
-
-_PROX_NAMES = ("euclidean", "entropy")
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,7 @@ class ExperimentPlan:
         object.__setattr__(self, "m_values", _check_m_values(self.m_values))
         _refuse_repeats(self.m_values, "m={!r}")
         object.__setattr__(self, "iters", _count_field(self.iters, "iters", 1))
-        if self.prox not in _PROX_NAMES:
-            raise ValueError(f"unknown prox name: {self.prox!r}")
+        ProxSetup(self.prox)  # refuses an unknown prox by name
 
     def to_dict(self) -> dict:
         return {
@@ -162,16 +158,6 @@ def _refuse_repeats(values, label: str) -> None:
         seen.add(value)
 
 
-def theta_for(feasible: FeasibleSet) -> float:
-    """Half the squared Euclidean diameter of the set: a bound on the
-    Bregman distance of the squared-Euclidean prox from any feasible start
-    to any minimizer. It does not hold for the entropy prox, whose plans
-    use ln n (see ``_geometry``)."""
-    if isinstance(feasible, Ball):
-        return 2.0 * feasible.radius**2
-    return 1.0
-
-
 def default_start(feasible: FeasibleSet) -> np.ndarray:
     if isinstance(feasible, Ball):
         n = feasible.n
@@ -185,19 +171,6 @@ def constrained_start(feasible: FeasibleSet) -> np.ndarray:
     return np.full(feasible.n, 1.0 / feasible.n)
 
 
-def _geometry(prox_name: str, n: int):
-    """(prox, feasible set, theta) of a plan. With the entropy prox the
-    Bregman distance from the barycenter is KL(x || 1/n) <= ln n (Beck &
-    Teboulle 2003); at n = 1 the simplex is one point, the distance is 0
-    and any positive theta holds."""
-    if prox_name == "euclidean":
-        ball = unit_ball(n)
-        return euclidean_setup(), ball, theta_for(ball)
-    if prox_name == "entropy":
-        return entropy_setup(), Simplex(n), math.log(n) if n > 1 else 1.0
-    raise ValueError(f"unknown prox name: {prox_name!r}")
-
-
 def _has_known_fstar(instance: InstanceSpec, prox_name: str) -> bool:
     """Whether the plan's objective has an analytic optimal value: only the
     best-approximation family on the unit ball (the Euclidean prox) does."""
@@ -205,14 +178,16 @@ def _has_known_fstar(instance: InstanceSpec, prox_name: str) -> bool:
 
 
 def _prepare_problem(instance: InstanceSpec, prox_name: str):
-    """Build (objective, prox, feasible, start, theta), with known_fstar
-    cleared where ``_has_known_fstar`` says the analytic value does not
-    apply."""
-    prox, feasible, theta = _geometry(prox_name, instance.n)
+    """Build (objective, prox, feasible, start) of a plan: the Euclidean
+    prox runs on the unit ball and the entropy prox on the simplex.
+    known_fstar is cleared where ``_has_known_fstar`` says the analytic
+    value does not apply."""
+    prox = ProxSetup(prox_name)
+    feasible = unit_ball(instance.n) if prox_name == "euclidean" else Simplex(instance.n)
     objective = build_objective(instance)
     if not _has_known_fstar(instance, prox_name):
         objective.known_fstar = None
-    return objective, prox, feasible, default_start(feasible), theta
+    return objective, prox, feasible, default_start(feasible)
 
 
 # the grid's target slack, which ``reference_solution`` also reports as its
@@ -360,8 +335,9 @@ def _reference_bracket(objective, feasible: FeasibleSet, iters_budget: int,
     """The bracket of the certified run of ``reference_solution``, to ride
     on trajectory ``row`` of a batch: m = 5, first checked at the budget,
     closed within the corollary bound of a run 50 times the budget."""
+    prox = euclidean_setup()
     width = bound_corollaries(5.0, 50 * iters_budget, objective.lipschitz_bound,
-                              theta_for(feasible), euclidean_setup().sigma)
+                              prox.theta(feasible), prox.sigma)
     return _Bracket(feasible, 5.0, iters_budget, width, row)
 
 
@@ -376,8 +352,7 @@ def _certified_reference(objective, feasible: FeasibleSet,
     prox = euclidean_setup()
     bracket = _reference_bracket(objective, feasible, iters_budget)
     state = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
-    config = RunConfig(m=5.0, iters=50 * iters_budget, theta=theta_for(feasible),
-                       record_trace=False)
+    config = RunConfig(m=5.0, iters=50 * iters_budget, record_trace=False)
     _descent(objective, prox, feasible, (state,), config, default_start(feasible), (),
              bracket=bracket)
     return _bracket_reference(bracket)
@@ -525,7 +500,7 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     steps, so it carries the run's bracket, whose errors are raised in the
     batch's order: if the row ran all its steps and the bracket closed at
     k = plan.iters, that bracket is the reference and nothing runs again."""
-    objective, prox, feasible, x1, theta = _prepare_problem(plan.instance, plan.prox)
+    objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
     if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
         raise ValueError("Polyak requires known f*")
     shared = None
@@ -533,7 +508,7 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
             and _reference_method(objective, feasible) == METHOD_LONGRUN):
         shared = _reference_bracket(objective, feasible, plan.iters,
                                     plan.schedules.index(TAG_TIME_VARYING))
-    config = RunConfig(m=plan.m_values[0], iters=plan.iters, theta=theta, record_trace=True)
+    config = RunConfig(m=plan.m_values[0], iters=plan.iters, record_trace=True)
     states = [
         _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
     ]
@@ -644,7 +619,7 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
                                trace_dir: Optional[str] = None) -> list:
     """Head-to-head of the two constrained solvers on one instance, one row
     per (epsilon, algorithm), on the unit ball with Euclidean prox from
-    x1 = 0, with theta from the ball (``theta_for``).
+    x1 = 0, with the ball's theta (``ProxSetup.theta``).
 
     schedule_mode picks the two-phase steps of the first solver:
     "time-varying" uses the certified Lipschitz-based pair, and
@@ -666,8 +641,7 @@ def run_constrained_comparison(instance: InstanceSpec, epsilons: Sequence[float]
     record = trace_dir is not None
     feasible = unit_ball(instance.n)
     configs = [
-        RunConfig(m=m, iters=iters_cap, epsilon=float(eps), theta=theta_for(feasible),
-                  record_trace=record)
+        RunConfig(m=m, iters=iters_cap, epsilon=float(eps), record_trace=record)
         for eps in epsilons
     ]
     _refuse_repeats([config.epsilon for config in configs], "epsilon={!r}")

@@ -100,17 +100,17 @@ def bound_composite(m: float, gammas, grad_dual_norms, h_at_x1: float,
     return num / w
 
 
-def iteration_estimate(lipschitz: float, theta1: float, sigma: float,
+def iteration_estimate(lipschitz: float, theta: float, sigma: float,
                        epsilon: float, m: float) -> int:
     """A-priori iteration count sufficient for the constrained solver's
-    stopping criterion: ceil(M^2 (1+theta1)^2 / (2 sigma eps^2)) for m >= 1
-    and ceil(M^2 (2+theta1)^2 / (2 sigma eps^2)) for m = 0. An estimate
+    stopping criterion: ceil(M^2 (1+theta)^2 / (2 sigma eps^2)) for m >= 1
+    and ceil(M^2 (2+theta)^2 / (2 sigma eps^2)) for m = 0. An estimate
     beyond the float64 range is refused."""
     for name, v in (("lipschitz", lipschitz), ("sigma", sigma), ("epsilon", epsilon)):
         if not 0.0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-    if not 0.0 <= theta1 < math.inf:
-        raise ValueError("theta1 must be nonnegative and finite")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError("theta must be nonnegative and finite")
     if m >= 1.0:
         shift = 1.0
     elif m == 0.0:
@@ -118,7 +118,7 @@ def iteration_estimate(lipschitz: float, theta1: float, sigma: float,
     else:
         raise ValueError("iteration estimates cover m = 0 and m >= 1 only")
     try:
-        est = lipschitz**2 * (shift + theta1) ** 2 / (2.0 * sigma * epsilon**2)
+        est = lipschitz**2 * (shift + theta) ** 2 / (2.0 * sigma * epsilon**2)
     except (OverflowError, ZeroDivisionError):  # a power overflows, or eps^2 underflows
         est = math.inf
     if not est < math.inf:
@@ -138,7 +138,7 @@ class ConstrainedBoundDiagnostic:
 
 def constrained_bound_diagnostic(m: float, prod_gammas, prod_grad_norms,
                                  nonprod_gammas, nonprod_grad_norms,
-                                 gamma_last: float, theta1: float, sigma: float,
+                                 gamma_last: float, theta: float, sigma: float,
                                  epsilon: float) -> ConstrainedBoundDiagnostic:
     """Evaluate the constrained gap bound along a realized trajectory.
 
@@ -157,7 +157,7 @@ def constrained_bound_diagnostic(m: float, prod_gammas, prod_grad_norms,
     if not gamma_last > 0.0:
         raise ValueError("gamma_last must be positive")
     w = float(np.sum(gp ** (-m)))
-    num = theta1 / gamma_last ** (m + 1.0)
+    num = theta / gamma_last ** (m + 1.0)
     num += float(np.sum(sp * sp / gp ** (m - 1.0))) / (2.0 * sigma)
     if gq.size:
         num += float(np.sum(sq * sq / gq ** (m - 1.0))) / (2.0 * sigma)

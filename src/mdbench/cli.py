@@ -29,6 +29,7 @@ from .bench import (
     sweep_m,
     write_instance_json,
 )
+from .geometry import PROX_NAMES
 from .problems import (
     DIST_NORMAL,
     DIST_UNIFORM,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one (schedule, m) cell")
     _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50)
-    sp.add_argument("--prox", choices=("euclidean", "entropy"), default="euclidean")
+    sp.add_argument("--prox", choices=PROX_NAMES, default="euclidean")
     sp.add_argument("--schedule", choices=TABLE_TAGS, default=TAG_TIME_VARYING)
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--iters", type=int, default=1000)
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="run every step-size rule")
     _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50)
-    sp.add_argument("--prox", choices=("euclidean", "entropy"), default="euclidean")
+    sp.add_argument("--prox", choices=PROX_NAMES, default="euclidean")
     sp.add_argument("--m", type=float, default=0.0)
     sp.add_argument("--iters", type=int, default=1000)
     sp.add_argument("--out", default="compare_out", help="output directory")
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-m", help="sweep the averaging exponent")
     _add_instance_flags(sp, problem_default=KIND_BEST_APPROX, n_default=50)
-    sp.add_argument("--prox", choices=("euclidean", "entropy"), default="euclidean")
+    sp.add_argument("--prox", choices=PROX_NAMES, default="euclidean")
     sp.add_argument("--schedule", choices=TABLE_TAGS, default=TAG_TIME_VARYING)
     sp.add_argument("--m", type=float, nargs="+", default=_M_SWEEP_DEFAULT)
     sp.add_argument("--iters", type=int, default=1000)

@@ -39,12 +39,8 @@ __all__ = [
     "L1",
     "Regularizer",
     "composite_mirror_step",
-    "EUCLIDEAN_HALF_SQ",
-    "NEG_ENTROPY",
+    "PROX_NAMES",
 ]
-
-EUCLIDEAN_HALF_SQ = "euclidean-half-sq"
-NEG_ENTROPY = "neg-entropy"
 
 # smallest coordinate fed to log; multiplicative updates keep iterates
 # positive but underflow must not turn into -inf
@@ -159,7 +155,9 @@ def unit_ball(n: int) -> Ball:
 
 
 # the norm each prox-function is strongly convex against, with sigma = 1
-_PROX_NORMS = {EUCLIDEAN_HALF_SQ: NormKind.L2, NEG_ENTROPY: NormKind.L1}
+_PROX_NORMS = {"euclidean": NormKind.L2, "entropy": NormKind.L1}
+# the one list of prox names, shared by ProxSetup, the plans and the CLI
+PROX_NAMES = tuple(_PROX_NORMS)
 
 
 @dataclass(frozen=True)
@@ -179,15 +177,28 @@ class ProxSetup:
     def norm(self) -> NormKind:
         return _PROX_NORMS[self.psi_kind]
 
+    def theta(self, feasible: FeasibleSet) -> float:
+        """A bound on V(x*, x1) for any minimizer x* in ``feasible``: half
+        the squared diameter for the Euclidean prox (2 r^2 on a ball, 1 on
+        the simplex) from any feasible x1, and ln n for the entropy prox
+        from the barycenter, since KL(x || 1/n) <= ln n (Beck & Teboulle
+        2003). At n = 1 the simplex is one point, V is 0 and any positive
+        theta holds, so the entropy prox states 1."""
+        if self.psi_kind == "euclidean":
+            return 2.0 * feasible.radius**2 if isinstance(feasible, Ball) else 1.0
+        if not isinstance(feasible, Simplex):
+            raise ValueError("entropy prox supports only the simplex")
+        return math.log(feasible.n) if feasible.n > 1 else 1.0
+
 
 def euclidean_setup() -> ProxSetup:
     """psi(x) = ||x||_2^2 / 2, strongly convex with sigma = 1 in l2."""
-    return ProxSetup(EUCLIDEAN_HALF_SQ)
+    return ProxSetup("euclidean")
 
 
 def entropy_setup() -> ProxSetup:
     """psi(x) = sum x_i ln x_i on the simplex; sigma = 1 in l1 by Pinsker."""
-    return ProxSetup(NEG_ENTROPY)
+    return ProxSetup("entropy")
 
 
 def _check_entropy_domain(x: np.ndarray, label: str) -> None:
@@ -197,7 +208,7 @@ def _check_entropy_domain(x: np.ndarray, label: str) -> None:
 
 def bregman(setup: ProxSetup, x: np.ndarray, y: np.ndarray) -> float:
     """V(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>."""
-    if setup.psi_kind == EUCLIDEAN_HALF_SQ:
+    if setup.psi_kind == "euclidean":
         d = x - y
         return 0.5 * float(np.dot(d, d))
     _check_entropy_domain(x, "first argument")
@@ -206,7 +217,7 @@ def bregman(setup: ProxSetup, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def grad_psi(setup: ProxSetup, x: np.ndarray) -> np.ndarray:
-    if setup.psi_kind == EUCLIDEAN_HALF_SQ:
+    if setup.psi_kind == "euclidean":
         return np.array(x, dtype=np.float64)
     _check_entropy_domain(x, "argument")
     return 1.0 + np.log(x)
@@ -225,7 +236,7 @@ def mirror_step_rows(
         if not gamma > 0.0:
             raise ValueError("step size gamma must be positive")
     steps = np.array(gammas)[:, None]
-    if setup.psi_kind == EUCLIDEAN_HALF_SQ:
+    if setup.psi_kind == "euclidean":
         return feasible.project_rows(X - steps * G)
     if not isinstance(feasible, Simplex):
         raise ValueError("entropy prox supports only the simplex")
@@ -245,7 +256,7 @@ def mirror_step(
 ) -> np.ndarray:
     if not gamma > 0.0:
         raise ValueError("step size gamma must be positive")
-    if setup.psi_kind == EUCLIDEAN_HALF_SQ:
+    if setup.psi_kind == "euclidean":
         return feasible.project(x - gamma * g)
     if not isinstance(feasible, Simplex):
         raise ValueError("entropy prox supports only the simplex")
@@ -303,7 +314,7 @@ def composite_mirror_step(
         return mirror_step(setup, feasible, x, g, gamma)
     if not gamma > 0.0:
         raise ValueError("step size gamma must be positive")
-    if setup.psi_kind != EUCLIDEAN_HALF_SQ or not isinstance(h, L1):
+    if setup.psi_kind != "euclidean" or not isinstance(h, L1):
         raise ValueError(
             "composite steps are implemented for the squared-Euclidean prox "
             "with an l1 regularizer only"

@@ -93,9 +93,10 @@ class StopReason(enum.Enum):
 class RunConfig:
     """Run parameters shared by all solvers.
 
-    theta is the user-supplied bound on the Bregman distance from the start
-    to the nearest minimizer, finite and positive; for the unit Euclidean
-    ball the diameter gives theta = 2. At least one of iters/epsilon must
+    theta bounds the Bregman distance from the start to any minimizer.
+    Unset, the default, a run takes ``ProxSetup.theta`` of its feasible set
+    (2 on the unit Euclidean ball); a set theta is finite and positive, and
+    a run refuses one below that bound. At least one of iters/epsilon must
     be set, and epsilon, when set, is finite and positive; the constrained
     solvers need epsilon and the unconstrained ones need iters.
     """
@@ -103,7 +104,7 @@ class RunConfig:
     m: float
     iters: Optional[int] = None
     epsilon: Optional[float] = None
-    theta: float = 2.0
+    theta: Optional[float] = None
     record_trace: bool = True
 
     def __post_init__(self):
@@ -116,9 +117,10 @@ class RunConfig:
             self.epsilon = _real_field(self.epsilon, "epsilon")
             if not 0.0 < self.epsilon < math.inf:
                 raise ValueError("epsilon must be positive and finite")
-        self.theta = _real_field(self.theta, "theta")
-        if not 0.0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
+        if self.theta is not None:
+            self.theta = _real_field(self.theta, "theta")
+            if not 0.0 < self.theta < math.inf:
+                raise ValueError("theta must be positive and finite")
 
 
 @dataclass
@@ -462,9 +464,12 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     the sum of gamma_i^{-m} over every step against theta / gamma_k^{m+1}
     + h(x1) / gamma_1^m + the sum of ||grad||_*^2 / (2 sigma gamma_i^{m-1})
     over every step; with ``scan`` the theta term takes the worst-case step
-    sqrt(2 sigma) / (M sqrt(k)) (see ``constrained_md_multi``). It feeds
-    the bound column (certified unconstrained runs with a trace) and, with
-    use_criterion, the stopping rule; other runs do not compute it.
+    sqrt(2 sigma) / (M sqrt(k)) (see ``constrained_md_multi``). theta is
+    ``config.theta`` when set, else ``prox.theta(feasible)``, read once
+    before the first iteration; a set theta below ``prox.theta(feasible)``
+    raises ValueError there. The certificate feeds the bound column
+    (certified unconstrained runs with a trace) and, with use_criterion,
+    the stopping rule; other runs do not compute it.
 
     Rows leave the batch at one point per iteration, after the step
     phase: a trajectory that stops (zero subgradient, StationarySignal)
@@ -517,7 +522,14 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         raise ValueError("a bracket run takes no h, no scan and no epsilon criterion")
     n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
     eps = config.epsilon
-    theta = config.theta
+    theta = prox.theta(feasible)
+    if config.theta is not None:
+        if config.theta < theta:
+            raise ValueError(
+                f"theta {config.theta!r} is below {theta!r}, the bound on the Bregman "
+                f"distance that the {prox.psi_kind} prox states for the feasible set"
+            )
+        theta = config.theta
     sigma = prox.sigma
     dual = dual_norm_kind(prox.norm)
     inf = math.inf

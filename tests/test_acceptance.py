@@ -16,7 +16,6 @@ from mdbench.bench import (
     ExperimentPlan,
     run_constrained_comparison,
     run_experiment,
-    theta_for,
 )
 from mdbench.bounds import bound_composite, bound_corollaries, iteration_estimate
 from mdbench.geometry import (
@@ -140,8 +139,8 @@ def test_criterion_06_bregman_identities():
 def test_criterion_07_composite_reduction_and_bound():
     obj = MaxAffine([[1.0, 0.0, 0.0, 0.0, 0.0]], [0.0])
     ball = Ball(np.zeros(5), 10.0)
-    theta = theta_for(ball)  # 200
     setup = euclidean_setup()
+    theta = setup.theta(ball)  # 200
     x1 = np.zeros(5)
     f_star = -7.5  # corner of the ball against the l1 weight
 

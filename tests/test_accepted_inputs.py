@@ -181,7 +181,7 @@ def test_experiment_plan_accepts_only_what_runs(tmp_path_factory, kind, prox, da
 def _assert_reference_is_direct(plan, summary):
     # whether the plan's own time-varying row carried the bracket or the
     # reference ran on its own, it is reference_solution's, bit for bit
-    objective, _, feasible, _, _ = _prepare_problem(plan.instance, plan.prox)
+    objective, _, feasible, _ = _prepare_problem(plan.instance, plan.prox)
     assert summary["reference"] == asdict(
         reference_solution(objective, feasible, iters_budget=plan.iters))
 

@@ -27,7 +27,6 @@ from mdbench.bench import (
     run_experiment,
     run_single_cell,
     sweep_m,
-    theta_for,
     write_instance_json,
     write_trace_csv,
 )
@@ -64,12 +63,6 @@ def _small_plan(**kw) -> ExperimentPlan:
 
 
 # ---------------------------------------------------------------- geometry glue
-
-
-def test_theta_for_values():
-    assert theta_for(unit_ball(3)) == 2.0
-    assert theta_for(Ball(np.zeros(4), 10.0)) == 200.0
-    assert theta_for(Simplex(6)) == 1.0
 
 
 def test_entropy_runs_certify_with_theta_ln_n(tmp_path):
@@ -200,7 +193,7 @@ def _counted_descents(monkeypatch) -> list:
 
 
 def _direct_reference(instance, prox_name, iters) -> dict:
-    objective, _, feasible, _, _ = bench._prepare_problem(instance, prox_name)
+    objective, _, feasible, _ = bench._prepare_problem(instance, prox_name)
     return asdict(reference_solution(objective, feasible, iters_budget=iters))
 
 
@@ -777,7 +770,7 @@ def test_plan_validation():
         ExperimentPlan(instance=BA5, schedules=("nonsum",), m_values=(-2.0,))
     with pytest.raises(ValueError, match="iters must be at least 1"):
         ExperimentPlan(instance=BA5, schedules=("nonsum",), m_values=(0.0,), iters=0)
-    with pytest.raises(ValueError, match="unknown prox name"):
+    with pytest.raises(ValueError, match="unknown prox kind"):
         ExperimentPlan(
             instance=BA5, schedules=("nonsum",), m_values=(0.0,), prox="l1"
         )

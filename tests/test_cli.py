@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import mdbench.bench
+from mdbench.bench import ExperimentPlan
 from mdbench.cli import build_parser, main
+from mdbench.geometry import PROX_NAMES, ProxSetup
+from mdbench.problems import InstanceSpec
 from mdbench.solvers import RunConfig
 
 
@@ -85,6 +88,22 @@ def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert (doc["kind"], doc["n"], doc["seed"]) == ("best-approx", 3, 5)
+
+
+def test_the_cli_the_plans_and_the_prox_share_one_list_of_prox_names():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("run", "compare", "sweep-m"):
+        (prox,) = (a for a in subparsers[command]._actions if a.dest == "prox")
+        assert prox.choices is PROX_NAMES, command
+    instance = InstanceSpec("best-approx", n=3, seed=1)
+    for name in PROX_NAMES:
+        assert ExperimentPlan(instance, ("nonsum",), (0.0,), prox=name).prox == name
+        assert ProxSetup(name).psi_kind == name
+    for name in ("euclidean-half-sq", "neg-entropy", "l1"):
+        with pytest.raises(ValueError, match=f"^unknown prox kind: '{name}'$"):
+            ExperimentPlan(instance, ("nonsum",), (0.0,), prox=name)
+        with pytest.raises(ValueError, match=f"^unknown prox kind: '{name}'$"):
+            ProxSetup(name)
 
 
 def test_post_parse_usage_message(capsys):

@@ -239,9 +239,20 @@ def test_mirror_step_entropy_example():
 def test_the_prox_fixes_its_norm_and_modulus():
     assert (EUC.norm, EUC.sigma) == (NormKind.L2, 1.0)
     assert (ENT.norm, ENT.sigma) == (NormKind.L1, 1.0)
-    assert ProxSetup("neg-entropy") == ENT
+    assert ProxSetup("entropy") == ENT
     with pytest.raises(ValueError, match="unknown prox kind: 'bogus'"):
         ProxSetup("bogus")
+
+
+def test_the_prox_states_theta_for_its_set():
+    assert EUC.theta(unit_ball(3)) == 2.0
+    assert EUC.theta(Ball(np.zeros(4), 10.0)) == 200.0
+    assert EUC.theta(Simplex(6)) == 1.0
+    assert ENT.theta(Simplex(6)) == math.log(6)
+    # the one-point simplex: V is 0, and theta stays positive
+    assert ENT.theta(Simplex(1)) == 1.0
+    with pytest.raises(ValueError, match="entropy prox supports only the simplex"):
+        ENT.theta(unit_ball(3))
 
 
 def test_mirror_step_errors():

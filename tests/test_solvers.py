@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from mdbench.bench import default_start
+from mdbench.bench import default_start, write_trace_csv
 from mdbench.bounds import (
     bound_composite,
     bound_corollaries,
@@ -246,28 +246,87 @@ def test_trace_columns_and_final_average():
     assert len(tr.bound) == 80
 
 
-def test_bound_column_matches_public_bound_formula():
-    # f = x_1 has subgradient (1,0,...) with dual norm exactly 1 everywhere,
-    # so the recorded bound must equal bound_main on (gammas, ones)
-    obj = MaxAffine([[1.0] + [0.0] * 4], [0.0])
-    theta = 2.0
+@pytest.mark.parametrize(
+    "prox, feasible, x1, theta, f_star",
+    [
+        (euclidean_setup(), unit_ball(5), [0.0] * 5, 2.0, -1.0),
+        (euclidean_setup(), Ball([0.5, -1.0, 0.0, 2.0, 0.0], 3.0), [0.5, -1.0, 0.0, 2.0, 0.0],
+         18.0, -2.5),
+        (euclidean_setup(), Simplex(5), [0.2] * 5, 1.0, 0.0),
+        (entropy_setup(), Simplex(20), [0.05] * 20, math.log(20), 0.0),
+    ],
+    ids=["euclidean-unit-ball", "euclidean-ball-r3", "euclidean-simplex", "entropy-simplex"],
+)
+def test_bound_column_matches_public_bound_formula(prox, feasible, x1, theta, f_star):
+    # f = x_1 has subgradient (1,0,...), whose dual norm is exactly 1 in l2
+    # and in l-inf everywhere, so the recorded bound must equal bound_main
+    # on (gammas, ones) at the theta the prox states for the set
+    obj = MaxAffine([[1.0] + [0.0] * (feasible.n - 1)], [0.0])
+    assert prox.theta(feasible) == theta
     for m in (-1.0, 0.0, 2.0):
         res = mirror_descent(
             obj,
-            euclidean_setup(),
-            unit_ball(5),
+            prox,
+            feasible,
             _state("time-varying", m_lipschitz=1.0),
-            RunConfig(m=m, iters=120, theta=theta),
-            np.zeros(5),
+            RunConfig(m=m, iters=120),
+            x1,
         )
         tr = res.trace
         assert len(tr.bound) == 120
         for upto in (1, 7, 120):
             want = bound_main(m, tr.gamma[:upto], [1.0] * upto, theta, 1.0)
             assert tr.bound[upto - 1] == pytest.approx(want, rel=1e-12)
-        # the averaged gap obeys the recorded bound pointwise (f* = -1)
+        # the averaged gap obeys the recorded bound pointwise
         for fa, b in zip(tr.f_avg, tr.bound):
-            assert fa - (-1.0) <= b + 1e-9
+            assert fa - f_star <= b + 1e-9
+
+
+def test_a_theta_below_the_sets_bound_is_refused_before_the_first_iteration(monkeypatch):
+    # on this instance a run at theta = 1e-6 used to stop by EpsilonCriterion
+    # at iteration 3289, on a certificate that rests on a theta below V(x*, x1)
+    obj, cons = _switching_setup()
+
+    def first_iteration(*args):
+        raise AssertionError("the run reached its first iteration")
+
+    monkeypatch.setattr(cons, "row_values", first_iteration)
+    with pytest.raises(ValueError, match=r"^theta 1e-06 is below 2\.0, the bound on the "
+                       r"Bregman distance that the euclidean prox states for the feasible set$"):
+        constrained_md(
+            obj, cons, euclidean_setup(), unit_ball(10),
+            _state("time-varying", m_lipschitz=obj.lipschitz_bound),
+            _state("time-varying", m_lipschitz=cons.lipschitz_bound),
+            RunConfig(m=1.0, epsilon=0.05, theta=1e-6, record_trace=False), np.zeros(10),
+        )
+
+
+def test_theta_two_on_the_unit_ball_writes_the_bytes_of_the_default(tmp_path):
+    # the explicit theta = 2.0 that perfbench passes is the unit ball's own
+    obj, cons = _switching_setup()
+    ball, x1 = unit_ball(10), np.zeros(10)
+
+    def outputs(theta):
+        config = RunConfig(m=1.0, epsilon=0.25, theta=theta)
+        runs = (
+            constrained_md(obj, cons, euclidean_setup(), ball, _state("adaptive-time-varying"),
+                           _state("adaptive-time-varying"), config, x1),
+            constrained_md_multi(obj, cons, euclidean_setup(), ball, config, x1),
+            mirror_descent(obj, euclidean_setup(), ball,
+                           _state("time-varying", m_lipschitz=obj.lipschitz_bound),
+                           RunConfig(m=2.0, iters=200, theta=theta), default_start(ball)),
+        )
+        out = []
+        for res in runs:
+            write_trace_csv(str(tmp_path / "trace.csv"), res.trace)
+            out.append((res.stop_reason, (tmp_path / "trace.csv").read_bytes(),
+                        res.x_hat.tobytes()))
+        return out
+
+    default = outputs(None)
+    assert [stop for stop, _, _ in default] == [
+        StopReason.EPSILON_CRITERION, StopReason.EPSILON_CRITERION, StopReason.MAX_ITERS]
+    assert outputs(2.0) == default
 
 
 def test_uncertified_schedule_records_no_bound():
@@ -731,8 +790,10 @@ def test_multi_saves_constraint_evaluations():
 
 
 def test_multi_stop_criterion_and_feasibility():
+    # theta = 2 bounds V(x*, x1) on the unit ball: on a ball of radius 10
+    # the certificate needs theta = 200 and the run reaches SAFETY_CAP
     obj, cons = _switching_setup()
-    ball = Ball(np.zeros(10), 10.0)
+    ball = unit_ball(10)
     res = constrained_md_multi(
         obj, cons, euclidean_setup(), ball,
         RunConfig(m=1.0, epsilon=0.25), np.zeros(10),
@@ -910,7 +971,7 @@ def test_iteration_estimate_domain():
         iteration_estimate(1.0, 1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="must be positive"):
         iteration_estimate(0.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="theta1 must be nonnegative"):
+    with pytest.raises(ValueError, match="theta must be nonnegative"):
         iteration_estimate(1.0, -1.0, 1.0, 1.0, 1.0)
 
 
@@ -920,13 +981,13 @@ def test_iteration_estimate_domain():
         ((1.0, 2.0, 1.0, math.inf, 1.0), "epsilon must be positive and finite"),
         ((1.0, 2.0, math.inf, 1.0, 1.0), "sigma must be positive and finite"),
         ((math.inf, 2.0, 1.0, 1.0, 1.0), "lipschitz must be positive and finite"),
-        ((1.0, math.inf, 1.0, 1.0, 1.0), "theta1 must be nonnegative and finite"),
+        ((1.0, math.inf, 1.0, 1.0, 1.0), "theta must be nonnegative and finite"),
         ((1e200, 2.0, 1.0, 1.0, 1.0), "the iteration estimate overflows"),
         ((1.0, 1e200, 1.0, 1.0, 0.0), "the iteration estimate overflows"),
         ((1.0, 2.0, 1.0, 1e-200, 1.0), "the iteration estimate overflows"),
     ],
-    ids=["epsilon-inf", "sigma-inf", "lipschitz-inf", "theta1-inf", "lipschitz-1e200",
-         "theta1-1e200", "epsilon-squared-underflows"],
+    ids=["epsilon-inf", "sigma-inf", "lipschitz-inf", "theta-inf", "lipschitz-1e200",
+         "theta-1e200", "epsilon-squared-underflows"],
 )
 def test_iteration_estimate_refuses_non_finite_inputs_and_results(args, match):
     with pytest.raises(ValueError, match=match):

@@ -20,9 +20,9 @@ Conventions shared by all experiments:
 * wall-clock time goes to the comparison table and stderr only, never into
   per-iteration files;
 * every reference value states f* in [f_min - tolerance, f_min]: it is
-  analytic, a grid search for n <= 3, or the f* bracket that a run
-  computes from its own subgradients (``reference_solution``,
-  ``constrained_reference``).
+  analytic (``_analytic_fstar``, also the one f* Polyak's rule is given),
+  a grid search for n <= 3, or the f* bracket that a run computes from its
+  own subgradients (``reference_solution``, ``constrained_reference``).
 """
 from __future__ import annotations
 
@@ -171,23 +171,26 @@ def constrained_start(feasible: FeasibleSet) -> np.ndarray:
     return np.full(feasible.n, 1.0 / feasible.n)
 
 
-def _has_known_fstar(instance: InstanceSpec, prox_name: str) -> bool:
-    """Whether the plan's objective has an analytic optimal value: only the
-    best-approximation family on the unit ball (the Euclidean prox) does."""
+def _analytic_fstar(objective, feasible: FeasibleSet) -> Optional[float]:
+    """The closed-form min of the objective over the set, or None: only the
+    distance to a point a over a ball B(c, r) has one, max(0, ||a - c|| - r)."""
+    if objective.kind != KIND_BEST_APPROX or not isinstance(feasible, Ball):
+        return None
+    d = objective.a - feasible.center
+    return max(0.0, math.sqrt(float(np.dot(d, d))) - feasible.radius)
+
+
+def _has_analytic_fstar(instance: InstanceSpec, prox_name: str) -> bool:
+    """Whether the plan's problem has an ``_analytic_fstar``, told without building it."""
     return instance.kind == KIND_BEST_APPROX and prox_name == "euclidean"
 
 
 def _prepare_problem(instance: InstanceSpec, prox_name: str):
     """Build (objective, prox, feasible, start) of a plan: the Euclidean
-    prox runs on the unit ball and the entropy prox on the simplex.
-    known_fstar is cleared where ``_has_known_fstar`` says the analytic
-    value does not apply."""
+    prox runs on the unit ball and the entropy prox on the simplex."""
     prox = ProxSetup(prox_name)
     feasible = unit_ball(instance.n) if prox_name == "euclidean" else Simplex(instance.n)
-    objective = build_objective(instance)
-    if not _has_known_fstar(instance, prox_name):
-        objective.known_fstar = None
-    return objective, prox, feasible, default_start(feasible)
+    return build_objective(instance), prox, feasible, default_start(feasible)
 
 
 # the grid's target slack, which ``reference_solution`` also reports as its
@@ -285,7 +288,7 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, lipschitz: float = 1.
 
 def _reference_method(objective, feasible: FeasibleSet) -> str:
     """How ``reference_solution`` finds f* for this objective and set."""
-    if objective.kind == KIND_BEST_APPROX and isinstance(feasible, Ball):
+    if _analytic_fstar(objective, feasible) is not None:
         return METHOD_ANALYTIC
     return METHOD_GRID if feasible.n <= 3 else METHOD_LONGRUN
 
@@ -317,9 +320,7 @@ def reference_solution(objective, feasible: FeasibleSet, iters_budget: int,
     """
     method = _reference_method(objective, feasible)
     if method == METHOD_ANALYTIC:
-        d = objective.a - feasible.center
-        f_min = max(0.0, math.sqrt(float(np.dot(d, d))) - feasible.radius)
-        return ReferenceSolution(f_min, METHOD_ANALYTIC, 0.0)
+        return ReferenceSolution(_analytic_fstar(objective, feasible), METHOD_ANALYTIC, 0.0)
     if method == METHOD_GRID:
         _, f_min, achieved = grid_refine_minimize(
             objective.values, feasible, lipschitz=objective.lipschitz_bound
@@ -463,14 +464,11 @@ def _trace_rows(trace, f_min: float, extra: list):
         yield (k, gamma, fi, f_avg, f_best, f_avg - f_min, f_best - f_min, bound, *more)
 
 
-def _schedule_state(tag: str, lipschitz: float, sigma: float) -> ScheduleState:
-    """Fresh step-rule state; only the time-varying rule reads the
-    Lipschitz bound."""
-    if tag == TAG_TIME_VARYING:
-        kind = schedule(tag, m_lipschitz=lipschitz)
-    else:
-        kind = schedule(tag)
-    return ScheduleState(kind, sigma)
+def _schedule_state(tag: str, lipschitz: float, sigma: float, f_star=None) -> ScheduleState:
+    """Fresh step-rule state; only the time-varying rule takes the
+    Lipschitz bound, and only Polyak's takes f*."""
+    params = {TAG_TIME_VARYING: {"m_lipschitz": lipschitz}, TAG_POLYAK: {"f_star": f_star}}
+    return ScheduleState(schedule(tag, **params.get(tag, {})), sigma)
 
 
 def _m_token(m: float) -> str:
@@ -501,7 +499,8 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
     batch's order: if the row ran all its steps and the bracket closed at
     k = plan.iters, that bracket is the reference and nothing runs again."""
     objective, prox, feasible, x1 = _prepare_problem(plan.instance, plan.prox)
-    if TAG_POLYAK in plan.schedules and objective.known_fstar is None:
+    f_star = _analytic_fstar(objective, feasible)
+    if TAG_POLYAK in plan.schedules and f_star is None:
         raise ValueError("Polyak requires known f*")
     shared = None
     if (plan.prox == "euclidean" and TAG_TIME_VARYING in plan.schedules
@@ -510,7 +509,8 @@ def _solve_plan(plan: ExperimentPlan) -> tuple:
                                     plan.schedules.index(TAG_TIME_VARYING))
     config = RunConfig(m=plan.m_values[0], iters=plan.iters, record_trace=True)
     states = [
-        _schedule_state(tag, objective.lipschitz_bound, prox.sigma) for tag in plan.schedules
+        _schedule_state(tag, objective.lipschitz_bound, prox.sigma, f_star)
+        for tag in plan.schedules
     ]
     batch = _descent(objective, prox, feasible, states, config, x1, plan.m_values,
                      bracket=shared)

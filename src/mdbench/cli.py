@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .bench import (
     ExperimentPlan,
-    _has_known_fstar,
+    _has_analytic_fstar,
     _prepare_problem,  # noqa: F401  perfbench/tracer.py patches this name
     run_constrained_comparison,
     run_experiment,
@@ -141,7 +141,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     instance = _instance(args)
     tags = list(TABLE_TAGS)
-    if not _has_known_fstar(instance, args.prox):
+    if not _has_analytic_fstar(instance, args.prox):
         tags.remove(TAG_POLYAK)
         print(
             "note: skipping polyak (requires known f*, unavailable for this problem)",

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .space import NormKind, as_point, norm
+from .space import NormKind, as_point
 
 __all__ = [
     "Ball",

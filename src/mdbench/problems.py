@@ -1,12 +1,13 @@
 """Objective and constraint oracles for the benchmark problem families.
 
 Each oracle exposes ``value`` and ``subgrad`` plus a worst-case subgradient
-norm bound ``lipschitz_bound`` and, when available analytically,
-``known_fstar``. Objectives also have ``values(X)``, which maps a (K, n)
-array to K values, ``value_and_subgrad(x)``, which returns the pair
-(``value(x)``, ``subgrad(x)``) from one pass over the shared work, and its
-row form ``value_and_subgrad_rows(X)``, which returns the K values and the
-(K, n) subgradients. Every row form equals its 1-D form row by row, bit for
+norm bound ``lipschitz_bound``, and holds no optimal value: that depends
+on the feasible set, and the harness's reference states it for the set a
+run uses. Objectives also have ``values(X)``, which maps a (K, n) array to
+K values, ``value_and_subgrad(x)``, which returns the pair (``value(x)``,
+``subgrad(x)``) from one pass over the shared work, and its row form
+``value_and_subgrad_rows(X)``, which returns the K values and the (K, n)
+subgradients. Every row form equals its 1-D form row by row, bit for
 bit. Subgradients of max-type objectives come from the active term with the
 lowest index, and a distance term contributes the zero vector at its own
 anchor point, so ``subgrad`` is total.
@@ -169,10 +170,9 @@ class DistanceToPoint:
 
     kind = KIND_BEST_APPROX
 
-    def __init__(self, a, known_fstar: Optional[float] = None):
+    def __init__(self, a):
         self.a = as_point(a)
         self.lipschitz_bound = 1.0
-        self.known_fstar = known_fstar
 
     def value(self, x: np.ndarray) -> float:
         d = x - self.a
@@ -211,7 +211,6 @@ class _AnchorPoints:
             raise ValueError("anchor points must form a nonempty 2-D array")
         self.points = pts
         self.lipschitz_bound = 1.0
-        self.known_fstar = None
 
 
 class MeanDistance(_AnchorPoints):
@@ -299,7 +298,6 @@ class MaxAffine:
 
     def __init__(self, a, b):
         self.a, self.b, self.lipschitz_bound = _affine_rows(a, b, "coefficient")
-        self.known_fstar = None
 
     def value(self, x: np.ndarray) -> float:
         return float((self.a @ x + self.b).max())
@@ -375,18 +373,15 @@ def build_objective(spec: InstanceSpec):
     if spec.kind == KIND_BEST_APPROX:
         a = rng.random(spec.n)
         r = math.sqrt(float(np.dot(a, a)))
-        a = a * (10.0 / r)
-        # ||a|| - 1 as the analytic reference computes it: 9 up to rounding
-        return DistanceToPoint(a, known_fstar=math.sqrt(float(np.dot(a, a))) - 1.0)
+        return DistanceToPoint(a * (10.0 / r))
     if spec.kind == KIND_FTS:
         return MeanDistance(rng.random((spec.t, spec.n)))
     if spec.kind == KIND_COVERING_BALL:
         return MaxDistance(rng.random((spec.t, spec.n)))
-    if spec.kind == KIND_MAX_LINEAR:
-        a = rng.random((spec.t, spec.n))
-        b = rng.random(spec.t)
-        return MaxAffine(a, b)
-    raise ValueError(f"unknown objective kind: {spec.kind!r}")
+    # KIND_MAX_LINEAR, the last kind: an InstanceSpec has a known kind
+    a = rng.random((spec.t, spec.n))
+    b = rng.random(spec.t)
+    return MaxAffine(a, b)
 
 
 def build_constraints(spec: InstanceSpec) -> Optional[AffineConstraints]:
@@ -405,7 +400,7 @@ def build_constraints(spec: InstanceSpec) -> Optional[AffineConstraints]:
 # each objective class by its kind, with the constructor arguments that its
 # JSON body stores, each under the name of the attribute that holds it
 _OBJECTIVE_FIELDS = {cls.kind: (cls, fields) for cls, fields in (
-    (DistanceToPoint, ("a", "known_fstar")), (MeanDistance, ("points",)),
+    (DistanceToPoint, ("a",)), (MeanDistance, ("points",)),
     (MaxDistance, ("points",)), (MaxAffine, ("a", "b")))}
 
 
@@ -415,7 +410,7 @@ def serialize_instance(spec: InstanceSpec) -> dict:
     obj = build_objective(spec)
     doc = spec.to_dict()
     _, fields = _OBJECTIVE_FIELDS[spec.kind]
-    # tolist gives Python floats and lists, and keeps None as None
+    # tolist gives Python floats and lists
     doc["objective"] = {name: np.asarray(getattr(obj, name)).tolist() for name in fields}
     cons = build_constraints(spec)
     if cons is None:
@@ -430,12 +425,12 @@ def serialize_instance(spec: InstanceSpec) -> dict:
 
 def deserialize_instance(doc: dict):
     """Rebuild (spec, objective, constraints or None) from a serialized
-    document, using the stored arrays rather than redrawing them."""
+    document, using the stored arrays rather than redrawing them; other
+    keys, such as the unit ball's f* that older best-approx ones hold, are ignored."""
     spec = InstanceSpec.from_dict(doc)
     body = doc["objective"]
     cls, fields = _OBJECTIVE_FIELDS[spec.kind]
-    # a body without known_fstar leaves the constructor's default
-    obj = cls(**{name: body[name] for name in fields if name in body})
+    obj = cls(**{name: body[name] for name in fields})
     cons_doc = doc.get("constraints")
     cons = None
     if cons_doc is not None:

@@ -22,9 +22,9 @@ Rules and their constants:
 
 ``||g||`` is always the dual norm of the subgradient.
 
-One table, ``_RULES``, holds each rule's constants and flags. The one
-parameter a caller gives is M, which ``time-varying`` needs and no other
-rule takes; a ScheduleKind checks it when it is built.
+One table, ``_RULES``, holds each rule's constants and flags. A caller
+gives M to ``time-varying`` and f* to ``polyak``, and no other rule takes
+either; a ScheduleKind checks both when it is built.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class _Rule(NamedTuple):
     c: Optional[float]  # the step's constant (theta0 for adagrad); None: the rule has none
     certified: bool  # steps non-increasing whatever the objective feeds the rule
     reads_norm: bool  # reads the dual norm of the subgradient
-    reads_f: bool  # reads f(x^k) and f*
+    reads_f: bool  # reads f(x^k)
     alpha: float = 0.0  # adagrad's alpha
 
 
@@ -82,34 +82,45 @@ class StationarySignal(Exception):
     which for these rules means the point is already optimal."""
 
 
+# each parameter: the one rule that takes it, its value's test, and the test in words
+_PARAMETERS = (
+    ("m_lipschitz", TAG_TIME_VARYING, lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("f_star", TAG_POLYAK, math.isfinite, "finite"),
+)
+
+
 @dataclass(frozen=True)
 class ScheduleKind:
-    """A rule and, for ``time-varying`` only, ``m_lipschitz``: the Lipschitz
-    constant M of the objective in the chosen norm, positive and finite
-    (stored as a float). Every other constant is the rule's own, from the
-    module's table."""
+    """A rule and its one parameter, if any, as a float: ``m_lipschitz``
+    (``time-varying``), the Lipschitz constant M of the objective in the
+    chosen norm, or ``f_star`` (``polyak``), the optimal value over the
+    run's feasible set. Other constants are the rule's own, from the table."""
 
     tag: str
     m_lipschitz: Optional[float] = None
+    f_star: Optional[float] = None
 
     def __post_init__(self):
         if self.tag not in _RULES:
             raise ValueError(f"unknown schedule tag: {self.tag!r}")
-        if self.tag != TAG_TIME_VARYING:
-            if self.m_lipschitz is not None:
-                raise ValueError(f"schedule {self.tag!r} does not take parameter 'm_lipschitz'")
-            return
-        if self.m_lipschitz is None:
-            raise ValueError(f"schedule {self.tag!r} needs a positive m_lipschitz")
-        value = _real_field(self.m_lipschitz, f"schedule {self.tag!r} m_lipschitz")
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"schedule {self.tag!r} m_lipschitz must be positive and finite")
-        object.__setattr__(self, "m_lipschitz", value)
+        for name, owner, in_range, words in _PARAMETERS:
+            value = getattr(self, name)
+            if self.tag != owner:
+                if value is not None:
+                    raise ValueError(f"schedule {self.tag!r} does not take parameter {name!r}")
+                continue
+            if value is None:
+                raise ValueError(f"schedule {self.tag!r} needs a {words.split()[0]} {name}")
+            value = _real_field(value, f"schedule {self.tag!r} {name}")
+            if not in_range(value):
+                raise ValueError(f"schedule {self.tag!r} {name} must be {words}")
+            object.__setattr__(self, name, value)
 
 
-def schedule(tag: str, *, m_lipschitz: Optional[float] = None) -> ScheduleKind:
-    """The ScheduleKind of ``tag``; ``time-varying`` requires ``m_lipschitz``."""
-    return ScheduleKind(tag, m_lipschitz)
+def schedule(tag: str, *, m_lipschitz: Optional[float] = None,
+             f_star: Optional[float] = None) -> ScheduleKind:
+    """The ScheduleKind of ``tag``, with the parameter its rule requires."""
+    return ScheduleKind(tag, m_lipschitz, f_star)
 
 
 def is_nonincreasing_guaranteed(kind: ScheduleKind) -> bool:
@@ -144,7 +155,6 @@ class ScheduleState:
         k: int,
         f_val: Optional[float] = None,
         grad_dual_norm: Optional[float] = None,
-        f_star: Optional[float] = None,
     ) -> float:
         if k <= self._k_last:
             raise ValueError(
@@ -158,40 +168,30 @@ class ScheduleState:
             if gn < 0.0 or not math.isfinite(gn):
                 raise ValueError("subgradient dual norm must be finite and nonnegative")
         self._k_last = k
+        if gn == 0.0 and self._reads_norm and tag != TAG_ADAGRAD:
+            raise StationarySignal  # the rules that divide by the norm
 
         if tag == TAG_CONSTANT:
             return self._c
         if tag == TAG_FIXED_LENGTH:
-            if gn == 0.0:
-                raise StationarySignal
             return self._c / gn
         if tag == TAG_NONSUM:
             return self._c / math.sqrt(k)
         if tag == TAG_SQRSUM:
             return self._c / k
         if tag == TAG_QUAD_GRAD:
-            if gn == 0.0:
-                raise StationarySignal
             return self._c / (gn * gn)
         if tag == TAG_ADAGRAD:
             self.grad_sq_accum += gn * gn
             return self._c / math.sqrt(self.grad_sq_accum + self._alpha)
         if tag == TAG_POLYAK:
-            if f_val is None or f_star is None:
-                raise ValueError(
-                    "Polyak requires known f*: pass both the current objective "
-                    "value and the optimal value"
-                )
-            if gn == 0.0:
-                raise StationarySignal
-            gap = f_val - f_star
+            if f_val is None:
+                raise ValueError(f"schedule {tag!r} needs the objective value f(x^k)")
+            gap = f_val - self.kind.f_star
             if gap <= 0.0:
                 raise StationarySignal
             return gap / (gn * gn)
         if tag == TAG_TIME_VARYING:
             return math.sqrt(2.0 * self.sigma) / (self.kind.m_lipschitz * math.sqrt(k))
-        if tag == TAG_ADAPTIVE_TV:
-            if gn == 0.0:
-                raise StationarySignal
-            return math.sqrt(2.0 * self.sigma) / (gn * math.sqrt(k))
-        raise ValueError(f"unknown schedule tag: {tag!r}")
+        # TAG_ADAPTIVE_TV, the last rule: a ScheduleKind has a known tag
+        return math.sqrt(2.0 * self.sigma) / (gn * math.sqrt(k))

@@ -95,10 +95,11 @@ class RunConfig:
 
     theta bounds the Bregman distance from the start to any minimizer.
     Unset, the default, a run takes ``ProxSetup.theta`` of its feasible set
-    (2 on the unit Euclidean ball); a set theta is finite and positive, and
-    a run refuses one below that bound. At least one of iters/epsilon must
-    be set, and epsilon, when set, is finite and positive; the constrained
-    solvers need epsilon and the unconstrained ones need iters.
+    (2 on the unit Euclidean ball; entropy runs must start at the
+    barycenter); a set theta is finite and positive, and a run refuses one
+    below that bound. At least one of iters/epsilon must be set, and
+    epsilon, when set, is finite and positive; the constrained solvers need
+    epsilon and the unconstrained ones need iters.
     """
 
     m: float
@@ -467,9 +468,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     sqrt(2 sigma) / (M sqrt(k)) (see ``constrained_md_multi``). theta is
     ``config.theta`` when set, else ``prox.theta(feasible)``, read once
     before the first iteration; a set theta below ``prox.theta(feasible)``
-    raises ValueError there. The certificate feeds the bound column
-    (certified unconstrained runs with a trace) and, with use_criterion,
-    the stopping rule; other runs do not compute it.
+    raises ValueError there, as does an unset one on an entropy run whose x1
+    is not the barycenter, where ln n does not bound V(x*, x1). The
+    certificate feeds the bound column (certified unconstrained runs with a
+    trace) and, with use_criterion, the stopping rule; other runs do not
+    compute it.
 
     Rows leave the batch at one point per iteration, after the step
     phase: a trajectory that stops (zero subgradient, StationarySignal)
@@ -530,6 +533,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 f"distance that the {prox.psi_kind} prox states for the feasible set"
             )
         theta = config.theta
+    elif prox.psi_kind == "entropy" and not np.array_equal(x, np.full(x.size, 1.0 / x.size)):
+        raise ValueError("the entropy prox states theta = ln n from the barycenter only: "
+                         "start at (1/n, ..., 1/n), or set config.theta, a bound on V(x*, x1)")
     sigma = prox.sigma
     dual = dual_norm_kind(prox.norm)
     inf = math.inf
@@ -546,7 +552,6 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     # a (1, n) view of the first row's first average (empty without one):
     # with one average, x^k is folded into it at once
     first_sum = sums[0, :1]
-    fstar = objective.known_fstar
     # x^k's class and constraint evaluations: only constrained (one-row) runs change them
     prod, q, gx, evals, evals_total = True, None, math.nan, 0, 0
     h_term = [0.0] * n_m  # h(x1) / gamma_1^m per m, fixed after a composite run's first step
@@ -608,7 +613,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             fx = _finite_f(fx, k) if prod and run.want_f else None
             rule = run.state if prod else state_g
             try:
-                gamma = rule.step_size(k, fx, gn, fstar)
+                gamma = rule.step_size(k, fx, gn)
             except StationarySignal:
                 run.stop = StopReason.STATIONARY_POINT
                 leaving = True

@@ -343,11 +343,11 @@ def _finite(value, what: str, k: int) -> float:
     return value
 
 
-def _rule_step(rule, k, f_k, gn, fstar):
+def _rule_step(rule, k, f_k, gn):
     """gamma_k of one step rule, or None where the rule signals a
     stationary point."""
     try:
-        gamma = rule.step_size(k, f_k, gn, fstar)
+        gamma = rule.step_size(k, f_k, gn)
     except StationarySignal:
         return None
     except (OverflowError, ZeroDivisionError):
@@ -392,7 +392,7 @@ def reference_mirror_descent(objective, prox, feasible, rule, m, iters, theta, x
             f_k = _finite(objective.value(x), "f(x^k)", k)
             g = objective.subgrad(x)
             gn = _finite(norm_direct(g, dual), "the dual norm", k)
-            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn, objective.known_fstar)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn)
             if gamma is None:
                 stop = "StationaryPoint"
                 break
@@ -431,7 +431,7 @@ def reference_composite_md(objective, h, prox, feasible, rule, m, iters, theta, 
             f_k = _finite(objective.value(x), "f(x^k)", k)
             g = objective.subgrad(x)
             gn = _finite(norm_direct(g, dual), "the dual norm", k)
-            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn, objective.known_fstar)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_k, gn)
             if gamma is None:
                 stop = "StationaryPoint"
                 break
@@ -505,7 +505,7 @@ def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_
             if gn == 0.0 and not prod:
                 raise RuntimeError("the violated constraint has a zero subgradient")
             rule, f_arg = (rule_f, f_k) if prod else (rule_g, None)
-            gamma = None if gn == 0.0 else _rule_step(rule, k, f_arg, gn, objective.known_fstar)
+            gamma = None if gn == 0.0 else _rule_step(rule, k, f_arg, gn)
             if gamma is None:
                 stop = "StationaryPoint"
                 break
@@ -635,7 +635,7 @@ def reference_bracket(objective, constraints, prox, feasible, rule_f, rule_g, m,
         if gn == 0.0:
             break
         rule = rule_f if prod else rule_g
-        gamma = rule.step_size(k, value if prod else None, gn, objective.known_fstar)
+        gamma = rule.step_size(k, value if prod else None, gn)
         cuts.append((prod, gx, gamma ** (-m), value, e, x))
         if prod:
             avg.update(x, gamma)

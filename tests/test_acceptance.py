@@ -7,7 +7,6 @@ and are shared across criteria.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest

@@ -200,9 +200,11 @@ def test_a_plan_reference_is_reference_solution_on_every_path(tmp_path, prox, ta
 @_PROPERTY
 @given(st.sampled_from(TABLE_TAGS), st.data())
 def test_step_rules_accept_only_what_runs(tag, data):
-    # time-varying gets a positive m_lipschitz, the other rules none
+    # time-varying gets a positive m_lipschitz, polyak a finite f_star, the
+    # other rules neither
     params = _fields(data, {
-        "m_lipschitz": st.floats(1e-3, 10.0) if tag == "time-varying" else st.none()
+        "m_lipschitz": st.floats(1e-3, 10.0) if tag == "time-varying" else st.none(),
+        "f_star": st.floats(-10.0, 10.0) if tag == "polyak" else st.none(),
     })
     try:
         kind = schedule(tag, **params)

@@ -31,8 +31,9 @@ from mdbench.bench import (
     write_trace_csv,
 )
 from mdbench.bounds import bound_corollaries
-from mdbench.geometry import Ball, Simplex, euclidean_setup, unit_ball
+from mdbench.geometry import PROX_NAMES, Ball, Simplex, euclidean_setup, unit_ball
 from mdbench.problems import (
+    OBJECTIVE_KINDS,
     AffineConstraints,
     DistanceToPoint,
     InstanceSpec,
@@ -104,11 +105,13 @@ def test_reference_analytic_for_distance_objective():
 
 
 def test_best_approx_known_fstar_is_the_analytic_reference():
-    # Polyak steps and the gap columns use one f*, to the last bit
+    # Polyak steps and the gap columns read one f*, the analytic reference,
+    # which on the unit ball is ||a|| - 1 to the last bit
     for seed in range(200):
         for n in (2, 5, 50):
             obj = build_objective(InstanceSpec("best-approx", n=n, seed=seed))
-            assert reference_solution(obj, unit_ball(n), 1).f_min == obj.known_fstar, (seed, n)
+            want = math.sqrt(float(np.dot(obj.a, obj.a))) - 1.0
+            assert reference_solution(obj, unit_ball(n), 1).f_min == want, (seed, n)
 
 
 def test_reference_grid_for_tiny_dimension():
@@ -278,10 +281,10 @@ def test_the_bracket_follows_its_row_when_another_row_leaves(tmp_path, monkeypat
     assert tags.index("time-varying") == 6
     real = bench._schedule_state
 
-    def states(tag, lipschitz, sigma):
+    def states(tag, lipschitz, sigma, f_star):
         if tag == tags[0]:
             return _StopsAtSeven(schedule(tag), sigma)
-        return real(tag, lipschitz, sigma)
+        return real(tag, lipschitz, sigma, f_star)
 
     monkeypatch.setattr(bench, "_schedule_state", states)
     calls = _counted_descents(monkeypatch)
@@ -735,14 +738,39 @@ def test_entropy_prox_experiment(tmp_path):
     assert summary["reference"]["method"] == "LongRun"
 
 
+def test_polyak_runs_with_the_reference_of_its_own_set():
+    # on the ball of radius 3, f* = ||a|| - 3 = 7; the unit ball's ||a|| - 1
+    # = 9 lies above f after one step, so a run fed that value stopped
+    # there, with f_hat = 9.24
+    obj = build_objective(InstanceSpec("best-approx", n=5, seed=3))
+    ball = Ball(np.zeros(5), 3.0)
+    f_star = reference_solution(obj, ball, 200).f_min
+    assert f_star == pytest.approx(7.0, abs=1e-12)
+    state = ScheduleState(schedule("polyak", f_star=f_star), 1.0)
+    res = mirror_descent(obj, euclidean_setup(), ball, state, RunConfig(m=0.0, iters=200),
+                         default_start(ball))
+    assert res.iterations == 200
+    assert 0.0 <= res.f_hat - f_star < 0.05
+
+
 def test_polyak_without_known_fstar_is_rejected(tmp_path):
     plan = _small_plan(instance=InstanceSpec("fts", n=4, t=3, seed=1), schedules=("polyak",))
     with pytest.raises(ValueError, match="Polyak requires known f\\*"):
         run_experiment(plan, str(tmp_path))
-    # the analytic value holds on the unit ball only: entropy clears it
+    # the entropy prox runs on the simplex, where f* has no closed form
     entropy_plan = _small_plan(schedules=("polyak",), prox="entropy")
     with pytest.raises(ValueError, match="Polyak requires known f\\*"):
         run_experiment(entropy_plan, str(tmp_path))
+
+
+@pytest.mark.parametrize("prox", PROX_NAMES)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_the_cli_polyak_skip_agrees_with_the_plan_refusal(kind, prox):
+    # compare decides from the spec alone; a plan from the f* of its set
+    instance = InstanceSpec(kind, n=4, t=3)
+    objective, _, feasible, _ = bench._prepare_problem(instance, prox)
+    analytic = bench._analytic_fstar(objective, feasible)
+    assert bench._has_analytic_fstar(instance, prox) == (analytic is not None)
 
 
 def test_plans_reject_constrained_instances(tmp_path):

@@ -25,7 +25,7 @@ from mdbench.problems import (
 
 
 def test_distance_to_point_examples():
-    f = DistanceToPoint(np.array([10.0, 0.0]), known_fstar=9.0)
+    f = DistanceToPoint(np.array([10.0, 0.0]))
     assert f.value(np.zeros(2)) == 10.0
     np.testing.assert_allclose(f.subgrad(np.zeros(2)), [-1.0, 0.0], atol=0)
     assert f.value(np.array([1.0, 0.0])) == 9.0
@@ -50,6 +50,12 @@ def test_mean_distance_examples():
     diag = MeanDistance([[1.0, 0.0], [0.0, 1.0]])
     assert diag.value(np.zeros(2)) == 1.0
     np.testing.assert_allclose(diag.subgrad(np.zeros(2)), [-0.5, -0.5], atol=1e-15)
+
+
+def test_anchor_points_must_form_a_2d_array():
+    for cls in (MeanDistance, MaxDistance):
+        with pytest.raises(ValueError, match="^anchor points must form a nonempty 2-D array$"):
+            cls([1.0, 2.0])
 
 
 def test_mean_distance_skips_anchor_at_zero_distance():
@@ -256,7 +262,8 @@ def test_first_violation_worst_is_max_over_evaluated_prefix():
 def test_best_approx_generation_contract():
     spec = InstanceSpec(kind="best-approx", n=50, seed=42)
     obj = build_objective(spec)
-    assert obj.known_fstar == 9.0
+    # the objective holds its data only: f* depends on the feasible set
+    assert vars(obj).keys() == {"a", "lipschitz_bound"}
     assert math.sqrt(float(obj.a @ obj.a)) == pytest.approx(10.0, abs=1e-12)
     assert np.all(obj.a > 0.0)
 
@@ -364,8 +371,11 @@ def test_serialization_round_trip_bit_exact():
             assert obj2.a.tobytes() == obj1.a.tobytes()
             assert obj2.b.tobytes() == obj1.b.tobytes()
         else:
+            assert doc["objective"].keys() == {"a"}
             assert obj2.a.tobytes() == obj1.a.tobytes()
-            assert obj2.known_fstar == 9.0
+            # older documents also stored the unit ball's f*; it is ignored
+            old = dict(doc, objective=dict(doc["objective"], known_fstar=9.0))
+            assert deserialize_instance(old)[1].a.tobytes() == obj1.a.tobytes()
         cons1 = build_constraints(spec)
         assert cons2.alphas.tobytes() == cons1.alphas.tobytes()
         assert cons2.betas.tobytes() == cons1.betas.tobytes()

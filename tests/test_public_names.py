@@ -1,11 +1,13 @@
 """Each public name has one home: a class or function listed in a module's
 ``__all__`` is defined in that module, and the package's ``__all__`` holds
-only names it resolves."""
+only names it resolves. Every name a module imports is used in it."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,31 @@ def test_bound_evaluators_are_reached_through_bounds_only():
     for public in bounds.__all__:
         assert not hasattr(solvers, public), public
         assert getattr(mdbench, public) is getattr(bounds, public), public
+
+
+def _unused_imports(path: Path) -> list:
+    """The names ``path`` imports and neither uses, lists in ``__all__``
+    nor marks with ``# noqa`` on the name's own line, as "line name"."""
+    source = path.read_text()
+    lines, tree = source.splitlines(), ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    listed = {name for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+              for name in ast.literal_eval(node.value)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).partition(".")[0]
+            if name not in used | listed and "# noqa" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno} {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(Path(mdbench.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -43,9 +43,9 @@ from oracles import (
 METHODS = ("mirror-descent", "composite", "switching", "scan")
 
 
-def _rule(tag, lipschitz, sigma):
-    params = {"m_lipschitz": lipschitz} if tag == "time-varying" else {}
-    return ScheduleState(schedule(tag, **params), sigma)
+def _rule(tag, lipschitz, sigma, f_star=None):
+    params = {"time-varying": {"m_lipschitz": lipschitz}, "polyak": {"f_star": f_star}}
+    return ScheduleState(schedule(tag, **params.get(tag, {})), sigma)
 
 
 def _problem(kind, prox_name, n, p, seed):
@@ -54,10 +54,8 @@ def _problem(kind, prox_name, n, p, seed):
     if prox_name == "euclidean":
         prox, feasible, theta = euclidean_setup(), unit_ball(n), 2.0
     else:
-        # the analytic optimum of best-approx holds on the unit ball only
         prox, feasible = entropy_setup(), Simplex(n)
         theta = math.log(n) if n > 1 else 1.0
-        objective.known_fstar = None
     return objective, build_constraints(spec), prox, feasible, theta
 
 
@@ -79,8 +77,13 @@ def _runs(method, kind, prox_name, n, p, seed, tags, m, iters, epsilon, lam, cri
 
     def solve(reference):
         objective, constraints, prox, feasible, theta = _problem(kind, prox_name, n, p, seed)
+        # Polyak's f*: ||a|| - 1 for best-approx on the unit ball; elsewhere
+        # there is none, and a Polyak f-rule is refused when it is built
+        f_star = None
+        if kind == "best-approx" and prox_name == "euclidean":
+            f_star = math.sqrt(float(np.dot(objective.a, objective.a))) - 1.0
         if method != "scan":  # the scan has its step rule built in
-            rule_f = _rule(tags[0], objective.lipschitz_bound, prox.sigma)
+            rule_f = _rule(tags[0], objective.lipschitz_bound, prox.sigma, f_star)
         if method in ("mirror-descent", "composite"):
             x1 = default_start(feasible)
             if method == "mirror-descent":
@@ -98,7 +101,8 @@ def _runs(method, kind, prox_name, n, p, seed, tags, m, iters, epsilon, lam, cri
         x1 = constrained_start(feasible)
         config = RunConfig(m=m, iters=iters, epsilon=epsilon, theta=theta)
         if method == "switching":
-            rule_g = _rule(tags[1], constraints.lipschitz_bound, prox.sigma)
+            # g-steps give Polyak no f(x^k), so its first one raises whatever f* it has
+            rule_g = _rule(tags[1], constraints.lipschitz_bound, prox.sigma, 0.0)
             if reference:
                 return reference_switching_md(
                     objective, constraints, prox, feasible, rule_f, rule_g, m, epsilon,
@@ -222,14 +226,14 @@ def test_a_constrained_run_that_starts_at_its_minimizer_stops_on_both_sides(meth
     prox, ball = euclidean_setup(), unit_ball(2)
     runs = []
     for reference in (False, True):
-        objective = DistanceToPoint(a, known_fstar=0.0)
+        objective = DistanceToPoint(a)
         constraints = AffineConstraints([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])
         if method == "scan":
             args = (objective, constraints, prox, ball)
             runs.append(reference_scan_md(*args, 1.0, 0.1, 50, 2.0, a) if reference else
                         constrained_md_multi(*args, RunConfig(m=1.0, epsilon=0.1, iters=50), a))
             continue
-        rules = [_rule("polyak", 1.0, prox.sigma) for _ in range(2)]
+        rules = [_rule("polyak", 1.0, prox.sigma, 0.0) for _ in range(2)]
         args = (objective, constraints, prox, ball, *rules)
         runs.append(reference_switching_md(*args, 1.0, 0.1, 50, 2.0, a) if reference else
                     constrained_md(*args, RunConfig(m=1.0, epsilon=0.1, iters=50), a))
@@ -258,7 +262,6 @@ BRACKET_CASES = {
 
 def _bracket_problem(kind, n, t, where, prox_name, epsilon, seed):
     objective = build_objective(InstanceSpec(kind, n=n, t=t, seed=seed))
-    objective.known_fstar = None
     prox = euclidean_setup() if prox_name == "euclidean" else entropy_setup()
     feasible = {"ball": unit_ball(n), "offcenter": Ball(np.linspace(-0.3, 0.4, n), 1.5),
                 "simplex": Simplex(n)}[where]

@@ -50,31 +50,32 @@ def test_adagrad_example():
     assert got == pytest.approx(math.sqrt(2.0) / math.sqrt(1.0 + 1e-8), abs=1e-15)
 
 
+def _kind(tag, m_lipschitz, f_star):
+    """The kind of ``tag`` with the one parameter its rule takes, if any."""
+    params = {"time-varying": {"m_lipschitz": m_lipschitz}, "polyak": {"f_star": f_star}}
+    return schedule(tag, **params.get(tag, {}))
+
+
 def test_certification_flags():
     certified = {"constant-step", "nonsum", "sqrsum-nonsum", "adagrad", "time-varying"}
     for tag in TABLE_TAGS:
-        kind = (
-            schedule(tag, m_lipschitz=1.0) if tag == "time-varying" else schedule(tag)
-        )
+        kind = _kind(tag, 1.0, 0.0)
         assert is_nonincreasing_guaranteed(kind) == (tag in certified)
 
 
 def test_every_rule_matches_direct_formula_on_probes():
     rng = np.random.default_rng(40)
+    f_star = 1.0
     for tag in TABLE_TAGS:
-        kind = (
-            schedule(tag, m_lipschitz=2.5) if tag == "time-varying" else schedule(tag)
-        )
         sigma = 1.0
-        state = ScheduleState(kind, sigma)
+        state = ScheduleState(_kind(tag, 2.5, f_star), sigma)
         accum = 0.0
         k = 0
         for _ in range(100):
             k += int(rng.integers(1, 4))  # counters may skip values
             gn = float(rng.random()) * 4.9 + 0.1
-            f_star = 1.0
             f_val = f_star + float(rng.random()) * 3.0 + 0.01
-            got = state.step_size(k, f_val=f_val, grad_dual_norm=gn, f_star=f_star)
+            got = state.step_size(k, f_val=f_val, grad_dual_norm=gn)
             if tag == "constant-step":
                 want = 0.1
             elif tag == "fixed-length":
@@ -119,15 +120,22 @@ def test_time_varying_exactness_up_to_1e6():
 
 
 def test_polyak_requires_f_star():
-    state = ScheduleState(schedule("polyak"), sigma=1.0)
-    with pytest.raises(ValueError, match="Polyak requires known"):
-        state.step_size(1, f_val=2.0, grad_dual_norm=1.0, f_star=None)
+    # refused when the kind is built, not at the first step
+    with pytest.raises(ValueError, match="^schedule 'polyak' needs a finite f_star$"):
+        schedule("polyak")
+    with pytest.raises(ValueError, match="^schedule 'polyak' needs a finite f_star$"):
+        ScheduleKind("polyak")
+    kind = schedule("polyak", f_star=np.float32(1.5))
+    assert type(kind.f_star) is float and kind.f_star == 1.5
+    state = ScheduleState(kind, sigma=1.0)
+    with pytest.raises(ValueError, match="needs the objective value"):
+        state.step_size(1, grad_dual_norm=1.0)
 
 
 def test_polyak_stationary_on_closed_gap():
-    state = ScheduleState(schedule("polyak"), sigma=1.0)
+    state = ScheduleState(schedule("polyak", f_star=1.0), sigma=1.0)
     with pytest.raises(StationarySignal):
-        state.step_size(1, f_val=1.0, grad_dual_norm=1.0, f_star=1.0)
+        state.step_size(1, f_val=1.0, grad_dual_norm=1.0)
 
 
 def test_zero_gradient_signals_stationarity():
@@ -164,6 +172,13 @@ def test_counter_must_increase():
 def test_unused_parameters_rejected():
     with pytest.raises(ValueError, match="does not take parameter"):
         schedule("adaptive-time-varying", m_lipschitz=1.0)
+    with pytest.raises(ValueError, match="^schedule 'nonsum' does not take parameter 'f_star'$"):
+        schedule("nonsum", f_star=1.0)
+    # each parameter belongs to one rule: the other's is refused too
+    with pytest.raises(ValueError, match="'time-varying' does not take parameter 'f_star'"):
+        schedule("time-varying", m_lipschitz=1.0, f_star=1.0)
+    with pytest.raises(ValueError, match="'polyak' does not take parameter 'm_lipschitz'"):
+        schedule("polyak", m_lipschitz=1.0, f_star=1.0)
 
 
 def test_parameter_validation():
@@ -189,12 +204,15 @@ def test_hand_built_kinds_reject_parameters_their_rule_does_not_take():
     for tag in ("nonsum", "adaptive-time-varying"):
         with pytest.raises(ValueError, match="does not take parameter 'm_lipschitz'"):
             ScheduleKind(tag, m_lipschitz=1.0)
+        with pytest.raises(ValueError, match="does not take parameter 'f_star'"):
+            ScheduleKind(tag, f_star=1.0)
 
 
-@pytest.mark.parametrize("tag, name", [("time-varying", "m_lipschitz")])
+@pytest.mark.parametrize("tag, name", [("time-varying", "m_lipschitz"), ("polyak", "f_star")])
 def test_infinite_parameters_are_rejected(tag, name):
     # an infinite m_lipschitz used to give gamma = 0 at k = 1
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    words = {"m_lipschitz": "positive and finite", "f_star": "finite"}[name]
+    with pytest.raises(ValueError, match=f"{name} must be {words}$"):
         schedule(tag, **{name: math.inf})
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(ValueError, match=f"{name} must be {words}$"):
         ScheduleKind(tag, **{name: math.inf})

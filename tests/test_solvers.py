@@ -19,7 +19,9 @@ from mdbench.bounds import (
     iteration_estimate,
     productive_inequality_sides,
 )
-from mdbench.geometry import L1, Ball, Simplex, Zero, entropy_setup, euclidean_setup, unit_ball
+from mdbench.geometry import (
+    L1, Ball, Simplex, Zero, bregman, entropy_setup, euclidean_setup, unit_ball,
+)
 from mdbench.problems import (
     OBJECTIVE_KINDS,
     AffineConstraints,
@@ -153,7 +155,7 @@ def test_a_fractional_iteration_budget_is_refused_by_name():
 def test_single_step_hand_executed():
     # f(x) = ||x - (10,0)||, unit ball, x1 = 0: gamma_1 = sqrt(2), the
     # average after one step is x1 itself, so f_hat = 10
-    obj = DistanceToPoint([10.0, 0.0], known_fstar=9.0)
+    obj = DistanceToPoint([10.0, 0.0])
     res = mirror_descent(
         obj,
         euclidean_setup(),
@@ -171,7 +173,7 @@ def test_single_step_hand_executed():
 
 def test_second_iterate_lands_on_boundary():
     # continuing the hand-executed run: x2 = project((sqrt 2, 0)) = (1, 0)
-    obj = DistanceToPoint([10.0, 0.0], known_fstar=9.0)
+    obj = DistanceToPoint([10.0, 0.0])
     res = mirror_descent(
         obj,
         euclidean_setup(),
@@ -418,10 +420,10 @@ def test_a_traced_batch_makes_one_oracle_pass_per_iteration():
     # a far from the ball: no rule reaches the minimizer, so all nine rows
     # stay in the batch for every iteration
     spec = InstanceSpec("best-approx", n=50, seed=3)
-    obj = _CountingDistance(build_objective(spec).a, known_fstar=9.0)
+    obj = _CountingDistance(build_objective(spec).a)
     ball = unit_ball(50)
     batch = _descent(
-        obj, euclidean_setup(), ball, [_rule_state(t) for t in TABLE_TAGS],
+        obj, euclidean_setup(), ball, [_rule_state(t, 9.0) for t in TABLE_TAGS],
         RunConfig(m=0.0, iters=40), default_start(ball), (0.0, 2.0),
     )
     assert len(batch) == len(TABLE_TAGS) == 9
@@ -450,14 +452,14 @@ def test_a_traced_run_reads_one_average_with_value(ms):
 
 
 def test_polyak_receives_the_objective_value_on_every_step():
-    obj = _CountingDistance([2.0, 1.0], known_fstar=math.sqrt(5.0) - 1.0)
-    state = _state("polyak")
+    obj = _CountingDistance([2.0, 1.0])
+    state = _state("polyak", f_star=math.sqrt(5.0) - 1.0)
     seen = []
     step_size = state.step_size
 
-    def recording_step_size(k, f_val=None, grad_dual_norm=None, f_star=None):
+    def recording_step_size(k, f_val=None, grad_dual_norm=None):
         seen.append(f_val)
-        return step_size(k, f_val=f_val, grad_dual_norm=grad_dual_norm, f_star=f_star)
+        return step_size(k, f_val=f_val, grad_dual_norm=grad_dual_norm)
 
     state.step_size = recording_step_size
     res = mirror_descent(
@@ -521,10 +523,9 @@ def _step_error(tag: str, gamma: str, gn: float) -> str:
 def test_step_rule_division_by_zero_is_a_named_error(tag):
     # the squared L-infinity dual norm 1e-200**2 underflows to 0
     obj = MaxAffine([[1e-200, 0.0]], [0.0])
-    obj.known_fstar = 0.0
     with pytest.raises(ValueError, match=_step_error(tag, "nan", 1e-200)):
         mirror_descent(
-            obj, entropy_setup(), Simplex(2), _state(tag),
+            obj, entropy_setup(), Simplex(2), _rule_state(tag, 0.0),
             RunConfig(m=0.0, iters=5), np.array([0.5, 0.5]),
         )
 
@@ -1018,14 +1019,24 @@ def test_constrained_bound_diagnostic():
         constrained_bound_diagnostic(0.0, [], [], [1.0], [1.0], 1.0, 2.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="gamma_last must be positive"):
         constrained_bound_diagnostic(0.0, [1.0], [1.0], [], [], 0.0, 2.0, 1.0, 0.5)
+    for args in (([1.0], [1.0, 2.0], [], []), ([1.0], [1.0], [1.0], [])):
+        with pytest.raises(ValueError, match="must pair up"):
+            constrained_bound_diagnostic(0.0, *args, 1.0, 2.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------- shared trajectory
 
 
-def _rule_state(tag: str) -> ScheduleState:
-    params = {"m_lipschitz": 2.0} if tag == "time-varying" else {}
-    return _state(tag, **params)
+def _rule_state(tag: str, f_star=None) -> ScheduleState:
+    """The rule of ``tag``; Polyak's takes ``f_star``, and is refused
+    without one."""
+    params = {"time-varying": {"m_lipschitz": 2.0}, "polyak": {"f_star": f_star}}
+    return _state(tag, **params.get(tag, {}))
+
+
+def _unit_ball_fstar(obj) -> float:
+    """f* of a distance-to-point objective over the unit ball, a outside it."""
+    return math.sqrt(float(np.dot(obj.a, obj.a))) - 1.0
 
 
 def _result_bytes(res: SolveResult):
@@ -1043,26 +1054,29 @@ def _result_bytes(res: SolveResult):
     st.sampled_from(TABLE_TAGS),
 )
 def test_shared_trajectory_matches_separate_runs(m_values, tag):
+    f_star = None
     if tag == "polyak":
         obj = build_objective(InstanceSpec("best-approx", n=6, seed=2))
+        f_star = _unit_ball_fstar(obj)
     else:
         obj = build_objective(InstanceSpec("max-linear", n=6, t=4, seed=2))
     ball = unit_ball(6)
     x1 = default_start(ball)
     config = RunConfig(m=0.0, iters=30)
     shared = mirror_descent_sweep(
-        obj, euclidean_setup(), ball, _rule_state(tag), config, x1, m_values
+        obj, euclidean_setup(), ball, _rule_state(tag, f_star), config, x1, m_values
     )
     assert len(shared) == len(m_values)
     for m, res in zip(m_values, shared):
         alone = mirror_descent(
-            obj, euclidean_setup(), ball, _rule_state(tag),
+            obj, euclidean_setup(), ball, _rule_state(tag, f_star),
             RunConfig(m=m, iters=30), x1,
         )
         assert _result_bytes(res) == _result_bytes(alone)
 
 
-_CERTIFIED_TAGS = [t for t in TABLE_TAGS if is_nonincreasing_guaranteed(_rule_state(t).kind)]
+_CERTIFIED_TAGS = [t for t in TABLE_TAGS
+                   if is_nonincreasing_guaranteed(_rule_state(t, 0.0).kind)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1209,10 +1223,10 @@ class _NanAverageValue(DistanceToPoint):
     ids=["trace-on", "trace-off", "polyak", "average", "average-sweep"],
 )
 def test_non_finite_objective_value_raises(cls, tag, trace, ms, match):
-    obj = cls([10.0, 0.0], known_fstar=9.0)
+    obj = cls([10.0, 0.0])
     with pytest.raises(ValueError, match=match):
         mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state(tag),
+            obj, euclidean_setup(), unit_ball(2), _rule_state(tag, 9.0),
             RunConfig(m=0.0, iters=5, record_trace=trace), np.zeros(2), ms,
         )
 
@@ -1241,6 +1255,36 @@ def test_criterion_before_any_productive_step_raises():
         )
 
 
+def test_an_entropy_run_takes_the_stated_theta_from_the_barycenter_only():
+    # ln 2 bounds V(x*, x1) from (1/2, 1/2); from (0.99, 0.01) V reaches 4.61
+    setup, simplex, x1 = entropy_setup(), Simplex(2), np.array([0.99, 0.01])
+    assert bregman(setup, np.array([1e-12, 1.0 - 1e-12]), x1) > 4.6 > setup.theta(simplex)
+    obj = MaxAffine([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="barycenter"):
+        mirror_descent(obj, setup, simplex, _state("nonsum"), RunConfig(m=0.0, iters=5), x1)
+    with pytest.raises(ValueError, match="barycenter"):
+        constrained_md(obj, _always_satisfied(2), setup, simplex, _state("nonsum"),
+                       _state("nonsum"), RunConfig(m=0.0, iters=5, epsilon=0.5), x1)
+    # a theta the caller sets is the caller's bound on V(x*, x1)
+    res = mirror_descent(obj, setup, simplex, _state("nonsum"),
+                         RunConfig(m=0.0, iters=5, theta=5.0), x1)
+    assert res.iterations == 5
+
+
+@pytest.mark.parametrize("scan, which", [(False, "the constraint maximum"), (True, "constraint 0")])
+def test_a_violated_constraint_with_a_zero_subgradient_raises(scan, which):
+    # g(x) = <0, x> + 1 = 1 > epsilon everywhere: no step leaves the violation
+    cons = AffineConstraints([[0.0, 0.0]], [-1.0])
+    obj, config = DistanceToPoint([0.3, 0.4]), RunConfig(m=1.0, epsilon=0.5, iters=20)
+    with pytest.raises(NoProductiveSteps, match=f"^{which} has a zero subgradient while above "
+                                                "epsilon: the epsilon-feasible region is empty$"):
+        if scan:
+            constrained_md_multi(obj, cons, euclidean_setup(), unit_ball(2), config, np.zeros(2))
+        else:
+            constrained_md(obj, cons, euclidean_setup(), unit_ball(2), _state("nonsum"),
+                           _state("nonsum"), config, np.zeros(2))
+
+
 # ---------------------------------------------------------------- batched plans
 
 
@@ -1254,44 +1298,62 @@ def _cell_bytes(res: SolveResult):
 
 
 def _plan_problem(kind: str, prox_name: str):
+    """(objective, prox, set, start, f*) of a batch; f* is Polyak's: the
+    analytic one of best-approx on the unit ball, and elsewhere 0, which
+    bounds the distance objectives from below and is a finite value to run
+    with for max-linear."""
     obj = build_objective(InstanceSpec(kind, n=6, t=4, seed=3))
+    f_star = 0.0
     if prox_name == "euclidean":
         prox, feasible = euclidean_setup(), unit_ball(6)
+        if kind == "best-approx":
+            f_star = _unit_ball_fstar(obj)
     else:
-        # the analytic optimum of best-approx holds on the unit ball only
         prox, feasible = entropy_setup(), Simplex(6)
-        obj.known_fstar = None
-    return obj, prox, feasible, default_start(feasible)
+    return obj, prox, feasible, default_start(feasible), f_star
 
 
-def _sweep_or_error(obj, prox, feasible, tag, config, x1, m_values):
+def _sweep_or_error(obj, prox, feasible, tag, config, x1, m_values, f_star=None):
     try:
-        return mirror_descent_sweep(obj, prox, feasible, _rule_state(tag), config, x1, m_values)
+        return mirror_descent_sweep(obj, prox, feasible, _rule_state(tag, f_star), config, x1,
+                                    m_values)
     except (ValueError, NoProductiveSteps) as exc:
         return exc
+
+
+def _failing_iteration(exc) -> float:
+    """The iteration whose loop raised ``exc``, or inf for an output error."""
+    found = re.search(r" at iteration (\d+)", str(exc))
+    return int(found[1]) if found else math.inf
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.sampled_from(TABLE_TAGS), min_size=1, max_size=len(TABLE_TAGS), unique=True),
-    st.lists(st.floats(min_value=-1.0, max_value=8.0), min_size=1, max_size=3),
+    # m = 400 overflows the weights of most rules within a few steps
+    st.lists(st.floats(min_value=-1.0, max_value=8.0) | st.just(400.0), min_size=1, max_size=3),
     st.sampled_from(OBJECTIVE_KINDS),
     st.sampled_from(("euclidean", "entropy")),
     st.booleans(),
 )
 def test_every_cell_of_a_batch_matches_its_single_run(tags, m_values, kind, prox_name, trace):
-    obj, prox, feasible, x1 = _plan_problem(kind, prox_name)
+    obj, prox, feasible, x1, f_star = _plan_problem(kind, prox_name)
     config = RunConfig(m=0.0, iters=30, record_trace=trace)
-    states = [_rule_state(tag) for tag in tags]
-    alone = [_sweep_or_error(obj, prox, feasible, tag, config, x1, m_values) for tag in tags]
+    states = [_rule_state(tag, f_star) for tag in tags]
+    alone = [_sweep_or_error(obj, prox, feasible, tag, config, x1, m_values, f_star)
+             for tag in tags]
     failures = [a for a in alone if isinstance(a, Exception)]
     if failures:
-        # polyak without a known f*, or an overflowing m: the batch raises
-        # the error of the first failing schedule in plan order
+        # an overflowing m: the batch raises the first failure in execution
+        # order. The loop's errors name their iteration, and the earliest
+        # ends the batch; without one, the results, taken in plan order after
+        # the loop, raise the first output error (underflowed weights leave
+        # an empty averager)
+        first = min(failures, key=_failing_iteration)
         event("the batch raises")
-        with pytest.raises(type(failures[0])) as info:
+        with pytest.raises(type(first)) as info:
             _descent(obj, prox, feasible, states, config, x1, tuple(m_values))
-        assert str(info.value) == str(failures[0])
+        assert str(info.value) == str(first)
         return
     event("every cell compared")
     batch = _descent(obj, prox, feasible, states, config, x1, tuple(m_values))
@@ -1300,7 +1362,7 @@ def test_every_cell_of_a_batch_matches_its_single_run(tags, m_values, kind, prox
         assert len(results) == len(m_values)
         for m, res in zip(m_values, results):
             single = mirror_descent(
-                obj, prox, feasible, _rule_state(tag), replace(config, m=m), x1
+                obj, prox, feasible, _rule_state(tag, f_star), replace(config, m=m), x1
             )
             assert _cell_bytes(res) == _cell_bytes(single), (tag, m)
 
@@ -1308,12 +1370,12 @@ def test_every_cell_of_a_batch_matches_its_single_run(tags, m_values, kind, prox
 def test_a_row_that_stops_leaves_the_batch_and_the_others_run_on():
     # a inside the ball with f* = 0: the Polyak rule reaches the minimizer
     # and stops at a stationary point, the other rules use every iteration
-    obj = DistanceToPoint([0.3, 0.4], known_fstar=0.0)
+    obj = DistanceToPoint([0.3, 0.4])
     tags = ("nonsum", "polyak", "constant-step")
     config = RunConfig(m=0.0, iters=40)
     m_values = (0.0, 2.0)
     batch = _descent(
-        obj, euclidean_setup(), unit_ball(2), [_rule_state(t) for t in tags], config,
+        obj, euclidean_setup(), unit_ball(2), [_rule_state(t, 0.0) for t in tags], config,
         np.zeros(2), m_values,
     )
     stops = [results[0].stop_reason for results in batch]
@@ -1322,7 +1384,7 @@ def test_a_row_that_stops_leaves_the_batch_and_the_others_run_on():
     for tag, results in zip(tags, batch):
         for m, res in zip(m_values, results):
             single = mirror_descent(
-                obj, euclidean_setup(), unit_ball(2), _rule_state(tag),
+                obj, euclidean_setup(), unit_ball(2), _rule_state(tag, 0.0),
                 replace(config, m=m), np.zeros(2),
             )
             assert _cell_bytes(res) == _cell_bytes(single), (tag, m)
@@ -1341,16 +1403,16 @@ class _CountingSubgrad(DistanceToPoint):
 
 
 def test_a_batch_raises_the_first_failure_where_it_happens():
-    # at m = 400, gamma = 0.5/k overflows at k = 3 and gamma = 0.1 at k = 1;
-    # polyak without f* fails at k = 1. The first failure in execution order
+    # at m = 400, gamma = 0.5/k overflows at k = 3, and gamma = 0.1 and
+    # gamma = 0.1/sqrt(k) at k = 1. The first failure in execution order
     # ends the batch, with the rows of one iteration taken in plan order
     config = RunConfig(m=0.0, iters=20)
     m_values = (0.0, 400.0)
     for tags, first, k in (
         (("fixed-length", "sqrsum-nonsum", "constant-step"), "constant-step", 1),
         (("fixed-length", "sqrsum-nonsum"), "sqrsum-nonsum", 3),
-        (("polyak", "fixed-length", "constant-step"), "polyak", 1),
-        (("constant-step", "fixed-length", "polyak"), "constant-step", 1),
+        (("nonsum", "fixed-length", "constant-step"), "nonsum", 1),
+        (("constant-step", "fixed-length", "nonsum"), "constant-step", 1),
     ):
         obj = _CountingSubgrad([10.0, 0.0])
         alone = _sweep_or_error(
@@ -1422,4 +1484,9 @@ def test_every_m_check_has_one_message():
         mirror_descent_sweep(
             obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
             RunConfig(m=0.0, iters=5), np.zeros(2), (0.0, math.inf),
+        )
+    with pytest.raises(ValueError, match=r"^m_values needs at least one m$"):
+        mirror_descent_sweep(
+            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
+            RunConfig(m=0.0, iters=5), np.zeros(2), (),
         )

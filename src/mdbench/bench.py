@@ -171,10 +171,15 @@ def constrained_start(feasible: FeasibleSet) -> np.ndarray:
     return np.full(feasible.n, 1.0 / feasible.n)
 
 
+def _closed_form(kind: str, feasible: FeasibleSet) -> bool:
+    """Whether f* has a closed form: for the distance to a point over a ball only."""
+    return kind == KIND_BEST_APPROX and isinstance(feasible, Ball)
+
+
 def _analytic_fstar(objective, feasible: FeasibleSet) -> Optional[float]:
-    """The closed-form min of the objective over the set, or None: only the
-    distance to a point a over a ball B(c, r) has one, max(0, ||a - c|| - r)."""
-    if objective.kind != KIND_BEST_APPROX or not isinstance(feasible, Ball):
+    """The closed-form min of the objective over the set, or None: for the
+    distance to a point a over a ball B(c, r), max(0, ||a - c|| - r)."""
+    if not _closed_form(objective.kind, feasible):
         return None
     d = objective.a - feasible.center
     return max(0.0, math.sqrt(float(np.dot(d, d))) - feasible.radius)
@@ -182,15 +187,18 @@ def _analytic_fstar(objective, feasible: FeasibleSet) -> Optional[float]:
 
 def _has_analytic_fstar(instance: InstanceSpec, prox_name: str) -> bool:
     """Whether the plan's problem has an ``_analytic_fstar``, told without building it."""
-    return instance.kind == KIND_BEST_APPROX and prox_name == "euclidean"
+    return _closed_form(instance.kind, _plan_set(instance, prox_name))
+
+
+def _plan_set(instance: InstanceSpec, prox_name: str) -> FeasibleSet:
+    """A plan's set: the unit ball for the Euclidean prox, else the simplex."""
+    return unit_ball(instance.n) if prox_name == "euclidean" else Simplex(instance.n)
 
 
 def _prepare_problem(instance: InstanceSpec, prox_name: str):
-    """Build (objective, prox, feasible, start) of a plan: the Euclidean
-    prox runs on the unit ball and the entropy prox on the simplex."""
-    prox = ProxSetup(prox_name)
-    feasible = unit_ball(instance.n) if prox_name == "euclidean" else Simplex(instance.n)
-    return build_objective(instance), prox, feasible, default_start(feasible)
+    """Build (objective, prox, feasible, start) of a plan."""
+    feasible = _plan_set(instance, prox_name)
+    return build_objective(instance), ProxSetup(prox_name), feasible, default_start(feasible)
 
 
 # the grid's target slack, which ``reference_solution`` also reports as its
@@ -288,7 +296,7 @@ def grid_refine_minimize(values_fn, feasible: FeasibleSet, lipschitz: float = 1.
 
 def _reference_method(objective, feasible: FeasibleSet) -> str:
     """How ``reference_solution`` finds f* for this objective and set."""
-    if _analytic_fstar(objective, feasible) is not None:
+    if _closed_form(objective.kind, feasible):
         return METHOD_ANALYTIC
     return METHOD_GRID if feasible.n <= 3 else METHOD_LONGRUN
 

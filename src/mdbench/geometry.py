@@ -73,7 +73,7 @@ class Ball:
         written to."""
         y = np.asarray(x, dtype=np.float64)
         d = y - self.center
-        r = math.sqrt(np.dot(d, d))
+        r = math.sqrt(d.dot(d))
         if r <= self.radius:
             return y
         return self.center + d * (self.radius / r)

@@ -325,8 +325,9 @@ class AffineConstraints:
     Every aggregate query (``value``, ``subgrad``, ``first_violation``)
     reads the one vector ``row_values(x)``, so g(x) is exactly the max of
     the per-constraint values and ``subgrad`` returns the row of the first
-    maximizer. ``first_violation`` reports what a sequential scan in index
-    order would see, although all p rows are evaluated in that one pass.
+    maximizer. ``first_violation`` reports where a sequential scan in index
+    order would stop and what it would pay, from one comparison of that
+    vector with eps and a first-true search; all p rows are evaluated.
     """
 
     def __init__(self, alphas, betas):
@@ -352,20 +353,15 @@ class AffineConstraints:
         return self.alphas[i].copy()
 
     def first_violation(self, x: np.ndarray, eps: float):
-        """Return (index of first constraint with value > eps or None,
-        evaluations used, max value among those evaluated).
+        """Return (index of the first constraint above eps or None, evaluations used).
 
         The count is what a scan in index order pays when it stops at the
         first violator: i + 1 for a violator at index i, p when there is
-        none. The max covers the same prefix, so it equals g(x) when no
-        constraint exceeds eps.
+        none. A value equal to eps is not a violation.
         """
-        v = self.row_values(x)
-        above = (v > eps).nonzero()[0]
-        if above.size == 0:
-            return None, self.p, float(v.max())
-        i = int(above[0])
-        return i, i + 1, float(v[:i + 1].max())
+        above = self.row_values(x) > eps
+        i = int(above.argmax())  # the first True, or 0 when there is none
+        return (i, i + 1) if above[i] else (None, self.p)
 
 
 def build_objective(spec: InstanceSpec):

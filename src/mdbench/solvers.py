@@ -171,9 +171,9 @@ def _finite_f(v, k) -> float:
     return v
 
 
-def _weights_error(k, m, gamma) -> ValueError:
+def _weights_error(k, m, gamma, what="leave the float64 range at") -> ValueError:
     return ValueError(
-        f"weights gamma**(-m) leave the float64 range at iteration {k} "
+        f"weights gamma**(-m) {what} iteration {k} "
         f"with m={m:g} and gamma={gamma:g}; use a smaller m"
     )
 
@@ -195,18 +195,16 @@ def _average_values(objective, sums, totals) -> list:
     return objective.values(sums / np.array(totals)[:, None]).tolist()
 
 
-def _finish(weighted_sum, weight_total, x, stop, objective, h, completed):
-    """Resolve the output point. The averaged point is the theorem's object;
-    the only case without one is a stationary stop before the first fold,
-    where the current iterate is itself optimal."""
+def _finish(weighted_sum, weight_total, x, stop, objective, h, completed, m, gamma):
+    """Resolve the output point: the average, or x at a stationary stop
+    before the first fold, where x is optimal. Any other empty averager
+    held productive steps whose weights underflowed, the last of step gamma."""
     if weight_total > 0.0:
         x_hat = weighted_sum / weight_total
     elif stop is StopReason.STATIONARY_POINT:
         x_hat = np.array(x)
     else:
-        raise NoProductiveSteps(
-            "run ended with an empty averager and no stationarity certificate"
-        )
+        raise _weights_error(completed, m, gamma, "underflow to 0 at every productive step up to")
     f_hat = objective.value(x_hat)
     if not math.isfinite(f_hat):
         raise ValueError(
@@ -327,7 +325,7 @@ class _Bracket:
         # sums reach inf without raising
         if not (self.w < math.inf and self.w_j < math.inf):
             raise _weights_error(k, self.m, gamma)
-        a = w * (v - float(np.dot(e, x)))
+        a = w * (v - float(e.dot(x)))
         mag = w * (abs(v) + 2.0 * self.norm_bound * gn)
         if prod:
             self.a += a
@@ -446,19 +444,16 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     of x^k into the weighted sums, f at all averages (``_average_values``)
     and the mirror step run once for all rows; with one live row the loop
     calls the 1-D forms ``norm`` and ``mirror_step`` (or
-    ``composite_mirror_step``) instead of the row forms. Every row form
+    ``composite_mirror_step``) on that row's own x and g. Every row form
     equals its 1-D form bit for bit. The iterates do not depend on m, so
     each trajectory feeds one averager, one bound accumulator and one f_avg
     column per m, and result [i][j] equals the run with
     ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
-    Constrained and criterion-stopped runs take one step rule and one m,
-    because there m drives the stop; composite runs (``h`` set) take one
-    step rule and step with ``composite_mirror_step``.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
-    (the max of the constraint values), or, with ``scan``, when the
-    first-violation scan finds no constraint above epsilon. Both policies
-    read the constraint values in one ``row_values`` pass. A productive step
+    (the max of the constraint values), or, with ``scan``, when
+    ``first_violation`` finds no constraint above epsilon: both read one
+    ``row_values`` pass, and the scan takes no max. A productive step
     follows a subgradient of f with its step rule and enters the averages;
     any other step follows the violated constraint (the maximizing one
     without ``scan``) with state_g. The certificate sets, per m, eps times
@@ -485,14 +480,16 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     When the weights, their sums or the certificate of some m leave the
     float64 range, the ValueError names that m, gamma and k; if several m
     overflow, it names the one with the earliest k, and among equal k the
-    first in ``ms``. A constrained run whose criterion fires before any
-    productive step raises NoProductiveSteps. Any error ends the batch at
-    once. Each iteration runs the oracle pass, then the step phase of every
-    row in ``states`` order, which checks the row's dual norm, then the
-    f(x^k) it reads (a value no one reads is not checked), then its step,
-    weights and bracket, then the calls all rows share; the first error in
-    that order is raised. Rows do not interact, so it is the error the
-    failing trajectory's own run raises.
+    first in ``ms``. Weights that underflow to 0 at every productive step
+    raise ValueError at the output, naming m and the last gamma. A
+    constrained run whose criterion fires before any productive step raises
+    NoProductiveSteps. Any error ends the batch at once. Each iteration
+    runs the oracle pass, then the step phase of every row in ``states``
+    order, which checks the row's dual norm, then the f(x^k) it reads (a
+    value no one reads is not checked), then its step, weights and bracket,
+    then the calls all rows share; the first error in that order is raised.
+    Rows do not interact, so it is the error the failing trajectory's own
+    run raises.
 
     ``bracket``, a ``_Bracket``, rides on the trajectory
     ``states[bracket.row]`` of a run with no h, no scan and no epsilon
@@ -567,10 +564,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             run, x = live[0], X[0]
             if constraints is not None:
                 if scan:
-                    q, evals, g_seen = constraints.first_violation(x, eps)
+                    # g(x) is not read: a scan run carries no bracket
+                    q, evals = constraints.first_violation(x, eps)
                     prod = q is None
-                    # g(x) is fully known only when the scan saw every constraint
-                    gx = g_seen if prod else math.nan
                 else:
                     v = constraints.row_values(x)
                     q = int(v.argmax())
@@ -585,14 +581,14 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 fx, g = objective.value_and_subgrad(x)
             else:
                 g = objective.subgrad(x)
-            fs, G, gns = (fx,), g[None], (norm(g, dual),)
+            G, rows = g[None], ((run, x, g, norm(g, dual), fx),)
         else:
             # more rows are an unconstrained batch: one oracle pass for all
             F, G = objective.value_and_subgrad_rows(X)
-            fs, gns = F.tolist(), norm_rows(G, dual)
+            rows = zip(live, X, G, norm_rows(G, dual), F.tolist())
         leaving = False
         closing = None  # the trajectory whose bracket closes at this k
-        for run, x, g, gn, fx in zip(live, X, G, gns, fs):
+        for run, x, g, gn, fx in rows:
             if not math.isfinite(gn):
                 raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
             cert = run.bracket
@@ -713,10 +709,10 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             break
         if not one_row:
             X = mirror_step_rows(prox, feasible, X, G, [run.gamma for run in live])
-        elif h is None:
-            X = mirror_step(prox, feasible, X[0], G[0], live[0].gamma)[None]
+        elif h is None:  # x and g are still the one row's
+            X = mirror_step(prox, feasible, x, g, live[0].gamma)[None]
         else:
-            X = composite_mirror_step(prox, feasible, X[0], G[0], live[0].gamma, h)[None]
+            X = composite_mirror_step(prox, feasible, x, g, live[0].gamma, h)[None]
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
 
@@ -724,7 +720,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     for run in runs:
         stop = run.stop or StopReason.MAX_ITERS
         completed = run.n_prod + run.n_nonprod
-        if constraints is not None and run.totals[0] == 0.0:
+        if constraints is not None and run.n_prod == 0:
             what = "every constraint" if scan else "g <= epsilon"
             if stop is StopReason.MAX_ITERS:
                 raise NoProductiveSteps(
@@ -738,9 +734,8 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
                 )
         results = []
         for i in range(n_m):
-            x_hat, f_hat = _finish(
-                run.sums[i], run.totals[i], run.x, stop, objective, h, completed
-            )
+            x_hat, f_hat = _finish(run.sums[i], run.totals[i], run.x, stop, objective, h,
+                                   completed, ms[i], run.gamma)
             if run.trace is None:
                 trace_i = None
             else:

@@ -42,7 +42,7 @@ def as_point(x) -> np.ndarray:
 
 def norm(p: np.ndarray, kind: NormKind) -> float:
     if kind is NormKind.L2:
-        return math.sqrt(np.dot(p, p))
+        return math.sqrt(p.dot(p))
     if kind is NormKind.L1:
         return float(np.abs(p).sum())
     if kind is NormKind.LINF:

@@ -289,14 +289,10 @@ class SequentialConstraints(AffineConstraints):
         return self.alphas[self._argmax(x)[0]].copy()
 
     def first_violation(self, x, eps):
-        worst = -math.inf
         for i in range(self.p):
-            v = self.value_one(i, x)
-            if v > worst:
-                worst = v
-            if v > eps:
-                return i, i + 1, worst
-        return None, self.p, worst
+            if self.value_one(i, x) > eps:
+                return i, i + 1
+        return None, self.p
 
 
 

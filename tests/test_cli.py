@@ -136,16 +136,22 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
 
 
 def test_large_m_is_an_error_line_not_a_traceback(tmp_path, capsys):
-    # gamma**(-400) leaves the float64 range within the first iterations
-    for argv in (
-        ["constrained", "--n", "10", "--t", "10", "--p", "5", "--seed", "11",
-         "--dist", "standard-normal", "--epsilon", "0.25", "--m", "400",
-         "--out", str(tmp_path / "table.csv")],
-        ["run", "--schedule", "nonsum", "--m", "400", "--out", str(tmp_path / "run.csv")],
+    # gamma**(-400) leaves the float64 range within the first iterations, or
+    # underflows to 0 at every one when the steps exceed about 5.9
+    overflow = "leave the float64 range"
+    for argv, cause in (
+        (["constrained", "--n", "10", "--t", "10", "--p", "5", "--seed", "11",
+          "--dist", "standard-normal", "--epsilon", "0.25", "--m", "400",
+          "--out", str(tmp_path / "table.csv")], overflow),
+        (["run", "--schedule", "nonsum", "--m", "400", "--out", str(tmp_path / "run.csv")],
+         overflow),
+        (["run", "--problem", "fts", "--n", "50", "--prox", "entropy", "--schedule",
+          "quad-grad", "--m", "400", "--iters", "50", "--out", str(tmp_path / "fts.csv")],
+         "underflow to 0"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: weights gamma**(-m) leave the float64 range")
+        assert err.startswith(f"error: weights gamma**(-m) {cause}")
         assert "m=400" in err and "gamma=" in err and "iteration" in err
 
 

@@ -110,6 +110,19 @@ def test_project_rows_match_project_bit_for_bit(n):
         assert feasible.project_rows(rows).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 50, 257, 20000])
+def test_norm_and_ball_projection_equal_the_np_dot_forms_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    ball = Ball(rng.normal(size=n), 1.5)
+    for _ in range(20):
+        v = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+        assert norm(v, NormKind.L2) == math.sqrt(np.dot(v, v))
+        d = v - ball.center
+        r = math.sqrt(np.dot(d, d))
+        want = v if r <= ball.radius else ball.center + d * (ball.radius / r)
+        assert ball.project(v).tobytes() == want.tobytes()
+
+
 def test_simplex_validation():
     with pytest.raises(ValueError, match="at least 1"):
         Simplex(0)

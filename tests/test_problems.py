@@ -21,6 +21,8 @@ from mdbench.problems import (
     serialize_instance,
 )
 
+from oracles import SequentialConstraints
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -226,34 +228,27 @@ def test_first_violation_scan_semantics():
     )
     x = np.array([0.5, -1.0])  # per-row values 0.5, -1.0, -0.5
 
-    q, evals, worst = block.first_violation(x, 0.2)
-    assert (q, evals, worst) == (0, 1, 0.5)
-
-    q, evals, worst = block.first_violation(x, 0.6)
-    assert q is None and evals == 3
-    assert worst == block.value(x) == 0.5
+    assert block.first_violation(x, 0.2) == (0, 1)
+    assert block.first_violation(x, 0.6) == (None, 3)
+    # a value equal to eps is not a violation
+    assert block.first_violation(x, 0.5) == (None, 3)
 
     x2 = np.array([-1.0, 0.5])  # per-row values -1.0, 0.5, -0.5
-    q, evals, worst = block.first_violation(x2, 0.2)
-    assert (q, evals, worst) == (1, 2, 0.5)
+    assert block.first_violation(x2, 0.2) == (1, 2)
 
 
-def test_first_violation_worst_is_max_over_evaluated_prefix():
-    rng = np.random.default_rng(23)
-    block = AffineConstraints(rng.standard_normal((8, 3)), rng.standard_normal(8))
+@pytest.mark.parametrize("p", [1, 8])
+def test_first_violation_agrees_with_the_sequential_scan(p):
+    rng = np.random.default_rng(23 + p)
+    alphas, betas = rng.standard_normal((p, 3)), rng.standard_normal(p)
+    block, ref = AffineConstraints(alphas, betas), SequentialConstraints(alphas, betas)
     for _ in range(200):
         x = rng.standard_normal(3)
         eps = float(rng.normal())
-        q, evals, worst = block.first_violation(x, eps)
-        prefix = [block.value_one(i, x) for i in range(evals)]
-        assert worst == max(prefix)
-        if q is None:
-            assert evals == block.p
-            assert all(v <= eps for v in prefix)
-        else:
-            assert q == evals - 1
-            assert prefix[q] > eps
-            assert all(v <= eps for v in prefix[:q])
+        assert block.first_violation(x, eps) == ref.first_violation(x, eps)
+        # eps equal to a row's value exactly: that row is not a violator
+        eps = block.value_one(int(rng.integers(p)), x)
+        assert block.first_violation(x, eps) == ref.first_violation(x, eps)
 
 
 # ---------------------------------------------------------------- generation

@@ -1138,7 +1138,7 @@ def test_shared_averages_match_weighted_averager():
 def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
     # fixed-length steps 0.2 / ||g|| = 2 on f = 0.1 x_1 throughout: 2**-1100
     # underflows to 0, so the m = 1100 averager stays empty while the m = 0
-    # one fills
+    # one fills; the error names the underflow, m and the last step
     obj = MaxAffine([[0.1, 0.0]], [0.0])
 
     def run(m_values):
@@ -1149,7 +1149,9 @@ def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
 
     assert len(run((0.0,))[0].trace.f_avg) == 5
     for m_values in ((1100.0,), (0.0, 1100.0)):
-        with pytest.raises(NoProductiveSteps, match="empty averager"):
+        with pytest.raises(ValueError, match=re.escape(
+                "weights gamma**(-m) underflow to 0 at every productive step up to "
+                "iteration 5 with m=1100 and gamma=2; use a smaller m")):
             run(m_values)
 
 
@@ -1347,8 +1349,7 @@ def test_every_cell_of_a_batch_matches_its_single_run(tags, m_values, kind, prox
         # an overflowing m: the batch raises the first failure in execution
         # order. The loop's errors name their iteration, and the earliest
         # ends the batch; without one, the results, taken in plan order after
-        # the loop, raise the first output error (underflowed weights leave
-        # an empty averager)
+        # the loop, raise the first output error (weights that all underflowed)
         first = min(failures, key=_failing_iteration)
         event("the batch raises")
         with pytest.raises(type(first)) as info:

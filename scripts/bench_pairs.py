@@ -21,8 +21,17 @@ change won (ties count for neither side), the change against the parent in
 %, and a verdict: ``unresolved`` when either side's IQR exceeds the bound,
 else ``worse than bound`` or ``within bound``. ``gain_shown`` is true when
 the change won at least nine tenths of the pairs and its median is better
-than the parent's by more than the parent's IQR. The last line printed is
-one JSON object holding the summary and every run's metric values.
+than the parent's by more than the parent's IQR.
+
+Both sides drift together between runs, and that verdict does not use it.
+Next to it, the summary gives the quartiles of the per-pair ratios
+change / parent and a paired verdict: ``better`` when even the quartile on
+the worse side is past 1 (the lower quartile above 1 for a
+higher-is-better metric, the upper quartile below 1 otherwise), ``worse``
+when the quartile on the better side is past 1 the other way, and
+``unresolved`` when the ratios' interquartile range holds 1. The last line
+printed is one JSON object holding the summary and every run's metric
+values.
 """
 from __future__ import annotations
 
@@ -81,6 +90,11 @@ def summarize(parent_results, change_results, end_to_end, workload="all") -> dic
         else:
             verdict = "worse than bound" if worse > bound else "within bound"
         better_by = (c_q[1] - p_q[1]) if higher else (p_q[1] - c_q[1])
+        # a pair whose parent reads 0 has no ratio
+        ratio_q = _quartiles([b / a for a, b in zip(p, c) if a] or [1.0])
+        paired = "unresolved"
+        if ratio_q[0] > 1.0 or ratio_q[2] < 1.0:  # the ratios' IQR lies off 1
+            paired = "better" if (ratio_q[0] > 1.0) == higher else "worse"
         summary.setdefault(name, {})[metric] = {
             "better": spec["better"],
             "bound": bound,
@@ -94,6 +108,8 @@ def summarize(parent_results, change_results, end_to_end, workload="all") -> dic
             "change_vs_parent": f"{100.0 * rel:+.1f}%",
             "verdict": verdict,
             "gain_shown": won >= 0.9 * len(p) and better_by > p_iqr,
+            "paired_ratio_quartiles": list(ratio_q),
+            "paired_verdict": paired,
         }
     return summary
 
@@ -125,7 +141,9 @@ def _print(summary) -> None:
                   f"[{s['change_quartiles'][0]:.6g}, {s['change_quartiles'][1]:.6g}] "
                   f"IQR {s['change_iqr_pct_of_median']}%  won {s['change_better_in_pairs']}  "
                   f"{s['change_vs_parent']}  {s['verdict']}"
-                  + ("  gain shown" if s["gain_shown"] else ""))
+                  + ("  gain shown" if s["gain_shown"] else "")
+                  + "  paired ratio [{:.4g}, {:.4g}, {:.4g}] {}".format(
+                      *s["paired_ratio_quartiles"], s["paired_verdict"]))
 
 
 def main(argv=None) -> int:

@@ -205,9 +205,9 @@ def _prepare_problem(instance: InstanceSpec, prox_name: str):
 # least tolerance, and the points per axis of its first round
 GRID_TOL = 1e-6
 GRID_POINTS_PER_AXIS = 9
-# mesh rows built, projected and evaluated per batch; bounds the
-# temporaries of a refinement round (up to 129**n rows) to a few MB
-_GRID_BLOCK_ROWS = 4096
+# mesh rows built, projected and evaluated per batch; bounds the temporaries
+# of a round (up to 129**n rows) below those faulted in anew batch by batch
+_GRID_BLOCK_ROWS = 2048
 
 
 def _mesh_rows(axes, flat) -> np.ndarray:

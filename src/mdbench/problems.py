@@ -214,16 +214,16 @@ class _AnchorPoints:
 
 
 class MeanDistance(_AnchorPoints):
-    """f(x) = mean_j ||x - a_j||_2 over anchor points a_j."""
+    """f(x) = mean_j ||x - a_j||_2 over anchor points a_j, as np.mean: sum / t."""
 
     kind = KIND_FTS
 
     def value(self, x: np.ndarray) -> float:
         d = self.points - x
-        return float(np.mean(np.sqrt((d * d).sum(axis=1))))
+        return float(np.sqrt((d * d).sum(axis=1)).sum() / self.points.shape[0])
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.mean(_distances(self.points, X), axis=1)
+        return _distances(self.points, X).sum(axis=1) / self.points.shape[0]
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         d = x - self.points
@@ -232,7 +232,7 @@ class MeanDistance(_AnchorPoints):
     def value_and_subgrad(self, x: np.ndarray):
         d = x - self.points
         r = np.sqrt((d * d).sum(axis=1))
-        return float(np.mean(r)), self._direction(d, r)
+        return float(r.sum() / self.points.shape[0]), self._direction(d, r)
 
     def value_and_subgrad_rows(self, X: np.ndarray):
         d = X[:, None] - self.points
@@ -241,7 +241,7 @@ class MeanDistance(_AnchorPoints):
             G = (d / r[:, :, None]).sum(axis=1) / self.points.shape[0]
         else:
             G = np.array([self._direction(di, ri) for di, ri in zip(d, r)])
-        return np.mean(r, axis=1), G
+        return r.sum(axis=1) / self.points.shape[0], G
 
     def _direction(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The mean of the unit vectors d_j / r_j, with a zero term for an
@@ -280,8 +280,8 @@ class MaxDistance(_AnchorPoints):
         r = np.sqrt((d * d).sum(axis=1))
         i = int(r.argmax())
         if r[i] == 0.0:
-            return float(r.max()), np.zeros(self.points.shape[1])
-        return float(r.max()), d[i] / r[i]
+            return 0.0, np.zeros(self.points.shape[1])
+        return float(r[i]), d[i] / r[i]
 
     def value_and_subgrad_rows(self, X: np.ndarray):
         d = X[:, None] - self.points
@@ -312,7 +312,8 @@ class MaxAffine:
 
     def value_and_subgrad(self, x: np.ndarray):
         v = self.a @ x + self.b
-        return float(v.max()), self.a[int(v.argmax())].copy()
+        i = int(v.argmax())
+        return float(v[i]), self.a[i].copy()
 
     def value_and_subgrad_rows(self, X: np.ndarray):
         v = np.matmul(self.a, X[:, :, None])[:, :, 0] + self.b

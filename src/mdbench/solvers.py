@@ -76,6 +76,7 @@ __all__ = [
 # hard ceiling on criterion-driven runs so a desk-scale experiment cannot
 # spin forever on an unreachable epsilon
 SAFETY_CAP = 10_000_000
+_AVERAGE_BLOCK_FLOATS = 4096  # the floats of sums a traced run holds before it reads f
 
 
 class NoProductiveSteps(RuntimeError):
@@ -178,21 +179,29 @@ def _weights_error(k, m, gamma, what="leave the float64 range at") -> ValueError
     )
 
 
-def _average_values(objective, sums, totals) -> list:
-    """f at each running average sums[i] / totals[i] of the (R, n) array
-    ``sums``: one average is read with ``value``, several with one
-    ``values`` call; NaN where an averager is still empty."""
+def _read_averages(objective, h, live, block, totals):
+    """Extend live[j].f_avg by f (plus h) at block[i, j] / totals for each
+    iteration i held, ``totals`` (emptied here) in (i, j, m) order: NaN where
+    a total is 0; any other non-finite value raises ValueError naming its k."""
+    if not totals:
+        return
+    rows, n_m, n = len(live), block.shape[2], block.shape[3]
+    t = np.array(totals)  # per iteration held, row and m
     if 0.0 in totals:
-        live = [i for i, t in enumerate(totals) if t > 0.0]
-        out = [math.nan] * len(totals)
-        if live:
-            sub = _average_values(objective, sums[live], [totals[i] for i in live])
-            for i, v in zip(live, sub):
-                out[i] = v
-        return out
-    if len(totals) == 1:
-        return [objective.value(sums[0] / totals[0])]
-    return objective.values(sums / np.array(totals)[:, None]).tolist()
+        t[t == 0.0] = math.nan  # 0 / NaN reads NaN, with no division by zero
+    totals.clear()
+    avgs = (block[:t.size // (rows * n_m), :rows] / t.reshape(-1, rows, n_m, 1)).reshape(-1, n)
+    vals = objective.values(avgs)
+    if not math.isfinite(vals.sum()):  # a NaN, an inf, or an overflowing sum
+        bad = np.flatnonzero(~np.isfinite(vals) & (t > 0.0))
+        if bad.size:
+            raise ValueError(f"objective value at the average is {vals[bad[0]]} at iteration "
+                             f"{len(live[0].f_avg) // n_m + 1 + bad[0] // (rows * n_m)}")
+    if h is not None:
+        vals += [h.value(a) for a in avgs]  # an empty averager stays NaN
+    cols = vals.reshape(-1, rows, n_m).swapaxes(0, 1).reshape(rows, -1).tolist()
+    for run, col in zip(live, cols):
+        run.f_avg += col
 
 
 def _finish(weighted_sum, weight_total, x, stop, objective, h, completed, m, gamma):
@@ -415,8 +424,8 @@ def _max_concave(fn, s) -> float:
 
 
 def _leave(live, X, G, sums):
-    """Take the trajectories that stopped out of the batch, keeping their
-    last iterate and weighted sums. Returns the new (live, X, G, sums)."""
+    """Take the stopped trajectories out of a batch of several rows, keeping
+    their last iterate and weighted sums. Returns the new (live, X, G, sums)."""
     keep = []
     for j, run in enumerate(live):
         if run.stop is None:
@@ -441,14 +450,17 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     otherwise; a non-productive step takes the constraint's ``subgrad_one``.
     Per row, the step rule, the weights gamma^{-m}, the certificate sums and
     the finite and overflow checks run in Python; the dual norms, the fold
-    of x^k into the weighted sums, f at all averages (``_average_values``)
-    and the mirror step run once for all rows; with one live row the loop
-    calls the 1-D forms ``norm`` and ``mirror_step`` (or
-    ``composite_mirror_step``) on that row's own x and g. Every row form
-    equals its 1-D form bit for bit. The iterates do not depend on m, so
-    each trajectory feeds one averager, one bound accumulator and one f_avg
-    column per m, and result [i][j] equals the run with
-    ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
+    of x^k into the weighted sums and the mirror step run once for all
+    rows; with one live row the loop calls the 1-D forms ``norm`` and
+    ``mirror_step`` (or ``composite_mirror_step``) on that row's own x and
+    g. Every row form equals its 1-D form bit for bit. The iterates do not
+    depend on m, so each trajectory feeds one averager, one bound
+    accumulator and one f_avg column per m, and result [i][j] equals the
+    run with ``states = (states[i],)`` and ``ms = (ms[j],)`` bit for bit.
+    A traced run copies its sums into a block of ``_AVERAGE_BLOCK_FLOATS``
+    and reads f at all averages held with one ``values`` call when it is
+    full, before rows leave, at the end and before an error leaves the
+    loop; sums too large for 4 iterations a block are read uncopied.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
     (the max of the constraint values), or, with ``scan``, when
@@ -487,9 +499,9 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     runs the oracle pass, then the step phase of every row in ``states``
     order, which checks the row's dual norm, then the f(x^k) it reads (a
     value no one reads is not checked), then its step, weights and bracket,
-    then the calls all rows share; the first error in that order is raised.
-    Rows do not interact, so it is the error the failing trajectory's own
-    run raises.
+    then the calls all rows share; the first error in that order is raised
+    (an average read late names its own k). Rows do not interact, so it is
+    the error the failing trajectory's own run raises.
 
     ``bracket``, a ``_Bracket``, rides on the trajectory
     ``states[bracket.row]`` of a run with no h, no scan and no epsilon
@@ -554,165 +566,172 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     h_term = [0.0] * n_m  # h(x1) / gamma_1^m per m, fixed after a composite run's first step
     # with scan the theta term takes the worst-case step sqrt(2 sigma) / (M sqrt(k))
     m_big = max(objective.lipschitz_bound, constraints.lipschitz_bound) if scan else None
+    cap = _AVERAGE_BLOCK_FLOATS // sums.size if record and n_m else 0
+    blk = np.empty((cap, *sums.shape)) if cap >= 4 else None  # the sums of cap iterations
+    ts = []  # the weight totals of the iterations held
 
-    for k in range(1, n_iter + 1):
-        # one row takes the 1-D oracle, norm and step, which make fewer numpy
-        # calls; one average also folds x^k at once, more fold in one call below
-        one_row = len(live) == 1
-        one_average = one_row and n_m == 1
-        if one_row:
-            run, x = live[0], X[0]
-            if constraints is not None:
-                if scan:
-                    # g(x) is not read: a scan run carries no bracket
-                    q, evals = constraints.first_violation(x, eps)
-                    prod = q is None
-                else:
-                    v = constraints.row_values(x)
-                    q = int(v.argmax())
-                    gx = float(v[q])
-                    evals = constraints.p
-                    prod = gx <= eps
-                evals_total += evals
-            fx = None
-            if not prod:
-                g = constraints.subgrad_one(q, x)
-            elif run.want_f:
-                fx, g = objective.value_and_subgrad(x)
-            else:
-                g = objective.subgrad(x)
-            G, rows = g[None], ((run, x, g, norm(g, dual), fx),)
-        else:
-            # more rows are an unconstrained batch: one oracle pass for all
-            F, G = objective.value_and_subgrad_rows(X)
-            rows = zip(live, X, G, norm_rows(G, dual), F.tolist())
-        leaving = False
-        closing = None  # the trajectory whose bracket closes at this k
-        for run, x, g, gn, fx in rows:
-            if not math.isfinite(gn):
-                raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
-            cert = run.bracket
-            if gn == 0.0:
-                if not prod:
-                    which = f"constraint {q}" if scan else "the constraint maximum"
-                    raise NoProductiveSteps(
-                        f"{which} has a zero subgradient while above epsilon: "
-                        "the epsilon-feasible region is empty"
-                    )
-                run.stop = StopReason.STATIONARY_POINT
-                leaving = True
-                if cert is not None:
-                    cert.stationary(k, fx, constraints is None or gx <= 0.0, objective,
-                                    constraints)
-                continue
-            # a value that no one reads is not checked
-            fx = _finite_f(fx, k) if prod and run.want_f else None
-            rule = run.state if prod else state_g
-            try:
-                gamma = rule.step_size(k, fx, gn)
-            except StationarySignal:
-                run.stop = StopReason.STATIONARY_POINT
-                leaving = True
-                if cert is not None:
-                    cert.stationary(k, None, False, objective, constraints)
-                continue
-            except (OverflowError, ZeroDivisionError):
-                gamma = math.nan  # the rule's arithmetic has no float64 result
-            if not 0.0 < gamma < inf:
-                raise ValueError(
-                    f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
-                    f"with subgradient dual norm {gn!r}; steps must be finite and positive"
-                )
-            if h is not None:
-                hv = h.value(x)
-            certify = run.certify
-            if certify:
-                theta_step = math.sqrt(2.0 * sigma) / (m_big * math.sqrt(k)) if scan else gamma
-            totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
-            weights = []
-            try:
-                for i, m in enumerate(ms):
-                    if prod or certify:
-                        w = gamma ** (-m)
-                    if prod:
-                        if k == 1 and h is not None:
-                            h_term[i] = hv / gamma**m
-                        if one_average:
-                            first_sum += w * x
-                        else:
-                            weights.append(w)
-                        totals[i] += w
-                    if certify:
-                        lhs[i] += w
-                        sq[i] += gn * gn / gamma ** (m - 1.0)
-                        rhs[i] = (
-                            theta / theta_step ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
-                        )
-                    # sums and quotients reach inf without raising
-                    if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
-                        raise OverflowError
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _weights_error(k, m, gamma) from exc
-            if cert is not None:
-                cert.cut(k, prod, gamma, fx if prod else gx, g, x, gn,
-                         constraints is None or gx <= 0.0)
-                if cert.check(k, k == n_iter, objective, constraints) and k < n_iter:
-                    closing = run
-            run.gamma = gamma
-            run.weights = weights
-            if prod:
-                run.n_prod += 1
-            else:
-                run.n_nonprod += 1
-            trace = run.trace
-            if trace is not None:
-                trace.gamma.append(gamma)
-                f_k = fx if prod else _finite_f(objective.value(x), k)
-                trace.f_iterate.append(f_k if h is None else f_k + hv)
+    try:
+        for k in range(1, n_iter + 1):
+            # one row takes the 1-D oracle, norm and step, which make fewer numpy
+            # calls; one average also folds x^k at once, more fold in one call below
+            one_row = len(live) == 1
+            one_average = one_row and n_m == 1
+            if one_row:
+                run, x = live[0], X[0]
                 if constraints is not None:
-                    trace.productive.append(prod)
-                    trace.constraint_evals.append(evals)
-                if run.bound_column:
-                    run.bound.extend(map(truediv, rhs, lhs))
-        if leaving:
-            live, X, G, sums = _leave(live, X, G, sums)
-            if not live:
+                    if scan:
+                        # g(x) is not read: a scan run carries no bracket
+                        q, evals = constraints.first_violation(x, eps)
+                        prod = q is None
+                    else:
+                        v = constraints.row_values(x)
+                        q = int(v.argmax())
+                        gx = float(v[q])
+                        evals = constraints.p
+                        prod = gx <= eps
+                    evals_total += evals
+                fx = None
+                if not prod:
+                    g = constraints.subgrad_one(q, x)
+                elif run.want_f:
+                    fx, g = objective.value_and_subgrad(x)
+                else:
+                    g = objective.subgrad(x)
+                rows = ((run, x, g, norm(g, dual), fx),)
+            else:
+                # more rows are an unconstrained batch: one oracle pass for all
+                F, G = objective.value_and_subgrad_rows(X)
+                rows = zip(live, X, G, norm_rows(G, dual), F.tolist())
+            leaving = False
+            closing = None  # the trajectory whose bracket closes at this k
+            for run, x, g, gn, fx in rows:
+                if not math.isfinite(gn):
+                    raise ValueError(f"subgradient dual norm is {gn} at iteration {k}")
+                cert = run.bracket
+                if gn == 0.0:
+                    if not prod:
+                        which = f"constraint {q}" if scan else "the constraint maximum"
+                        raise NoProductiveSteps(
+                            f"{which} has a zero subgradient while above epsilon: "
+                            "the epsilon-feasible region is empty"
+                        )
+                    run.stop = StopReason.STATIONARY_POINT
+                    leaving = True
+                    if cert is not None:
+                        cert.stationary(k, fx, constraints is None or gx <= 0.0, objective,
+                                        constraints)
+                    continue
+                # a value that no one reads is not checked
+                fx = _finite_f(fx, k) if prod and run.want_f else None
+                rule = run.state if prod else state_g
+                try:
+                    gamma = rule.step_size(k, fx, gn)
+                except StationarySignal:
+                    run.stop = StopReason.STATIONARY_POINT
+                    leaving = True
+                    if cert is not None:
+                        cert.stationary(k, None, False, objective, constraints)
+                    continue
+                except (OverflowError, ZeroDivisionError):
+                    gamma = math.nan  # the rule's arithmetic has no float64 result
+                if not 0.0 < gamma < inf:
+                    raise ValueError(
+                        f"step rule {rule.kind.tag!r} gives gamma={gamma!r} at iteration {k} "
+                        f"with subgradient dual norm {gn!r}; steps must be finite and positive"
+                    )
+                if h is not None:
+                    hv = h.value(x)
+                certify = run.certify
+                if certify:
+                    theta_step = math.sqrt(2.0 * sigma) / (m_big * math.sqrt(k)) if scan else gamma
+                totals, lhs, sq, rhs = run.totals, run.lhs, run.sq, run.rhs
+                weights = []
+                try:
+                    for i, m in enumerate(ms):
+                        if prod or certify:
+                            w = gamma ** (-m)
+                        if prod:
+                            if k == 1 and h is not None:
+                                h_term[i] = hv / gamma**m
+                            if one_average:
+                                first_sum += w * x
+                            else:
+                                weights.append(w)
+                            totals[i] += w
+                        if certify:
+                            lhs[i] += w
+                            sq[i] += gn * gn / gamma ** (m - 1.0)
+                            rhs[i] = (
+                                theta / theta_step ** (m + 1.0) + h_term[i] + sq[i] / (2.0 * sigma)
+                            )
+                        # sums and quotients reach inf without raising
+                        if not (totals[i] < inf and lhs[i] < inf and rhs[i] < inf):
+                            raise OverflowError
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raise _weights_error(k, m, gamma) from exc
+                if cert is not None:
+                    cert.cut(k, prod, gamma, fx if prod else gx, g, x, gn,
+                             constraints is None or gx <= 0.0)
+                    if cert.check(k, k == n_iter, objective, constraints) and k < n_iter:
+                        closing = run
+                run.gamma = gamma
+                run.weights = weights
+                if prod:
+                    run.n_prod += 1
+                else:
+                    run.n_nonprod += 1
+                trace = run.trace
+                if trace is not None:
+                    trace.gamma.append(gamma)
+                    f_k = fx if prod else _finite_f(objective.value(x), k)
+                    trace.f_iterate.append(f_k if h is None else f_k + hv)
+                    if constraints is not None:
+                        trace.productive.append(prod)
+                        trace.constraint_evals.append(evals)
+                    if run.bound_column:
+                        run.bound.extend(map(truediv, rhs, lhs))
+            if leaving:
+                if one_row:
+                    break  # the one row stopped
+                _read_averages(objective, h, live, blk, ts)
+                live, X, G, sums = _leave(live, X, G, sums)
+                if not live:
+                    break
+                first_sum = sums[0, :1]
+            if n_m and not one_average:
+                # several averages mean an unconstrained run: every step is productive
+                weights_all = [w for run in live for w in run.weights]
+                sums += np.array(weights_all).reshape(len(live), n_m, 1) * X[:, None]
+            if record:
+                for run in live:
+                    ts += run.totals
+                if blk is None:
+                    _read_averages(objective, h, live, sums[None], ts)
+                else:
+                    held = len(ts) // (len(live) * n_m)
+                    blk[held - 1, :len(live)] = sums
+                    if held == cap:
+                        _read_averages(objective, h, live, blk, ts)
+            if closing is not None:
+                closing.stop = StopReason.EPSILON_CRITERION
+                if one_row:
+                    break
+                _read_averages(objective, h, live, blk, ts)
+                live, X, G, sums = _leave(live, X, G, sums)
+                if not live:
+                    break
+                first_sum = sums[0, :1]
+            if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
+                live[0].stop = StopReason.EPSILON_CRITERION
                 break
-            first_sum = sums[0, :1]
-        if n_m and not one_average:
-            # several averages mean an unconstrained run: every step is productive
-            weights_all = [w for run in live for w in run.weights]
-            sums += np.array(weights_all).reshape(len(live), n_m, 1) * X[:, None]
-        if record:
-            totals = [t for run in live for t in run.totals]
-            flat_sums = sums.reshape(-1, X.shape[1])
-            vals = _average_values(objective, flat_sums, totals)
-            if not all(map(math.isfinite, vals)):
-                # an empty averager reads NaN; any other non-finite value is an error
-                for v, t in zip(vals, totals):
-                    if t > 0.0 and not math.isfinite(v):
-                        raise ValueError(f"objective value at the average is {v} at iteration {k}")
-            if h is not None:
-                # an empty averager stays NaN
-                vals = [v + h.value(s / t) if t > 0.0 else v
-                        for v, s, t in zip(vals, flat_sums, totals)]
-            for j, run in enumerate(live):
-                run.f_avg.extend(vals[j * n_m:(j + 1) * n_m])
-        if closing is not None:
-            closing.stop = StopReason.EPSILON_CRITERION
-            live, X, G, sums = _leave(live, X, G, sums)
-            if not live:
-                break
-            first_sum = sums[0, :1]
-        if use_criterion and eps * live[0].lhs[0] >= live[0].rhs[0]:
-            live[0].stop = StopReason.EPSILON_CRITERION
-            break
-        if not one_row:
-            X = mirror_step_rows(prox, feasible, X, G, [run.gamma for run in live])
-        elif h is None:  # x and g are still the one row's
-            X = mirror_step(prox, feasible, x, g, live[0].gamma)[None]
-        else:
-            X = composite_mirror_step(prox, feasible, x, g, live[0].gamma, h)[None]
+            if not one_row:
+                X = mirror_step_rows(prox, feasible, X, G, [run.gamma for run in live])
+            elif h is None:  # x and g are still the one row's
+                X = mirror_step(prox, feasible, x, g, live[0].gamma)[None]
+            else:
+                X = composite_mirror_step(prox, feasible, x, g, live[0].gamma, h)[None]
+    finally:  # the rest; under an error, an earlier bad average is raised instead
+        _read_averages(objective, h, live, blk, ts)
     for j, run in enumerate(live):
         run.x, run.sums = X[j], sums[j]
 

@@ -591,6 +591,50 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
                                evals, scans, certificate)
 
 
+def reference_f_avg(objective, prox, feasible, rule, ms, iters, x1, *, h=None,
+                    constraints=None, rule_g=None, epsilon=None):
+    """The f_avg columns, one per m in ``ms``, of up to ``iters`` steps of
+    mirror descent from x1 (composite with h; switching as in
+    ``reference_switching_md`` with constraints, rule_g and epsilon), read
+    the naive way: after every step, for each m, f (plus h) at sums / t,
+    where sums is the gamma^{-m}-weighted sum of the productive iterates
+    and t its weight total, or NaN while t is 0. A non-finite value there
+    raises ValueError naming that iteration at once, before any later step
+    runs. A zero subgradient or a stationary signal ends the loop."""
+    dual = _DUAL_NORM[prox.norm.value]
+    x = np.asarray(x1, dtype=np.float64)
+    sums, totals, cols = [np.zeros(x.size) for _ in ms], [0.0] * len(ms), [[] for _ in ms]
+    for k in range(1, iters + 1):
+        prod, f_k = True, None
+        if constraints is not None:
+            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            prod = max(values) <= epsilon
+        if prod:
+            f_k, g = objective.value_and_subgrad(x)
+        else:
+            g = constraints.subgrad_one(values.index(max(values)), x)
+        gn = norm_direct(g, dual)
+        gamma = None if gn == 0.0 else _rule_step(rule if prod else rule_g, k, f_k, gn)
+        if gamma is None:
+            break
+        for i, m in enumerate(ms):
+            if prod:
+                w = gamma ** (-m)
+                sums[i] = sums[i] + w * x
+                totals[i] += w
+            if totals[i] == 0.0:
+                cols[i].append(math.nan)
+                continue
+            x_avg = sums[i] / totals[i]
+            f_avg = _finite(objective.value(x_avg), "objective value at the average", k)
+            cols[i].append(f_avg if h is None else f_avg + h.value(x_avg))
+        if h is None:
+            x = mirror_step(prox, feasible, x, g, gamma)
+        else:
+            x = composite_mirror_step(prox, feasible, x, g, gamma, h)
+    return cols
+
+
 # -- certified f* brackets ---------------------------------------------------
 #
 # A bracket run's cuts are tuples (productive, g(x_k), w_k, value, subgradient,

@@ -71,3 +71,28 @@ def test_a_single_workload_run_names_its_metrics_without_the_workload():
     setup = summary["grid-reference"]["setup_s"]
     assert (setup["parent_median"], setup["verdict"], setup["change_better_in_pairs"]) == (
         0.3, "within bound", "0/1")
+
+
+def test_paired_ratios_resolve_where_both_sides_drift_together():
+    # both sides spread 40% between runs, but within each pair the change
+    # is 10% faster to within 2%: the side verdict is unresolved and the
+    # paired one resolves. Pairs that disagree (ratios 0.8 and 1.25 in
+    # turn) resolve neither way
+    drift = [1.0, 1.5, 0.75, 1.3, 0.85, 1.45, 1.1, 0.8, 1.4, 1.05]
+    agree = [1.10 + (0.02 if i % 2 else -0.02) for i in range(10)]
+    disagree = [0.8 if i % 2 else 1.25 for i in range(10)]
+    parent = [_run(100.0 * d, 0.2 * d) for d in drift]
+    module = _bench_pairs()
+    summary = module.summarize(parent, [_run(100.0 * d * r, 0.2 * d / r)
+                                        for d, r in zip(drift, agree)], END_TO_END)
+    it, setup = summary["constrained"]["iters_per_s"], summary["constrained"]["setup_s"]
+    assert it["parent_iqr_pct_of_median"] >= 40.0 and it["verdict"] == "unresolved"
+    assert it["paired_verdict"] == setup["paired_verdict"] == "better"
+    assert 1.08 <= it["paired_ratio_quartiles"][0] <= it["paired_ratio_quartiles"][2] <= 1.12
+    summary = module.summarize(parent, [_run(100.0 * d * r, 0.2 * d * r)
+                                        for d, r in zip(drift, disagree)], END_TO_END)
+    assert summary["constrained"]["iters_per_s"]["paired_verdict"] == "unresolved"
+    assert summary["constrained"]["setup_s"]["paired_verdict"] == "unresolved"
+    slower = module.summarize(parent, [_run(100.0 * d / 1.1, 0.2 * d * 1.1) for d in drift],
+                              END_TO_END)["constrained"]
+    assert slower["iters_per_s"]["paired_verdict"] == slower["setup_s"]["paired_verdict"] == "worse"

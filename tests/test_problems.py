@@ -111,11 +111,13 @@ def test_max_affine_validation():
 @pytest.mark.parametrize("t", [1, 10, 300])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_values_match_value_bit_for_bit(n, t):
-    # t = 300 spans more than one 128-element block of numpy's pairwise sum
+    # t = 300 spans more than one 128-element block of numpy's pairwise sum;
+    # a NaN row, an empty running average of a traced run, reads NaN
     rng = np.random.default_rng(100 * n + t)
     points = rng.random((t, n))
     X = rng.uniform(-2.0, 2.0, size=(257, n))
     X[0] = points[0]
+    X[1] = math.nan
     objectives = (
         DistanceToPoint(points[0]),
         MeanDistance(points),
@@ -124,6 +126,7 @@ def test_values_match_value_bit_for_bit(n, t):
     )
     for f in objectives:
         want = np.array([f.value(x) for x in X])
+        assert math.isnan(want[1])
         assert f.values(X).tobytes() == want.tobytes(), type(f).__name__
 
 

@@ -22,6 +22,7 @@ from mdbench.problems import (
 )
 from mdbench.schedules import TABLE_TAGS, ScheduleState, schedule
 from mdbench.solvers import (
+    _AVERAGE_BLOCK_FLOATS,
     RunConfig,
     _Bracket,
     _descent,
@@ -29,12 +30,14 @@ from mdbench.solvers import (
     constrained_md_multi,
     mirror_c_descent,
     mirror_descent,
+    mirror_descent_sweep,
 )
 
 from oracles import (
     exact_lower,
     reference_bracket,
     reference_composite_md,
+    reference_f_avg,
     reference_mirror_descent,
     reference_scan_md,
     reference_switching_md,
@@ -430,3 +433,142 @@ def test_the_rounding_allowance_covers_the_float_error(case):
     assert Fraction(bracket.lower) <= exact <= Fraction(bracket.upper)
     if case == "fts-ball-m5":
         assert bracket.upper - bracket.lower < 1e-9
+
+
+# ---------------------------------------------------- f at the running averages
+#
+# A traced run reads f at its running averages a block of iterations at a
+# time; ``reference_f_avg`` reads them after every step. Each case puts an
+# event that ends a block early (a row that leaves, the end of the run, an
+# error) off the block's boundaries.
+
+
+def _assert_same_f_avg(results, columns):
+    assert len(results) == len(columns)
+    for res, column in zip(results, columns):
+        assert _column_bytes(res.trace.f_avg) == _column_bytes(column)
+
+
+@pytest.mark.parametrize("ms", [(0.0,), (-1.0, 2.0, 5.0)], ids=["one-m", "three-m"])
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_f_avg_over_several_blocks_is_the_per_iteration_read(kind, ms):
+    n = 2
+    iters = 2 * (_AVERAGE_BLOCK_FLOATS // (len(ms) * n)) + 37
+    objective, _, prox, feasible, _ = _problem(kind, "euclidean", n, 0, 5)
+    x1 = default_start(feasible)
+    rule = _rule("time-varying", objective.lipschitz_bound, prox.sigma)
+    results = mirror_descent_sweep(objective, prox, feasible, rule,
+                                   RunConfig(m=0.0, iters=iters), x1, ms)
+    assert results[0].iterations == iters
+    rule = _rule("time-varying", objective.lipschitz_bound, prox.sigma)
+    _assert_same_f_avg(results, reference_f_avg(objective, prox, feasible, rule, ms, iters, x1))
+
+
+def test_f_avg_of_a_row_that_stops_mid_block_is_the_per_iteration_read():
+    # a inside the ball with f* = 0: Polyak stops at a stationary point
+    # inside the first block while the other eight rules run on
+    objective, prox, feasible = DistanceToPoint([0.3, 0.4]), euclidean_setup(), unit_ball(2)
+    x1, ms, iters = np.zeros(2), (0.0, 2.0), 500
+    batch = _descent(objective, prox, feasible,
+                     [_rule(tag, 1.0, prox.sigma, 0.0) for tag in TABLE_TAGS],
+                     RunConfig(m=0.0, iters=iters), x1, ms)
+    stopped = [results[0].iterations for results in batch if results[0].iterations < iters]
+    assert stopped and _AVERAGE_BLOCK_FLOATS // (len(TABLE_TAGS) * len(ms) * 2) > max(stopped)
+    for tag, results in zip(TABLE_TAGS, batch):
+        rule = _rule(tag, 1.0, prox.sigma, 0.0)
+        _assert_same_f_avg(results, reference_f_avg(objective, prox, feasible, rule, ms,
+                                                    results[0].iterations, x1))
+
+
+def test_f_avg_of_a_batch_whose_bracket_closes_mid_block_is_the_per_iteration_read():
+    # the bracket on row 1 closes at its first checkpoint, k = 4, and its
+    # row leaves the batch there; the other two run all 300 steps
+    tags, ms = ("constant-step", "time-varying", "adagrad"), (0.0, 2.0)
+    objective, _, prox, feasible, x1 = _bracket_problem("fts", 6, 4, "ball", "euclidean",
+                                                        None, 11)
+    states = [_rule(tag, objective.lipschitz_bound, prox.sigma) for tag in tags]
+    batch = _descent(objective, prox, feasible, states, RunConfig(m=0.0, iters=300), x1, ms,
+                     bracket=_Bracket(feasible, 5.0, 4, 1e9, 1))
+    assert [results[0].iterations for results in batch] == [300, 4, 300]
+    for tag, results in zip(tags, batch):
+        rule = _rule(tag, objective.lipschitz_bound, prox.sigma)
+        _assert_same_f_avg(results, reference_f_avg(objective, prox, feasible, rule, ms,
+                                                    results[0].iterations, x1))
+
+
+def test_composite_f_avg_is_the_per_iteration_read():
+    n, m = 2, -0.5
+    iters = _AVERAGE_BLOCK_FLOATS // n + 37
+    objective, _, prox, feasible, _ = _problem("max-linear", "euclidean", n, 0, 7)
+    x1, h = default_start(feasible), L1(0.3)
+    res = mirror_c_descent(objective, h, prox, feasible, _rule("nonsum", 1.0, prox.sigma),
+                           RunConfig(m=m, iters=iters), x1)
+    _assert_same_f_avg([res], reference_f_avg(objective, prox, feasible,
+                                              _rule("nonsum", 1.0, prox.sigma), (m,), iters,
+                                              x1, h=h))
+
+
+def test_f_avg_of_a_constrained_run_that_starts_non_productive_is_the_per_iteration_read():
+    # g(x) = 0.5 - x_1 <= 0: the start at 0 violates it, so the first
+    # steps are not averaged and f_avg reads NaN until the first
+    # productive one
+    objective, prox, feasible = DistanceToPoint([0.0, 3.0]), euclidean_setup(), unit_ball(2)
+    constraints = AffineConstraints([[-1.0, 0.0]], [-0.5])
+    x1, eps, iters = np.zeros(2), 0.01, 300
+
+    def rules():
+        return (_rule("time-varying", 1.0, prox.sigma), _rule("time-varying", 1.0, prox.sigma))
+
+    rule_f, rule_g = rules()
+    res = constrained_md(objective, constraints, prox, feasible, rule_f, rule_g,
+                         RunConfig(m=1.0, iters=iters, epsilon=eps), x1, use_criterion=False)
+    assert not res.trace.productive[0] and any(res.trace.productive)
+    assert math.isnan(res.trace.f_avg[0]) and math.isfinite(res.trace.f_avg[-1])
+    rule_f, rule_g = rules()
+    _assert_same_f_avg([res], reference_f_avg(objective, prox, feasible, rule_f, (1.0,), iters,
+                                              x1, constraints=constraints, rule_g=rule_g,
+                                              epsilon=eps))
+
+
+class _NanAwayFromStart(DistanceToPoint):
+    """f reads NaN at any point with x_1 > 0.04 through ``value`` and
+    ``values``; the fused oracle the iterates take stays finite."""
+
+    def value(self, x):
+        return math.nan if x[0] > 0.04 else super().value(x)
+
+    def values(self, X):
+        out = super().values(X)
+        out[X[:, 0] > 0.04] = math.nan
+        return out
+
+
+def _failing_at(k_bad, rule):
+    """``rule`` with a step of -1 at iteration k_bad."""
+    step_size = rule.step_size
+
+    def failing(k, f_val=None, grad_dual_norm=None):
+        return -1.0 if k == k_bad else step_size(k, f_val, grad_dual_norm)
+
+    rule.step_size = failing
+    return rule
+
+
+def test_a_nan_average_is_raised_ahead_of_a_later_step_rule_error():
+    # x^1 = 0 and x^2 = (0.1, 0): the average at k = 2 reads NaN, and the
+    # step rule fails at k = 4, both inside the first block
+    prox, feasible, x1 = euclidean_setup(), unit_ball(2), np.zeros(2)
+    config = RunConfig(m=0.0, iters=20)
+
+    def rule():
+        return _failing_at(4, _rule("nonsum", 1.0, prox.sigma))
+
+    # with finite averages the step rule's error is raised
+    with pytest.raises(ValueError, match="gives gamma=-1.0 at iteration 4 "):
+        mirror_descent(DistanceToPoint([10.0, 0.0]), prox, feasible, rule(), config, x1)
+    objective = _NanAwayFromStart([10.0, 0.0])
+    message = "^objective value at the average is nan at iteration 2$"
+    with pytest.raises(ValueError, match=message):
+        reference_f_avg(objective, prox, feasible, rule(), (0.0,), 20, x1)
+    with pytest.raises(ValueError, match=message):
+        mirror_descent(objective, prox, feasible, rule(), config, x1)

@@ -33,6 +33,7 @@ from mdbench.problems import (
 )
 from mdbench.schedules import TABLE_TAGS, ScheduleState, is_nonincreasing_guaranteed, schedule
 from mdbench.solvers import (
+    _AVERAGE_BLOCK_FLOATS,
     NoProductiveSteps,
     _descent,
     RunConfig,
@@ -434,21 +435,23 @@ def test_a_traced_batch_makes_one_oracle_pass_per_iteration():
     assert obj.value_calls == 9 * 2
 
 
-@pytest.mark.parametrize("ms", [(0.0,), (0.0, 2.0)], ids=["one-m", "two-m"])
-def test_a_traced_run_reads_one_average_with_value(ms):
-    # one average per iteration is read with value, several with one values
-    # call; f(x^k) comes from the fused call and f_hat from value per m
-    obj = _CountingDistance([10.0, 0.0])
+@pytest.mark.parametrize("n, ms", [(2, (0.0,)), (2, (0.0, 2.0)), (3000, (0.0,))],
+                         ids=["one-m", "two-m", "large-n"])
+def test_a_traced_run_reads_its_averages_once_per_block(n, ms):
+    # the averages of a block of iterations, as many as fit in
+    # _AVERAGE_BLOCK_FLOATS, are read with one values call and none with
+    # value; sums too large for 4 per block are read every iteration.
+    # f(x^k) comes from the fused call and f_hat from value per m
+    cap = _AVERAGE_BLOCK_FLOATS // (len(ms) * n)
+    iters = 2 * cap + 5 if cap >= 4 else 7
+    obj = _CountingDistance(np.eye(n)[0] * 10.0)
     results = mirror_descent_sweep(
-        obj, euclidean_setup(), unit_ball(2), _state("time-varying", m_lipschitz=1.0),
-        RunConfig(m=0.0, iters=30), np.zeros(2), ms,
+        obj, euclidean_setup(), unit_ball(n), _state("time-varying", m_lipschitz=1.0),
+        RunConfig(m=0.0, iters=iters), np.zeros(n), ms,
     )
-    assert [res.iterations for res in results] == [30] * len(ms)
-    assert obj.fused_calls == 30
-    if len(ms) == 1:
-        assert (obj.values_calls, obj.value_calls) == (0, 30 + 1)
-    else:
-        assert (obj.values_calls, obj.value_calls) == (30, len(ms))
+    assert [res.iterations for res in results] == [iters] * len(ms)
+    assert obj.fused_calls == iters
+    assert (obj.values_calls, obj.value_calls) == (3 if cap >= 4 else iters, len(ms))
 
 
 def test_polyak_receives_the_objective_value_on_every_step():
@@ -1200,8 +1203,8 @@ class _NanValue(DistanceToPoint):
 
 class _NanAverageValue(DistanceToPoint):
     """DistanceToPoint whose value and batch forms are NaN while the fused
-    oracle is finite, so only f at the averages is non-finite: one average
-    is read with ``value``, several with ``values``."""
+    oracle is finite, so only f at the averages, read with ``values``, is
+    non-finite."""
 
     def value(self, x):
         return math.nan
@@ -1456,21 +1459,22 @@ def test_composite_runs_take_one_step_rule():
                  np.zeros(2), (0.0,), h=L1(0.5))
 
 
-class _NanInLastAverage(DistanceToPoint):
-    """f at the running averages reads NaN in the last row of every
-    ``values`` call; in a batch that row belongs to the last trajectory."""
+class _NanInSecondOfTwo(DistanceToPoint):
+    """f at the running averages reads NaN on every row of the second of
+    two trajectories with one average each: a ``values`` call holds one
+    row per iteration and trajectory, iteration by iteration."""
 
     def values(self, X):
         out = super().values(X)
-        out[-1] = math.nan
+        out[1::2] = math.nan
         return out
 
 
 def test_a_nan_average_of_a_later_row_is_raised_at_once():
     # both rows overflow gamma**(-400) at k = 3; the NaN average of the
-    # later row comes from the one values call all rows share, so the
-    # batch raises it at k = 1 instead of running the first row on
-    obj = _NanInLastAverage([10.0, 0.0])
+    # later row at k = 1 is raised ahead of that overflow, instead of the
+    # batch running the first row on
+    obj = _NanInSecondOfTwo([10.0, 0.0])
     states = [_state("sqrsum-nonsum"), _state("sqrsum-nonsum")]
     with pytest.raises(ValueError, match="^objective value at the average is nan at iteration 1$"):
         _descent(obj, euclidean_setup(), unit_ball(2), states, RunConfig(m=0.0, iters=20),

@@ -396,9 +396,12 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
     return _bracket_reference(bracket)
 
 
-# the columns written with %d or %s; every other cell is written with %.17g
+# the columns written with %d or %s; every other cell is written with %.17g.
+# A trace row's gamma, f_iterate, f_best_so_far and gap_best arrive as
+# %.17g text from _trace_rows, which formats each of those numbers once
 _COLUMN_FORMATS = {"algorithm": "%s", "stop_reason": "%s", "k": "%d", "iterations": "%d",
-                   "productive": "%d", "nonproductive": "%d", "constraint_evals": "%d"}
+                   "productive": "%d", "nonproductive": "%d", "constraint_evals": "%d",
+                   "gamma": "%s", "f_iterate": "%s", "f_best_so_far": "%s", "gap_best": "%s"}
 # rows formatted and written per write: a block ends at a line boundary,
 # so the bytes do not depend on it, and no file's whole text is held
 _CSV_BLOCK_ROWS = 4096
@@ -408,7 +411,8 @@ def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
     """Write a header of ``columns`` and one LF-ended line per tuple of
     ``rows`` to ``path``, and return the last tuple (() with none). One
     ``%`` call per row, with ``_COLUMN_FORMATS`` or else %.17g, which gives
-    back every float64 exactly; NaN cells are left empty."""
+    back every float64 exactly; NaN cells, and %s cells whose text is
+    "nan", are left empty."""
     fmt = ",".join(_COLUMN_FORMATS.get(c, "%.17g") for c in columns)
     rows = iter(rows)
     last = ()
@@ -423,8 +427,12 @@ def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
 
 
 def _number(v) -> Optional[float]:
-    """A cell's value as its text reads back: None for an empty cell."""
-    return None if v is None or v != v else float(v)
+    """A cell's value, or its %.17g text, as the file reads back: None for
+    an empty cell."""
+    if v is None:
+        return None
+    v = float(v)
+    return None if v != v else v
 
 
 def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = None) -> dict:
@@ -457,19 +465,29 @@ def write_trace_csv(path: str, trace, reference: Optional[ReferenceSolution] = N
 
 def _trace_rows(trace, f_min: float, extra: list):
     """The cells of each trace row in header order, then the ``extra``
-    columns; undefined cells are NaN."""
+    columns; undefined cells are NaN, or "nan" as text.
+
+    Each number is formatted once: gamma, f_iterate, f_best_so_far and
+    gap_best come as %.17g text. f_best_so_far reuses the text of the
+    f_iterate that set it, gap_best is formatted when the best changes,
+    and gamma when it differs from the row before (a zero every time, for
+    its sign)."""
     rows = trace.rows()
     nan = math.nan
     bounds = trace.bound if len(trace.bound) == rows else repeat(nan)
     counts = trace.productive if len(trace.productive) == rows else repeat(True)
     best = math.inf
+    best_text = gap_text = "nan"
+    last_gamma = gamma_text = None
     for k, gamma, fi, f_avg, bound, counted, *more in zip(
         count(1), trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
     ):
+        if gamma != last_gamma or not gamma:
+            last_gamma, gamma_text = gamma, "%.17g" % gamma
+        fi_text = "%.17g" % fi
         if counted and fi < best:
-            best = fi
-        f_best = best if best < math.inf else nan
-        yield (k, gamma, fi, f_avg, f_best, f_avg - f_min, f_best - f_min, bound, *more)
+            best, best_text, gap_text = fi, fi_text, "%.17g" % (fi - f_min)
+        yield (k, gamma_text, fi_text, f_avg, best_text, f_avg - f_min, gap_text, bound, *more)
 
 
 def _schedule_state(tag: str, lipschitz: float, sigma: float, f_star=None) -> ScheduleState:

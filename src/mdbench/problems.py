@@ -134,6 +134,9 @@ def _constraint_rng(spec: InstanceSpec) -> np.random.Generator:
     return np.random.default_rng([int(spec.seed), 1])
 
 
+_ROW_BLOCK_FLOATS = 8192  # the floats of squares _affine_rows holds at once
+
+
 def _affine_rows(rows, offsets, noun: str) -> tuple:
     """``rows`` and ``offsets`` as float64 arrays, with the largest row norm
     as the Lipschitz bound; a ValueError names the ``noun`` rows when they
@@ -144,7 +147,15 @@ def _affine_rows(rows, offsets, noun: str) -> tuple:
         raise ValueError(f"{noun} rows must form a nonempty 2-D array")
     if bb.shape != (aa.shape[0],):
         raise ValueError("offsets must match the number of rows")
-    return aa, bb, float(np.sqrt((aa * aa).sum(axis=1)).max())
+    # C-ordered rows are squared and summed a slice of rows at a time, with no
+    # second full-size array: each row is reduced alone, so the bits are those
+    # of one pass. Other layouts take one pass, whose summation order they set
+    sq = np.empty(aa.shape[0])
+    step = max(1, _ROW_BLOCK_FLOATS // aa.shape[1]) if aa.flags.c_contiguous else aa.shape[0]
+    for i in range(0, aa.shape[0], step):
+        rows_i = aa[i:i + step]
+        sq[i:i + step] = (rows_i * rows_i).sum(axis=1)
+    return aa, bb, float(np.sqrt(sq).max())
 
 
 def _unit_rows(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -288,7 +299,8 @@ class MaxDistance(_AnchorPoints):
         r = np.sqrt((d * d).sum(axis=2))
         rows = np.arange(X.shape[0])
         i = r.argmax(axis=1)
-        return r.max(axis=1), _unit_rows(d[rows, i], r[rows, i])
+        ri = r[rows, i]  # each row's max, read at its argmax: a NaN row reads NaN
+        return ri, _unit_rows(d[rows, i], ri)
 
 
 class MaxAffine:
@@ -317,7 +329,8 @@ class MaxAffine:
 
     def value_and_subgrad_rows(self, X: np.ndarray):
         v = np.matmul(self.a, X[:, :, None])[:, :, 0] + self.b
-        return v.max(axis=1), self.a[v.argmax(axis=1)]
+        i = v.argmax(axis=1)
+        return v[np.arange(X.shape[0]), i], self.a[i]
 
 
 class AffineConstraints:

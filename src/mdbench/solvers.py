@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from operator import truediv
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,19 +127,29 @@ class RunConfig:
                 raise ValueError("theta must be positive and finite")
 
 
+def _column(typecode: str):
+    return field(default_factory=partial(array, typecode))
+
+
 @dataclass
 class Trace:
     """Per-iteration records: entry k - 1 of a column belongs to iteration
     k. Every solver fills gamma, f_iterate and f_avg; the others are filled
     where they apply and left empty elsewhere (bound for certified rules,
-    productive and constraint_evals for constrained runs)."""
+    productive and constraint_evals for constrained runs).
 
-    gamma: list = field(default_factory=list)
-    f_iterate: list = field(default_factory=list)
-    f_avg: list = field(default_factory=list)
-    productive: list = field(default_factory=list)
-    bound: list = field(default_factory=list)
-    constraint_evals: list = field(default_factory=list)
+    The solvers store each column as a packed ``array.array``: float64
+    ``'d'`` for gamma, f_iterate, f_avg and bound, ``'b'`` (0 or 1) for
+    productive and int64 ``'q'`` for constraint_evals, so a row costs its
+    bytes (24 B unconstrained, 32 B with a bound, 33 B constrained) and no
+    Python objects. A Trace built by hand may hold any sequences."""
+
+    gamma: Sequence = _column("d")
+    f_iterate: Sequence = _column("d")
+    f_avg: Sequence = _column("d")
+    productive: Sequence = _column("b")
+    bound: Sequence = _column("d")
+    constraint_evals: Sequence = _column("q")
 
     def rows(self) -> int:
         return len(self.gamma)
@@ -182,7 +194,8 @@ def _weights_error(k, m, gamma, what="leave the float64 range at") -> ValueError
 def _read_averages(objective, h, live, block, totals):
     """Extend live[j].f_avg by f (plus h) at block[i, j] / totals for each
     iteration i held, ``totals`` (emptied here) in (i, j, m) order: NaN where
-    a total is 0; any other non-finite value raises ValueError naming its k."""
+    a total is 0; any other non-finite value raises ValueError naming its k.
+    Each row's values enter its array as one buffer copy."""
     if not totals:
         return
     rows, n_m, n = len(live), block.shape[2], block.shape[3]
@@ -199,9 +212,9 @@ def _read_averages(objective, h, live, block, totals):
                              f"{len(live[0].f_avg) // n_m + 1 + bad[0] // (rows * n_m)}")
     if h is not None:
         vals += [h.value(a) for a in avgs]  # an empty averager stays NaN
-    cols = vals.reshape(-1, rows, n_m).swapaxes(0, 1).reshape(rows, -1).tolist()
+    cols = vals.reshape(-1, rows, n_m).swapaxes(0, 1).reshape(rows, -1)
     for run, col in zip(live, cols):
-        run.f_avg += col
+        run.f_avg.frombytes(col.tobytes())
 
 
 def _finish(weighted_sum, weight_total, x, stop, objective, h, completed, m, gamma):
@@ -249,8 +262,8 @@ class _Trajectory:
         self.lhs = [0.0] * n_m  # sums of gamma^{-m} over every step
         self.sq = [0.0] * n_m  # sums of ||grad||_*^2 / gamma^{m-1} over every step
         self.rhs = [0.0] * n_m
-        self.f_avg = []  # per iteration, f at the average of each m, in ms order
-        self.bound = []  # per iteration, the bound for each m
+        self.f_avg = array("d")  # per iteration, f at the average of each m, in ms order
+        self.bound = array("d")  # per iteration, the bound for each m
         # this iteration's step and weights
         self.gamma = math.nan
         self.weights = None  # gamma^{-m} per m on a productive step
@@ -460,7 +473,11 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
     A traced run copies its sums into a block of ``_AVERAGE_BLOCK_FLOATS``
     and reads f at all averages held with one ``values`` call when it is
     full, before rows leave, at the end and before an error leaves the
-    loop; sums too large for 4 iterations a block are read uncopied.
+    loop; sums too large for 4 iterations a block are read uncopied. Each
+    row's f values enter its f_avg array from the ``values`` result's
+    buffer. Trace columns are packed arrays (see ``Trace``); with several
+    m, every m but the last gets array copies of the shared columns and a
+    strided slice of f_avg and bound.
 
     x^k is productive when there are no constraints, when g(x^k) <= epsilon
     (the max of the constraint values), or, with ``scan``, when
@@ -760,7 +777,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
             else:
                 # the last m takes the shared columns, the others get copies
                 last = i == n_m - 1
-                cols = {name: col if last else list(col) for name, col in vars(run.trace).items()}
+                cols = {name: col if last else col[:] for name, col in vars(run.trace).items()}
                 cols.update(
                     f_avg=run.f_avg if n_m == 1 else run.f_avg[i::n_m],
                     bound=run.bound if n_m == 1 else run.bound[i::n_m],

@@ -5,7 +5,9 @@ import json
 import math
 import os
 import re
+import sys
 import weakref
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -45,7 +47,13 @@ from mdbench.problems import (
 )
 from mdbench.cli import main
 from mdbench.schedules import TABLE_TAGS, ScheduleState, StationarySignal, schedule
-from mdbench.solvers import RunConfig, Trace, mirror_descent
+from mdbench.solvers import (
+    RunConfig,
+    StopReason,
+    Trace,
+    constrained_md_multi,
+    mirror_descent,
+)
 
 from oracles import grid_refine_pointwise, trace_csv_per_cell, trace_csv_summary
 
@@ -541,20 +549,114 @@ def _odd_trace(with_bound: bool, productive: bool = True, evals: bool = True) ->
 @pytest.mark.parametrize("f_min", [None, 0.5, -0.0, math.inf])
 def test_trace_csv_rows_match_per_cell_format(tmp_path, productive, evals,
                                               with_bound, f_min):
-    # one trace shape per column combination, with and without each column
-    trace = _odd_trace(with_bound, productive, evals)
+    # per column combination, with and without each column: the odd cells,
+    # the cells the writer formats once and reuses, and empty traces last
     reference = None if f_min is None else ReferenceSolution(f_min, "Analytic", 0.0)
     path = str(tmp_path / "odd.csv")
-    summary = write_trace_csv(path, trace, reference)
-    with open(path, newline="") as fh:
-        got = fh.read()
-    assert got == trace_csv_per_cell(trace, reference)
-    _assert_summary_reads_back(summary, path)
-    summary = write_trace_csv(path, Trace(), reference)
-    with open(path, newline="") as fh:
-        assert fh.read() == trace_csv_per_cell(Trace(), reference)
-    _assert_summary_reads_back(summary, path)
+    for trace in (_odd_trace(with_bound, productive, evals),
+                  *_reuse_traces(with_bound, productive, evals),
+                  Trace(*[[]] * 6), Trace()):
+        summary = write_trace_csv(path, trace, reference)
+        with open(path, newline="") as fh:
+            assert fh.read() == trace_csv_per_cell(trace, reference)
+        _assert_summary_reads_back(summary, path)
     assert set(summary.values()) == {None}
+
+
+def _reuse_traces(with_bound: bool, productive: bool, evals: bool) -> list:
+    """Traces whose cells the writer formats once and reuses: a gamma that
+    repeats (zeros of both signs, NaN and inf among them), a best that
+    stays for many rows and then changes (-0.0, which the 0.0 after it
+    does not replace), and NaN averages before the first productive row,
+    whose lower f_iterate values do not count toward the best."""
+    def trace(gamma, f_iterate, f_avg, prod):
+        rows = len(gamma)
+        return Trace(
+            gamma=gamma, f_iterate=f_iterate, f_avg=f_avg,
+            productive=prod if productive else [],
+            bound=[0.5 * k for k in range(rows)] if with_bound else [],
+            constraint_evals=[k % 4 for k in range(rows)] if evals else [],
+        )
+
+    gamma = [0.5, 0.5, 0.5, 0.25, 0.25, 0.0, 0.0, -0.0, -0.0, 0.0, math.nan, math.nan,
+             math.inf, math.inf, 0.5]
+    f = [1.0 + k / 3.0 for k in range(len(gamma))]
+    late = [3.0] + [4.0] * 40 + [2.0] * 10 + [-0.0, 0.0, -1e-300]
+    early = [-5.0, -4.0, math.nan, -3.0, 6.0, 6.5, 1.0, 7.0, 0.5, 0.5]
+    first = 4  # the first productive row of ``early``
+    return [
+        trace(gamma, f, f[::-1], [k % 3 != 1 for k in range(len(gamma))]),
+        trace([0.1] * len(late), late, [v / 2.0 for v in late], [True] * len(late)),
+        trace([1.0 / (k + 1) for k in range(len(early))], early,
+              [math.nan] * first + [2.0] * (len(early) - first),
+              [False] * first + [True] * (len(early) - first)),
+    ]
+
+
+_TYPECODES = {"gamma": "d", "f_iterate": "d", "f_avg": "d", "productive": "b", "bound": "d",
+              "constraint_evals": "q"}
+
+
+def _bytes_per_row(trace: Trace) -> tuple:
+    """The bytes per row that a solver's trace holds in its columns' items,
+    and in its columns' buffers with their overallocation, after checking
+    that every column is an array of its stated typecode."""
+    rows = trace.rows()
+    cols = [getattr(trace, name) for name in _TYPECODES]
+    for name, col in zip(_TYPECODES, cols):
+        assert type(col) is array and col.typecode == _TYPECODES[name], name
+        assert len(col) in (0, rows), name
+    items = sum(col.buffer_info()[1] * col.itemsize for col in cols)
+    buffers = sum(sys.getsizeof(col) - sys.getsizeof(array(col.typecode)) for col in cols)
+    return items / rows, buffers / rows
+
+
+def test_solver_traces_cost_their_bytes_per_row():
+    # a traced plan run of every rule and two m (the first m gets copies of
+    # the shared columns), and a criterion-stopped constrained run
+    plan = ExperimentPlan(BA5, TABLE_TAGS, (0.0, 1.0), iters=300)
+    _, runs = bench._solve_plan(plan)
+    for tag, m, result in runs:
+        assert result.trace.rows() == 300
+        items, buffers = _bytes_per_row(result.trace)
+        assert items == (32 if len(result.trace.bound) else 24)
+        assert buffers <= 1.125 * 32
+    spec = InstanceSpec("max-linear", n=10, t=10, p=5, seed=11, distribution="standard-normal")
+    res = constrained_md_multi(build_objective(spec), build_constraints(spec), euclidean_setup(),
+                               unit_ball(10), RunConfig(m=1.0, epsilon=0.05), np.zeros(10))
+    assert res.stop_reason is StopReason.EPSILON_CRITERION and res.trace.rows() > 300
+    items, buffers = _bytes_per_row(res.trace)
+    assert items == 33
+    assert buffers <= 1.125 * 33
+
+
+@pytest.mark.parametrize("f_min", [None, 0.25])
+def test_array_and_list_traces_write_the_same_bytes(tmp_path, f_min):
+    # the solvers' array columns and hand-built lists of the same values
+    rng = np.random.default_rng(5)
+    rows = 500
+    gamma = np.repeat(rng.random(rows // 5), 5)
+    gamma[20:30] = (0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, 0.5, 0.5, -0.0)
+    f_avg = rng.normal(size=rows)
+    f_avg[:7] = math.nan
+    values = {
+        "gamma": gamma, "f_iterate": rng.normal(size=rows), "f_avg": f_avg,
+        "productive": rng.random(rows) < 0.6, "bound": rng.random(rows),
+        "constraint_evals": rng.integers(0, 9, size=rows),
+    }
+    as_arrays = Trace(**{name: array(_TYPECODES[name], col.tolist())
+                         for name, col in values.items()})
+    as_lists = Trace(**{name: col.tolist() for name, col in values.items()})
+    reference = None if f_min is None else ReferenceSolution(f_min, "Analytic", 0.0)
+    summaries, texts = [], []
+    for trace in (as_arrays, as_lists):
+        path = tmp_path / f"{type(trace.gamma).__name__}.csv"
+        summaries.append(write_trace_csv(str(path), trace, reference))
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert summaries[0] == summaries[1]
+    assert json.dumps(summaries[0]) == json.dumps(summaries[1])
+    assert texts[0].decode() == trace_csv_per_cell(as_lists, reference)
 
 
 def _assert_summary_reads_back(summary: dict, path: str) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_single_step_hand_executed():
     assert res.stop_reason is StopReason.MAX_ITERS
     assert np.array_equal(res.x_hat, np.zeros(2))
     assert res.f_hat == 10.0
-    assert res.trace.gamma == [math.sqrt(2.0)]
+    assert res.trace.gamma == array("d", [math.sqrt(2.0)])
 
 
 def test_second_iterate_lands_on_boundary():
@@ -183,7 +184,7 @@ def test_second_iterate_lands_on_boundary():
         RunConfig(m=0.0, iters=2),
         np.zeros(2),
     )
-    assert res.trace.f_iterate == [10.0, 9.0]
+    assert res.trace.f_iterate == array("d", [10.0, 9.0])
 
 
 def test_stationary_exit_at_optimum():
@@ -241,7 +242,7 @@ def test_trace_columns_and_final_average():
     tr = res.trace
     assert tr.rows() == 80
     assert all(g > 0.0 for g in tr.gamma)
-    assert tr.gamma == sorted(tr.gamma, reverse=True)
+    assert tr.gamma == array("d", sorted(tr.gamma, reverse=True))
     # the last recorded average is the returned point
     assert tr.f_avg[-1] == res.f_hat
     assert res.productive_count == 80 and res.nonproductive_count == 0
@@ -342,7 +343,7 @@ def test_uncertified_schedule_records_no_bound():
         RunConfig(m=0.0, iters=30),
         np.zeros(2),
     )
-    assert res.trace.bound == []
+    assert res.trace.bound == array("d")
     assert len(res.trace.gamma) == 30
 
 
@@ -697,7 +698,7 @@ def test_switching_bookkeeping_fixed_budget():
     assert res.productive_count > 0 and res.nonproductive_count > 0
     tr = res.trace
     assert tr.rows() == 300
-    assert tr.constraint_evals == [5] * 300
+    assert tr.constraint_evals == array("q", [5] * 300)
     assert res.constraint_evals_total == 1500
     # averaged objective appears once the first productive step lands
     first = tr.productive.index(True)

@@ -397,11 +397,11 @@ def constrained_reference(objective, constraints, feasible: FeasibleSet,
 
 
 # the columns written with %d or %s; every other cell is written with %.17g.
-# A trace row's gamma, f_iterate, f_best_so_far and gap_best arrive as
-# %.17g text from _trace_rows, which formats each of those numbers once
+# A trace row's f_iterate, f_best_so_far and gap_best arrive as %.17g text
+# from _trace_rows, which formats each of those numbers once
 _COLUMN_FORMATS = {"algorithm": "%s", "stop_reason": "%s", "k": "%d", "iterations": "%d",
                    "productive": "%d", "nonproductive": "%d", "constraint_evals": "%d",
-                   "gamma": "%s", "f_iterate": "%s", "f_best_so_far": "%s", "gap_best": "%s"}
+                   "f_iterate": "%s", "f_best_so_far": "%s", "gap_best": "%s"}
 # rows formatted and written per write: a block ends at a line boundary,
 # so the bytes do not depend on it, and no file's whole text is held
 _CSV_BLOCK_ROWS = 4096
@@ -421,7 +421,8 @@ def _write_csv(path: str, columns: Sequence[str], rows) -> tuple:
         # each row is formatted as it comes and only the last one is kept:
         # a block of row tuples would weigh more than its lines
         while lines := [fmt % (last := row) for row in islice(rows, _CSV_BLOCK_ROWS)]:
-            # "nan" is only ever the whole text of a NaN; no %s cell holds it
+            # "nan" is only ever the whole text of a NaN: no name or stop
+            # reason in a %s cell holds it
             fh.write(("\n".join(lines) + "\n").replace("nan", ""))
     return last
 
@@ -467,27 +468,22 @@ def _trace_rows(trace, f_min: float, extra: list):
     """The cells of each trace row in header order, then the ``extra``
     columns; undefined cells are NaN, or "nan" as text.
 
-    Each number is formatted once: gamma, f_iterate, f_best_so_far and
-    gap_best come as %.17g text. f_best_so_far reuses the text of the
-    f_iterate that set it, gap_best is formatted when the best changes,
-    and gamma when it differs from the row before (a zero every time, for
-    its sign)."""
+    Each number is formatted once: f_iterate, f_best_so_far and gap_best
+    come as %.17g text. f_best_so_far reuses the text of the f_iterate
+    that set it, and gap_best is formatted when the best changes."""
     rows = trace.rows()
     nan = math.nan
     bounds = trace.bound if len(trace.bound) == rows else repeat(nan)
     counts = trace.productive if len(trace.productive) == rows else repeat(True)
     best = math.inf
     best_text = gap_text = "nan"
-    last_gamma = gamma_text = None
     for k, gamma, fi, f_avg, bound, counted, *more in zip(
         count(1), trace.gamma, trace.f_iterate, trace.f_avg, bounds, counts, *extra
     ):
-        if gamma != last_gamma or not gamma:
-            last_gamma, gamma_text = gamma, "%.17g" % gamma
         fi_text = "%.17g" % fi
         if counted and fi < best:
             best, best_text, gap_text = fi, fi_text, "%.17g" % (fi - f_min)
-        yield (k, gamma_text, fi_text, f_avg, best_text, f_avg - f_min, gap_text, bound, *more)
+        yield (k, gamma, fi_text, f_avg, best_text, f_avg - f_min, gap_text, bound, *more)
 
 
 def _schedule_state(tag: str, lipschitz: float, sigma: float, f_star=None) -> ScheduleState:

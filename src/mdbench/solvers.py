@@ -195,7 +195,8 @@ def _read_averages(objective, h, live, block, totals):
     """Extend live[j].f_avg by f (plus h) at block[i, j] / totals for each
     iteration i held, ``totals`` (emptied here) in (i, j, m) order: NaN where
     a total is 0; any other non-finite value raises ValueError naming its k.
-    Each row's values enter its array as one buffer copy."""
+    The values, as float64 whatever dtype ``values`` gives, enter each
+    row's array as one buffer copy."""
     if not totals:
         return
     rows, n_m, n = len(live), block.shape[2], block.shape[3]
@@ -204,7 +205,7 @@ def _read_averages(objective, h, live, block, totals):
         t[t == 0.0] = math.nan  # 0 / NaN reads NaN, with no division by zero
     totals.clear()
     avgs = (block[:t.size // (rows * n_m), :rows] / t.reshape(-1, rows, n_m, 1)).reshape(-1, n)
-    vals = objective.values(avgs)
+    vals = np.asarray(objective.values(avgs), dtype=np.float64)
     if not math.isfinite(vals.sum()):  # a NaN, an inf, or an overflowing sum
         bad = np.flatnonzero(~np.isfinite(vals) & (t > 0.0))
         if bad.size:
@@ -212,9 +213,9 @@ def _read_averages(objective, h, live, block, totals):
                              f"{len(live[0].f_avg) // n_m + 1 + bad[0] // (rows * n_m)}")
     if h is not None:
         vals += [h.value(a) for a in avgs]  # an empty averager stays NaN
-    cols = vals.reshape(-1, rows, n_m).swapaxes(0, 1).reshape(rows, -1)
-    for run, col in zip(live, cols):
-        run.f_avg.frombytes(col.tobytes())
+    cols = np.ascontiguousarray(vals.reshape(-1, rows, n_m).swapaxes(0, 1).reshape(rows, -1))
+    for run, col in zip(live, cols.view(np.uint8)):  # frombytes reads bytes
+        run.f_avg.frombytes(col)
 
 
 def _finish(weighted_sum, weight_total, x, stop, objective, h, completed, m, gamma):

@@ -564,11 +564,11 @@ def test_trace_csv_rows_match_per_cell_format(tmp_path, productive, evals,
 
 
 def _reuse_traces(with_bound: bool, productive: bool, evals: bool) -> list:
-    """Traces whose cells the writer formats once and reuses: a gamma that
-    repeats (zeros of both signs, NaN and inf among them), a best that
-    stays for many rows and then changes (-0.0, which the 0.0 after it
-    does not replace), and NaN averages before the first productive row,
-    whose lower f_iterate values do not count toward the best."""
+    """Traces of repeated numbers: a gamma that repeats (zeros of both
+    signs, NaN and inf among them), a best whose text the writer reuses
+    for many rows and then changes (-0.0, which the 0.0 after it does not
+    replace), and NaN averages before the first productive row, whose
+    lower f_iterate values do not count toward the best."""
     def trace(gamma, f_iterate, f_avg, prod):
         rows = len(gamma)
         return Trace(

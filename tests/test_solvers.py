@@ -455,6 +455,33 @@ def test_a_traced_run_reads_its_averages_once_per_block(n, ms):
     assert (obj.values_calls, obj.value_calls) == (3 if cap >= 4 else iters, len(ms))
 
 
+class _Float32Values(DistanceToPoint):
+    """DistanceToPoint whose ``values`` returns float32, which the objective
+    contract allows: it asks only for K values."""
+
+    def values(self, X):
+        return super().values(X).astype(np.float32)
+
+
+@pytest.mark.parametrize("tags", [("time-varying",), ("time-varying", "constant-step")],
+                         ids=["one-row", "batch"])
+def test_f_avg_holds_one_float64_per_value_of_any_dtype(tags):
+    # the iterates do not read values, so each f_avg entry is the float64
+    # of the float32 value at the same average
+    a = [10.0, 0.0]
+    ball = unit_ball(2)
+    runs = [
+        _descent(obj, euclidean_setup(), ball, [_rule_state(t) for t in tags],
+                 RunConfig(m=0.0, iters=30, record_trace=True), np.zeros(2), (0.0, 2.0))
+        for obj in (DistanceToPoint(a), _Float32Values(a))
+    ]
+    for exact, rounded in zip(*runs):
+        for res64, res32 in zip(exact, rounded):
+            assert len(res32.trace.f_avg) == 30
+            assert res32.trace.f_avg == array(
+                "d", np.asarray(res64.trace.f_avg, dtype=np.float32).astype(np.float64))
+
+
 def test_polyak_receives_the_objective_value_on_every_step():
     obj = _CountingDistance([2.0, 1.0])
     state = _state("polyak", f_star=math.sqrt(5.0) - 1.0)

@@ -10,7 +10,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .space import NormKind, as_point, dual_norm_kind, inner, norm
+from .space import NormKind, as_point, dual_norm_kind, norm
 from .geometry import (
     Ball,
     L1,
@@ -57,13 +57,10 @@ from .solvers import (
     mirror_descent,
 )
 from .bounds import (
-    ConstrainedBoundDiagnostic,
     bound_composite,
     bound_corollaries,
     bound_main,
-    constrained_bound_diagnostic,
     iteration_estimate,
-    productive_inequality_sides,
 )
 from .bench import (
     ExperimentPlan,
@@ -80,7 +77,7 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NormKind", "as_point", "dual_norm_kind", "inner", "norm",
+    "NormKind", "as_point", "dual_norm_kind", "norm",
     "Ball", "Simplex", "unit_ball", "ProxSetup", "euclidean_setup",
     "entropy_setup", "bregman", "grad_psi", "mirror_step", "Zero", "L1",
     "composite_mirror_step",
@@ -93,8 +90,6 @@ __all__ = [
     "NoProductiveSteps", "mirror_descent", "mirror_c_descent",
     "constrained_md", "constrained_md_multi", "bound_main",
     "bound_corollaries", "bound_composite", "iteration_estimate",
-    "ConstrainedBoundDiagnostic", "constrained_bound_diagnostic",
-    "productive_inequality_sides",
     "ExperimentPlan", "ReferenceSolution", "reference_solution",
     "constrained_reference", "grid_refine_minimize", "run_single_cell",
     "run_experiment", "sweep_m", "run_constrained_comparison",

@@ -45,6 +45,7 @@ from .problems import (
 )
 from .schedules import TABLE_TAGS, TAG_ADAPTIVE_TV, TAG_POLYAK, TAG_TIME_VARYING, ScheduleState, schedule
 from .solvers import (
+    SAFETY_CAP,
     RunConfig,
     _Bracket,
     _check_m_values,
@@ -361,7 +362,7 @@ def _certified_reference(objective, feasible: FeasibleSet,
     prox = euclidean_setup()
     bracket = _reference_bracket(objective, feasible, iters_budget)
     state = _schedule_state(TAG_TIME_VARYING, objective.lipschitz_bound, prox.sigma)
-    config = RunConfig(m=5.0, iters=50 * iters_budget, record_trace=False)
+    config = RunConfig(m=5.0, iters=min(50 * iters_budget, SAFETY_CAP), record_trace=False)
     _descent(objective, prox, feasible, (state,), config, default_start(feasible), (),
              bracket=bracket)
     return _bracket_reference(bracket)

@@ -1,7 +1,7 @@
 """Theoretical gap bounds and iteration estimates for the averaged
 mirror-descent solvers: the trajectory bound and its composite variant,
-the closed-form corollaries, the a-priori iteration estimate of the
-constrained method and the constrained bound diagnostic.
+the closed-form corollaries and the a-priori iteration estimate of the
+constrained method.
 
 The trajectory evaluators verify the non-increasing step hypothesis of the
 averaging theorem and refuse sequences that break it.
@@ -9,7 +9,6 @@ averaging theorem and refuse sequences that break it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +17,6 @@ __all__ = [
     "bound_corollaries",
     "bound_composite",
     "iteration_estimate",
-    "ConstrainedBoundDiagnostic",
-    "constrained_bound_diagnostic",
-    "productive_inequality_sides",
 ]
 
 
@@ -124,69 +120,3 @@ def iteration_estimate(lipschitz: float, theta: float, sigma: float,
     if not est < math.inf:
         raise ValueError("the iteration estimate overflows the float64 range")
     return math.ceil(est)
-
-
-@dataclass(frozen=True)
-class ConstrainedBoundDiagnostic:
-    """Both readings of the constrained run's gap bound: the underlying
-    inequality carries a term -eps * sum_J (gamma_j^g)^{-m} that its own
-    consequences drop; with_slack keeps it, without_slack does not."""
-
-    with_slack: float
-    without_slack: float
-
-
-def constrained_bound_diagnostic(m: float, prod_gammas, prod_grad_norms,
-                                 nonprod_gammas, nonprod_grad_norms,
-                                 gamma_last: float, theta: float, sigma: float,
-                                 epsilon: float) -> ConstrainedBoundDiagnostic:
-    """Evaluate the constrained gap bound along a realized trajectory.
-
-    gamma_last is the step size of the final iteration regardless of phase.
-    Inputs are the realized per-phase step and subgradient-norm sequences;
-    only the productive weights enter the normalizer.
-    """
-    gp = np.asarray(prod_gammas, dtype=np.float64)
-    sp = np.asarray(prod_grad_norms, dtype=np.float64)
-    gq = np.asarray(nonprod_gammas, dtype=np.float64)
-    sq = np.asarray(nonprod_grad_norms, dtype=np.float64)
-    if gp.size == 0:
-        raise ValueError("diagnostic needs at least one productive step")
-    if gp.shape != sp.shape or gq.shape != sq.shape:
-        raise ValueError("step sizes and gradient norms must pair up")
-    if not gamma_last > 0.0:
-        raise ValueError("gamma_last must be positive")
-    w = float(np.sum(gp ** (-m)))
-    num = theta / gamma_last ** (m + 1.0)
-    num += float(np.sum(sp * sp / gp ** (m - 1.0))) / (2.0 * sigma)
-    if gq.size:
-        num += float(np.sum(sq * sq / gq ** (m - 1.0))) / (2.0 * sigma)
-    without = num / w
-    slack = epsilon * float(np.sum(gq ** (-m))) if gq.size else 0.0
-    return ConstrainedBoundDiagnostic(
-        with_slack=(num - slack) / w, without_slack=without
-    )
-
-
-def productive_inequality_sides(theta: float, m: float, lipschitz: float,
-                                epsilon: float, sigma: float,
-                                n_iters: int) -> tuple[float, float]:
-    """Both sides of the schedule-level inequality behind the a-priori
-    iteration estimates:
-
-        lhs = (M/sqrt(2 sigma))^{m+1} * (theta N^{(m+1)/2} + sum_k k^{(m-1)/2})
-        rhs = eps * (M/sqrt(2 sigma))^m * sum_k k^{m/2}
-
-    Returns (lhs, rhs) with no claim about which dominates; the estimate is
-    meaningful when rhs >= lhs at N.
-    """
-    if n_iters < 1:
-        raise ValueError("N must be at least 1")
-    root = math.sqrt(2.0 * sigma)
-    ks = np.arange(1, n_iters + 1, dtype=np.float64)
-    ratio = lipschitz / root
-    lhs = ratio ** (m + 1.0) * (
-        theta * float(n_iters) ** ((m + 1.0) / 2.0) + float(np.sum(ks ** ((m - 1.0) / 2.0)))
-    )
-    rhs = epsilon * ratio**m * float(np.sum(ks ** (m / 2.0)))
-    return lhs, rhs

@@ -349,9 +349,10 @@ class AffineConstraints:
         self.p = self.alphas.shape[0]
 
     def row_values(self, x: np.ndarray) -> np.ndarray:
-        """The p constraint values at x. Row i equals ``value_one(i, x)``
-        bit for bit: vecdot rounds like the per-row np.dot, while
-        ``alphas @ x`` does not."""
+        """The p constraint values at x. Row i equals
+        ``float(np.dot(alphas[i], x)) - float(betas[i])`` bit for bit:
+        vecdot rounds like the per-row np.dot, while ``alphas @ x`` does
+        not."""
         return np.vecdot(self.alphas, x) - self.betas
 
     def value(self, x: np.ndarray) -> float:
@@ -359,9 +360,6 @@ class AffineConstraints:
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.alphas[int(np.argmax(self.row_values(x)))].copy()
-
-    def value_one(self, i: int, x: np.ndarray) -> float:
-        return float(np.dot(self.alphas[i], x)) - float(self.betas[i])
 
     def subgrad_one(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.alphas[i].copy()

@@ -11,11 +11,10 @@ m = 0 gives the plain running mean, m = -1 weights by gamma_k itself, and
 larger m shifts weight toward late iterates when steps shrink.
 
 The step sequence and the iterates do not depend on m, so one trajectory
-can feed several averages: ``mirror_descent_sweep`` runs the unconstrained
-loop once and returns one result per m, each equal bit for bit to its own
-``mirror_descent`` run. The one loop also advances several trajectories,
-one per step rule, as one batch: the experiment plans run all their
-schedules that way, and every cell equals its own single run bit for bit.
+can feed several averages, and the one loop, ``_descent``, also advances
+several trajectories, one per step rule, as one batch. The experiment
+plans and the m sweep run all their schedules and m that way, and every
+(schedule, m) cell equals its own ``mirror_descent`` run bit for bit.
 Each iteration makes one oracle pass for all rows, which yields f(x^k) and
 the subgradient of every row at once.
 The first error ends the batch where it happens; rows do not interact, so
@@ -69,14 +68,14 @@ __all__ = [
     "Trace",
     "SolveResult",
     "mirror_descent",
-    "mirror_descent_sweep",
     "mirror_c_descent",
     "constrained_md",
     "constrained_md_multi",
 ]
 
-# hard ceiling on criterion-driven runs so a desk-scale experiment cannot
-# spin forever on an unreachable epsilon
+# the most iterations a run may ask for, and the length of a criterion-driven
+# run that sets none, so a desk-scale experiment cannot spin forever on an
+# unreachable epsilon
 SAFETY_CAP = 10_000_000
 _AVERAGE_BLOCK_FLOATS = 4096  # the floats of sums a traced run holds before it reads f
 
@@ -102,7 +101,8 @@ class RunConfig:
     barycenter); a set theta is finite and positive, and a run refuses one
     below that bound. At least one of iters/epsilon must be set, and
     epsilon, when set, is finite and positive; the constrained solvers need
-    epsilon and the unconstrained ones need iters.
+    epsilon and the unconstrained ones need iters. iters is at most
+    ``SAFETY_CAP`` (10^7), the length of a run that sets none.
     """
 
     m: float
@@ -117,6 +117,8 @@ class RunConfig:
             raise ValueError("set at least one of iters and epsilon")
         if self.iters is not None:
             self.iters = _count_field(self.iters, "iters", 1)
+            if self.iters > SAFETY_CAP:
+                raise ValueError(f"iters must be at most SAFETY_CAP = {SAFETY_CAP}")
         if self.epsilon is not None:
             self.epsilon = _real_field(self.epsilon, "epsilon")
             if not 0.0 < self.epsilon < math.inf:
@@ -550,7 +552,7 @@ def _descent(objective, prox, feasible, states, config, x1, ms, *, h=None,
         )
     if bracket is not None and (h is not None or scan or use_criterion):
         raise ValueError("a bracket run takes no h, no scan and no epsilon criterion")
-    n_iter = min(config.iters or SAFETY_CAP, SAFETY_CAP)
+    n_iter = config.iters or SAFETY_CAP
     eps = config.epsilon
     theta = prox.theta(feasible)
     if config.theta is not None:
@@ -806,19 +808,6 @@ def mirror_descent(objective, prox: ProxSetup, feasible: FeasibleSet,
     the weighted average. Exits early with StationaryPoint on a zero
     subgradient (the point is optimal)."""
     return _descent(objective, prox, feasible, (state,), config, x1, (config.m,))[0][0]
-
-
-def mirror_descent_sweep(objective, prox: ProxSetup, feasible: FeasibleSet,
-                         state: ScheduleState, config: RunConfig, x1,
-                         m_values) -> tuple:
-    """Plain mirror descent averaged once per m in ``m_values`` over one
-    shared trajectory, since only the weights and the bound depend on m.
-    Result i equals ``mirror_descent`` run with ``config.m = m_values[i]``
-    bit for bit; ``config.m`` itself is not read."""
-    if not m_values:
-        raise ValueError("m_values needs at least one m")
-    ms = _check_m_values(m_values)
-    return _descent(objective, prox, feasible, (state,), config, x1, ms)[0]
 
 
 def mirror_c_descent(objective, h: Regularizer, prox: ProxSetup,

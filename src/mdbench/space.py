@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["NormKind", "as_point", "norm", "norm_rows", "dual_norm_kind", "inner"]
+__all__ = ["NormKind", "as_point", "norm", "norm_rows", "dual_norm_kind"]
 
 
 class NormKind(enum.Enum):
@@ -65,9 +65,3 @@ def norm_rows(P: np.ndarray, kind: NormKind) -> list:
 
 def dual_norm_kind(kind: NormKind) -> NormKind:
     return _DUALS[kind]
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return float(np.dot(a, b))

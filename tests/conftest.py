@@ -15,7 +15,7 @@ from mdbench.bench import ReferenceSolution, constrained_reference, default_star
 from mdbench.geometry import euclidean_setup, unit_ball
 from mdbench.problems import InstanceSpec, build_constraints, build_objective
 from mdbench.schedules import TAG_TIME_VARYING, ScheduleState, schedule
-from mdbench.solvers import RunConfig, constrained_md, mirror_descent_sweep
+from mdbench.solvers import RunConfig, _descent, constrained_md
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +34,7 @@ def ball_runs():
     )
     config = RunConfig(m=0.0, iters=10_000, record_trace=True)
     t0 = time.perf_counter()
-    sweep = mirror_descent_sweep(
-        objective, prox, feasible, state, config, default_start(feasible), ms
-    )
+    (sweep,) = _descent(objective, prox, feasible, (state,), config, default_start(feasible), ms)
     wall = time.perf_counter() - t0
     return {
         "objective": objective,

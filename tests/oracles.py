@@ -265,19 +265,26 @@ def trace_csv_summary(path) -> dict:
     }
 
 
+def constraint_value(constraints, i, x) -> float:
+    """Constraint i of an ``AffineConstraints`` block at x, with one
+    ``np.dot``: the per-row value every query of the block must agree with."""
+    return float(np.dot(constraints.alphas[i], x)) - float(constraints.betas[i])
+
+
 class SequentialConstraints(AffineConstraints):
     """An ``AffineConstraints`` block answered by Python loops over the
-    rows with one ``np.dot`` per row: the reference for the one vectorised
-    ``row_values`` pass behind every query of the library class."""
+    rows with ``constraint_value``, one ``np.dot`` per row: the reference
+    for the one vectorised ``row_values`` pass behind every query of the
+    library class."""
 
     def row_values(self, x):
-        return np.array([self.value_one(i, x) for i in range(self.p)])
+        return np.array([constraint_value(self, i, x) for i in range(self.p)])
 
     def _argmax(self, x):
         best_i = 0
         best_v = -math.inf
         for i in range(self.p):
-            v = self.value_one(i, x)
+            v = constraint_value(self, i, x)
             if v > best_v:
                 best_i, best_v = i, v
         return best_i, best_v
@@ -290,7 +297,7 @@ class SequentialConstraints(AffineConstraints):
 
     def first_violation(self, x, eps):
         for i in range(self.p):
-            if self.value_one(i, x) > eps:
+            if constraint_value(self, i, x) > eps:
                 return i, i + 1
         return None, self.p
 
@@ -488,7 +495,7 @@ def reference_switching_md(objective, constraints, prox, feasible, rule_f, rule_
     stop = "MaxIters"
     with _float64_results():
         for k in range(1, iters + 1):
-            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            values = [constraint_value(constraints, i, x) for i in range(constraints.p)]
             scans.append(len(values))
             gx = max(values)
             prod = gx <= epsilon
@@ -554,7 +561,7 @@ def reference_scan_md(objective, constraints, prox, feasible, m, epsilon, iters,
         for k in range(1, iters + 1):
             seen, q = [], None
             for i in range(constraints.p):
-                seen.append(constraints.value_one(i, x))
+                seen.append(constraint_value(constraints, i, x))
                 if seen[-1] > epsilon:
                     q = i
                     break
@@ -607,7 +614,7 @@ def reference_f_avg(objective, prox, feasible, rule, ms, iters, x1, *, h=None,
     for k in range(1, iters + 1):
         prod, f_k = True, None
         if constraints is not None:
-            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            values = [constraint_value(constraints, i, x) for i in range(constraints.p)]
             prod = max(values) <= epsilon
         if prod:
             f_k, g = objective.value_and_subgrad(x)
@@ -664,7 +671,7 @@ def reference_bracket(objective, constraints, prox, feasible, rule_f, rule_g, m,
     for k in range(1, iters + 1):
         gx, prod = -math.inf, True
         if constraints is not None:
-            values = [constraints.value_one(i, x) for i in range(constraints.p)]
+            values = [constraint_value(constraints, i, x) for i in range(constraints.p)]
             gx = max(values)
             prod = gx <= epsilon
         if prod:
@@ -733,7 +740,7 @@ def _upper(cuts, avg, objective, constraints) -> float:
     if avg.weight_total > 0.0:
         x_hat = avg.average
         if constraints is None or max(
-                constraints.value_one(i, x_hat) for i in range(constraints.p)) <= 0.0:
+                constraint_value(constraints, i, x_hat) for i in range(constraints.p)) <= 0.0:
             best = min(best, objective.value(x_hat))
     return best
 

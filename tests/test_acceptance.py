@@ -37,7 +37,7 @@ from mdbench.solvers import (
     mirror_c_descent,
     mirror_descent,
 )
-from mdbench.space import NormKind, inner, norm
+from mdbench.space import NormKind, norm
 
 from oracles import simplex2_argmin
 
@@ -122,7 +122,7 @@ def test_criterion_06_bregman_identities():
     ):
         for _ in range(1000):
             a, b, c = draw(), draw(), draw()
-            lhs = inner(grad_psi(setup, b) - grad_psi(setup, a), c - a)
+            lhs = float(np.dot(grad_psi(setup, b) - grad_psi(setup, a), c - a))
             rhs = (
                 bregman(setup, c, a)
                 + bregman(setup, a, b)

@@ -37,7 +37,6 @@ from mdbench.solvers import (
     RunConfig,
     constrained_md,
     mirror_descent,
-    mirror_descent_sweep,
 )
 
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -297,11 +296,6 @@ def test_run_config_refuses_a_real_field_it_cannot_convert_by_name(field, value)
 def test_huge_m_values_and_step_rule_parameters_are_refused_by_name():
     with pytest.raises(ValueError, match=r"\bm\b"):
         ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), (0.0, _HUGE))
-    objective, _, prox, ball = _small_problem()
-    config = RunConfig(m=0.0, iters=5)
-    with pytest.raises(ValueError, match=r"\bm\b"):
-        mirror_descent_sweep(objective, prox, ball, ScheduleState(schedule("nonsum"), 1.0),
-                             config, default_start(ball), (0.0, _HUGE))
     with pytest.raises(ValueError, match=r"time-varying.*\bm_lipschitz\b"):
         schedule("time-varying", m_lipschitz=_HUGE)
 

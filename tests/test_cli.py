@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mdbench.bench
+import mdbench.solvers
 from mdbench.bench import ExperimentPlan
 from mdbench.cli import build_parser, main
 from mdbench.geometry import PROX_NAMES, ProxSetup
@@ -133,6 +134,33 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     rc = main(["run", "--iters", "0", "--out", str(tmp_path / "y.csv")])
     assert rc == 1
     assert "error: iters must be at least 1" in capsys.readouterr().err
+
+
+def test_a_budget_above_the_cap_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    # with the cap lowered to 100, a budget of 250 must not run 100
+    # iterations and label them MaxIters
+    monkeypatch.setattr(mdbench.solvers, "SAFETY_CAP", 100)
+    monkeypatch.setattr(mdbench.bench, "SAFETY_CAP", 100)
+    with pytest.raises(ValueError, match=r"^iters must be at most SAFETY_CAP = 100$"):
+        RunConfig(m=0.0, iters=250)
+    out = tmp_path / "out"
+    for argv in (["run"], ["compare"], ["sweep-m"], ["constrained"]):
+        assert main([*argv, "--iters", "250", "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err == "error: iters must be at most SAFETY_CAP = 100\n"
+        assert not out.exists()
+    # a budget at the cap runs in full; its LongRun reference, 50 times the
+    # budget, is held at the cap
+    assert main(["run", "--problem", "fts", "--n", "4", "--t", "3", "--schedule", "nonsum",
+                 "--iters", "100", "--out", str(out)]) == 0
+    cell = json.loads(capsys.readouterr().out)
+    assert (cell["final_k"], cell["stop_reason"]) == (100, "MaxIters")
+    assert cell["reference"]["method"] == "LongRun"
+    # a constrained run with no budget and an epsilon it cannot reach stops at the cap
+    assert main(["constrained", "--epsilon", "1e-9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().split("\n")[1:3]]
+    assert [(row[0], row[3], row[-1]) for row in rows] == [
+        ("alg3", "100", "MaxIters"), ("alg4", "100", "MaxIters")]
 
 
 def test_large_m_is_an_error_line_not_a_traceback(tmp_path, capsys):

@@ -21,7 +21,7 @@ from mdbench.problems import (
     serialize_instance,
 )
 
-from oracles import SequentialConstraints
+from oracles import SequentialConstraints, constraint_value
 
 # ---------------------------------------------------------------- oracles
 
@@ -210,8 +210,8 @@ def test_affine_constraints_aggregate_equals_per_row_exactly():
             x = rng.standard_normal(n)
             rows = block.row_values(x)
             for i in range(p):
-                assert rows[i] == block.value_one(i, x)
-            per_row = max(block.value_one(i, x) for i in range(p))
+                assert rows[i] == constraint_value(block, i, x)
+            per_row = max(constraint_value(block, i, x) for i in range(p))
             assert block.value(x) == per_row
 
 
@@ -220,7 +220,7 @@ def test_affine_constraints_subgrad_is_maximizing_row():
     block = AffineConstraints(rng.standard_normal((6, 4)), rng.standard_normal(6))
     for _ in range(100):
         x = rng.standard_normal(4)
-        vals = [block.value_one(i, x) for i in range(6)]
+        vals = [constraint_value(block, i, x) for i in range(6)]
         i_star = int(np.argmax(vals))
         np.testing.assert_array_equal(block.subgrad(x), block.alphas[i_star])
 
@@ -250,7 +250,7 @@ def test_first_violation_agrees_with_the_sequential_scan(p):
         eps = float(rng.normal())
         assert block.first_violation(x, eps) == ref.first_violation(x, eps)
         # eps equal to a row's value exactly: that row is not a violator
-        eps = block.value_one(int(rng.integers(p)), x)
+        eps = constraint_value(block, int(rng.integers(p)), x)
         assert block.first_violation(x, eps) == ref.first_violation(x, eps)
 
 

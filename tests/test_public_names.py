@@ -1,6 +1,7 @@
 """Each public name has one home: a class or function listed in a module's
 ``__all__`` is defined in that module, and the package's ``__all__`` holds
-only names it resolves. Every name a module imports is used in it."""
+only names it resolves. Every name a module imports is used in it, and
+every name a module lists but the package does not is read by the program."""
 from __future__ import annotations
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 import mdbench
 
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(mdbench.__path__))
+_REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", _MODULES)
@@ -64,3 +66,27 @@ def _unused_imports(path: Path) -> list:
                          ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _names_read(paths) -> set:
+    """Every name the files at ``paths`` read: a ``Name`` in load context
+    or the attribute of an ``Attribute``."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_name_a_module_lists_beyond_the_package_has_a_caller():
+    # the package's names are the library's API; any other listed name
+    # must be read by the library, the benchmark or the scripts
+    read = _names_read([*Path(mdbench.__file__).parent.glob("*.py"),
+                        *(_REPO / "perfbench").glob("*.py"), *(_REPO / "scripts").glob("*.py")])
+    uncalled = [f"{name}.{public}" for name in _MODULES
+                for public in getattr(importlib.import_module(f"mdbench.{name}"), "__all__", ())
+                if public not in mdbench.__all__ and public not in read]
+    assert uncalled == []

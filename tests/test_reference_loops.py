@@ -30,7 +30,6 @@ from mdbench.solvers import (
     constrained_md_multi,
     mirror_c_descent,
     mirror_descent,
-    mirror_descent_sweep,
 )
 
 from oracles import (
@@ -457,8 +456,8 @@ def test_f_avg_over_several_blocks_is_the_per_iteration_read(kind, ms):
     objective, _, prox, feasible, _ = _problem(kind, "euclidean", n, 0, 5)
     x1 = default_start(feasible)
     rule = _rule("time-varying", objective.lipschitz_bound, prox.sigma)
-    results = mirror_descent_sweep(objective, prox, feasible, rule,
-                                   RunConfig(m=0.0, iters=iters), x1, ms)
+    (results,) = _descent(objective, prox, feasible, (rule,), RunConfig(m=0.0, iters=iters),
+                          x1, ms)
     assert results[0].iterations == iters
     rule = _rule("time-varying", objective.lipschitz_bound, prox.sigma)
     _assert_same_f_avg(results, reference_f_avg(objective, prox, feasible, rule, ms, iters, x1))

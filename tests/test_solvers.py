@@ -11,14 +11,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from mdbench.bench import default_start, write_trace_csv
+from mdbench.bench import ExperimentPlan, default_start, write_trace_csv
 from mdbench.bounds import (
     bound_composite,
     bound_corollaries,
     bound_main,
-    constrained_bound_diagnostic,
     iteration_estimate,
-    productive_inequality_sides,
 )
 from mdbench.geometry import (
     L1, Ball, Simplex, Zero, bregman, entropy_setup, euclidean_setup, unit_ball,
@@ -44,10 +42,9 @@ from mdbench.solvers import (
     constrained_md_multi,
     mirror_c_descent,
     mirror_descent,
-    mirror_descent_sweep,
 )
 
-from oracles import SequentialConstraints, WeightedAverager, weighted_average
+from oracles import SequentialConstraints, WeightedAverager, constraint_value, weighted_average
 
 
 def _state(tag: str, sigma: float = 1.0, **params) -> ScheduleState:
@@ -446,8 +443,8 @@ def test_a_traced_run_reads_its_averages_once_per_block(n, ms):
     cap = _AVERAGE_BLOCK_FLOATS // (len(ms) * n)
     iters = 2 * cap + 5 if cap >= 4 else 7
     obj = _CountingDistance(np.eye(n)[0] * 10.0)
-    results = mirror_descent_sweep(
-        obj, euclidean_setup(), unit_ball(n), _state("time-varying", m_lipschitz=1.0),
+    (results,) = _descent(
+        obj, euclidean_setup(), unit_ball(n), (_state("time-varying", m_lipschitz=1.0),),
         RunConfig(m=0.0, iters=iters), np.zeros(n), ms,
     )
     assert [res.iterations for res in results] == [iters] * len(ms)
@@ -834,7 +831,7 @@ def test_multi_stop_criterion_and_feasibility():
     eps = 0.25
     assert cons.value(res.x_hat) <= eps + 1e-9
     for i in range(cons.p):
-        assert cons.value_one(i, res.x_hat) <= eps + 1e-9
+        assert constraint_value(cons, i, res.x_hat) <= eps + 1e-9
     assert ball.contains(res.x_hat)
 
 
@@ -941,6 +938,31 @@ def test_bound_main_dominated_by_closed_form():
     assert got <= bound_corollaries(0.0, n, m_lip, theta, sigma) + 1e-12
 
 
+@pytest.mark.parametrize("m", [-1.0, 0.0, 1.0, 2.0, 5.0])
+def test_corollaries_dominate_the_realized_bound_on_their_schedule(m):
+    # on the corollaries' own schedule gamma_k = sqrt(2 sigma)/(M sqrt(k))
+    # with every ||g_k|| = M, bound_main at each N <= 10^6 comes from
+    # cumulative sums, checked against bound_main itself at three N. Each
+    # closed form holds at or above it at every N <= 2000 and at 3000
+    # log-spaced N up to 10^6, less a rounding allowance of 4 (N + 4) 2^-53
+    # relative, derived as the f* bracket's is. m = 1 is asymptotically
+    # tight: its smallest ratio is about 1 + 7.5e-7, at N = 10^6
+    m_lip, sigma, n_max = 2.0, 1.0, 10**6
+    gammas = math.sqrt(2.0 * sigma) / (m_lip * np.sqrt(np.arange(1.0, n_max + 1.0)))
+    ns = np.unique(np.concatenate([np.arange(1, 2001),
+                                   np.geomspace(2000, n_max, 3000).round().astype(np.int64)]))
+    weights = np.cumsum(gammas ** -m)
+    squares = np.cumsum(m_lip * m_lip / gammas ** (m - 1.0)) / (2.0 * sigma)
+    for theta in (0.0, 2.0, math.log(50.0)):
+        realized = (theta / gammas ** (m + 1.0) + squares) / weights
+        for n in (1, 1000, n_max):
+            exact = bound_main(m, gammas[:n], np.full(n, m_lip), theta, sigma)
+            assert realized[n - 1] == pytest.approx(exact, rel=1e-12, abs=0.0), (theta, n)
+        closed = np.array([bound_corollaries(m, int(n), m_lip, theta, sigma) for n in ns])
+        below = closed < realized[ns - 1] * (1.0 - 4.0 * (ns + 4) * 2.0**-53)
+        assert not below.any(), (theta, ns[below][:5])
+
+
 def test_bound_corollaries_frozen_values():
     assert bound_corollaries(0.0, 10**4, 1.0, 2.0, 1.0) == 0.0282842712474619
     assert bound_corollaries(-1.0, 1, 1.0, 0.0, 1.0) == 1.0
@@ -1026,35 +1048,6 @@ def test_iteration_estimate_refuses_non_finite_inputs_and_results(args, match):
         iteration_estimate(*args)
 
 
-def test_productive_inequality_sides_shape():
-    lhs, rhs = productive_inequality_sides(2.0, 1.0, 4.0, 0.25, 1.0, 100)
-    assert math.isfinite(lhs) and math.isfinite(rhs)
-    assert lhs > 0.0 and rhs > 0.0
-    lhs2, rhs2 = productive_inequality_sides(2.0, 1.0, 4.0, 0.25, 1.0, 200)
-    assert lhs2 > lhs and rhs2 > rhs
-    with pytest.raises(ValueError, match="N must be at least 1"):
-        productive_inequality_sides(2.0, 1.0, 4.0, 0.25, 1.0, 0)
-
-
-def test_constrained_bound_diagnostic():
-    diag = constrained_bound_diagnostic(
-        0.0, [1.0], [1.0], [1.0], [2.0], 1.0, 2.0, 1.0, 0.5
-    )
-    assert diag.without_slack == 4.5
-    assert diag.with_slack == 4.0
-    assert diag.with_slack <= diag.without_slack
-    # no non-productive steps: both readings coincide
-    same = constrained_bound_diagnostic(0.0, [1.0], [1.0], [], [], 1.0, 2.0, 1.0, 0.5)
-    assert same.with_slack == same.without_slack
-    with pytest.raises(ValueError, match="at least one productive step"):
-        constrained_bound_diagnostic(0.0, [], [], [1.0], [1.0], 1.0, 2.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="gamma_last must be positive"):
-        constrained_bound_diagnostic(0.0, [1.0], [1.0], [], [], 0.0, 2.0, 1.0, 0.5)
-    for args in (([1.0], [1.0, 2.0], [], []), ([1.0], [1.0], [1.0], [])):
-        with pytest.raises(ValueError, match="must pair up"):
-            constrained_bound_diagnostic(0.0, *args, 1.0, 2.0, 1.0, 0.5)
-
-
 # ---------------------------------------------------------------- shared trajectory
 
 
@@ -1094,8 +1087,8 @@ def test_shared_trajectory_matches_separate_runs(m_values, tag):
     ball = unit_ball(6)
     x1 = default_start(ball)
     config = RunConfig(m=0.0, iters=30)
-    shared = mirror_descent_sweep(
-        obj, euclidean_setup(), ball, _rule_state(tag, f_star), config, x1, m_values
+    (shared,) = _descent(
+        obj, euclidean_setup(), ball, (_rule_state(tag, f_star),), config, x1, m_values
     )
     assert len(shared) == len(m_values)
     for m, res in zip(m_values, shared):
@@ -1152,8 +1145,8 @@ class _IterateSpy(DistanceToPoint):
 def test_shared_averages_match_weighted_averager():
     obj = _IterateSpy(np.linspace(2.0, 5.0, 6))
     m_values = (-1.0, 0.5, 3.0)
-    results = mirror_descent_sweep(
-        obj, euclidean_setup(), unit_ball(6), _state("adagrad"),
+    (results,) = _descent(
+        obj, euclidean_setup(), unit_ball(6), (_state("adagrad"),),
         RunConfig(m=0.0, iters=25), np.zeros(6), m_values,
     )
     gammas = results[0].trace.gamma
@@ -1173,10 +1166,11 @@ def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
     obj = MaxAffine([[0.1, 0.0]], [0.0])
 
     def run(m_values):
-        return mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state("fixed-length"),
+        (results,) = _descent(
+            obj, euclidean_setup(), unit_ball(2), (_state("fixed-length"),),
             RunConfig(m=0.0, iters=5), np.zeros(2), m_values,
         )
+        return results
 
     assert len(run((0.0,))[0].trace.f_avg) == 5
     for m_values in ((1100.0,), (0.0, 1100.0)):
@@ -1186,21 +1180,12 @@ def test_shared_run_with_an_empty_averager_fails_like_its_separate_run():
             run(m_values)
 
 
-def test_shared_trajectory_validates_every_m():
-    obj = DistanceToPoint([10.0, 0.0])
-    with pytest.raises(ValueError, match="finite and >= -1"):
-        mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
-            RunConfig(m=0.0, iters=5), np.zeros(2), (0.0, -2.0),
-        )
-
-
 def test_overflow_names_earliest_k_then_plan_order():
     obj = DistanceToPoint([10.0, 0.0])
 
     def sweep(tag, m_values):
-        return mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state(tag),
+        return _descent(
+            obj, euclidean_setup(), unit_ball(2), (_state(tag),),
             RunConfig(m=0.0, iters=5), np.zeros(2), m_values,
         )
 
@@ -1258,8 +1243,8 @@ class _NanAverageValue(DistanceToPoint):
 def test_non_finite_objective_value_raises(cls, tag, trace, ms, match):
     obj = cls([10.0, 0.0])
     with pytest.raises(ValueError, match=match):
-        mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _rule_state(tag, 9.0),
+        _descent(
+            obj, euclidean_setup(), unit_ball(2), (_rule_state(tag, 9.0),),
             RunConfig(m=0.0, iters=5, record_trace=trace), np.zeros(2), ms,
         )
 
@@ -1348,8 +1333,9 @@ def _plan_problem(kind: str, prox_name: str):
 
 def _sweep_or_error(obj, prox, feasible, tag, config, x1, m_values, f_star=None):
     try:
-        return mirror_descent_sweep(obj, prox, feasible, _rule_state(tag, f_star), config, x1,
-                                    m_values)
+        (results,) = _descent(obj, prox, feasible, (_rule_state(tag, f_star),), config, x1,
+                              m_values)
+        return results
     except (ValueError, NoProductiveSteps) as exc:
         return exc
 
@@ -1510,16 +1496,7 @@ def test_a_nan_average_of_a_later_row_is_raised_at_once():
 
 
 def test_every_m_check_has_one_message():
-    obj = DistanceToPoint([10.0, 0.0])
     with pytest.raises(ValueError, match=r"^every m must be finite and >= -1$"):
         RunConfig(m=-2.0, iters=5)
     with pytest.raises(ValueError, match=r"^every m must be finite and >= -1$"):
-        mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
-            RunConfig(m=0.0, iters=5), np.zeros(2), (0.0, math.inf),
-        )
-    with pytest.raises(ValueError, match=r"^m_values needs at least one m$"):
-        mirror_descent_sweep(
-            obj, euclidean_setup(), unit_ball(2), _state("nonsum"),
-            RunConfig(m=0.0, iters=5), np.zeros(2), (),
-        )
+        ExperimentPlan(InstanceSpec("fts", n=4, t=3), ("nonsum",), (0.0, math.inf))

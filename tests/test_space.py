@@ -1,4 +1,4 @@
-"""Vector plumbing: norms, dual pairings, inner products."""
+"""Vector plumbing: norms and dual pairings."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdbench.space import NormKind, as_point, dual_norm_kind, inner, norm, norm_rows
+from mdbench.space import NormKind, as_point, dual_norm_kind, norm, norm_rows
 
 from oracles import norm_direct
 
@@ -48,17 +48,6 @@ def test_dual_is_involutive():
         assert dual_norm_kind(dual_norm_kind(kind)) is kind
 
 
-def test_inner_examples():
-    assert inner(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert inner(np.array([2.0]), np.array([-3.0])) == -6.0
-
-
-def test_inner_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        inner(np.zeros(2), np.zeros(3))
-
-
 def test_as_point_validation():
     out = as_point([1, 2, 3])
     assert out.dtype == np.float64 and out.shape == (3,)
@@ -84,7 +73,7 @@ def test_cauchy_schwarz_all_pairings(xs, ys):
     a = np.array(xs[:n])
     b = np.array(ys[:n])
     for kind in _KINDS:
-        lhs = inner(a, b)
+        lhs = float(np.dot(a, b))
         rhs = norm(a, kind) * norm(b, dual_norm_kind(kind))
         assert lhs <= rhs + 1e-12 * (1.0 + rhs)
 
